@@ -1,17 +1,28 @@
 // Service checkpoint/restore — the wire-format (docs/WIRE.md) serialization
 // of a quiescent TrackingService: merged stats, the flight-recorder ring and
-// every client's queues, pose track and per-beacon sessions. The encoding is
-// shard-count-free: clients are written in global id order with their shard
-// assignment left implicit (shard_of recomputes it at restore against the
-// restoring service's own shard count), so a checkpoint taken at 8 shards
-// restores into 1 — or vice versa — and the continuation stays bit-identical
-// either way.
+// every client's queues, pose track and per-beacon sessions. Clients are
+// written in global id order with their shard assignment left implicit
+// (shard_of recomputes it at restore against the restoring service's own
+// shard count), so a checkpoint taken at 8 shards restores into 1 — or vice
+// versa — and the continuation stays bit-identical either way. The `meta`
+// and `client` sections are shard-count-free; `recorder` is not (one row
+// per shard, plus wall-clock durations).
+//
+// Every struct is encoded through its one field list, visited by the Writer
+// and the Reader below: the lists are the byte layout. Reordering, retyping
+// or adding an entry bumps kCkptFormat and re-pins
+// tests/serve/test_checkpoint.cpp.
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
+#include <map>
+#include <optional>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -23,24 +34,11 @@ namespace locble::serve {
 namespace {
 
 /// Version of the checkpoint *content* layout inside the wire envelope
-/// (sections/fields below). Bumped independently of wire::kVersion.
+/// (the field lists). Bumped independently of wire::kVersion.
 constexpr std::uint32_t kCkptFormat = 1;
 
 [[noreturn]] void fail(wire::WireStatus code, const std::string& what) {
     throw wire::WireError(code, "TrackingService checkpoint: " + what);
-}
-
-/// Element count for a following loop, bounded by the bytes actually
-/// present: every element costs at least one byte, so a count beyond
-/// remaining() can only come from corruption — latch failure instead of
-/// letting a forged length drive a giant allocation loop.
-std::size_t read_count(wire::ByteReader& r) {
-    const std::uint64_t n = r.varint();
-    if (n > r.remaining()) {
-        r.bytes(r.remaining() + 1);  // latch failed()
-        return 0;
-    }
-    return static_cast<std::size_t>(n);
 }
 
 std::uint64_t fnv1a(std::string_view s) {
@@ -52,347 +50,287 @@ std::uint64_t fnv1a(std::string_view s) {
     return h;
 }
 
-void put_stats(wire::ByteWriter& w, const IngestStats& s) {
-    w.varint(s.submitted);
-    w.varint(s.accepted);
-    w.varint(s.dropped);
-    w.varint(s.rejected);
-    w.varint(s.late);
-    w.varint(s.epochs);
-    w.varint(s.clients_created);
-    w.varint(s.clients_evicted);
-    w.varint(s.sessions_created);
-    w.varint(s.sessions_evicted);
-    w.varint(s.sessions_reset);
-    w.varint(s.batches_flushed);
-    w.varint(s.solves);
-    w.varint(s.cluster_runs);
-}
+/// `S` is `T`, possibly const: one list serves the Writer (const state)
+/// and the Reader (mutable state).
+template <class S, class T>
+concept Of = std::same_as<std::remove_const_t<S>, T>;
 
-IngestStats get_stats(wire::ByteReader& r) {
-    IngestStats s;
-    s.submitted = r.varint();
-    s.accepted = r.varint();
-    s.dropped = r.varint();
-    s.rejected = r.varint();
-    s.late = r.varint();
-    s.epochs = r.varint();
-    s.clients_created = r.varint();
-    s.clients_evicted = r.varint();
-    s.sessions_created = r.varint();
-    s.sessions_evicted = r.varint();
-    s.sessions_reset = r.varint();
-    s.batches_flushed = r.varint();
-    s.solves = r.varint();
-    s.cluster_runs = r.varint();
-    return s;
+// Field lists of the leaf types from core/, dsp/, motion/ and common/, kept
+// beside their only serializer so those modules stay unaware of the wire
+// format. serve structs carry their own lists (`T::fields`).
+template <Of<locble::Vec2> S, class V>
+void fields(S& s, V& v) { v(s.x, s.y); }
+template <Of<core::FusedSample> S, class V>
+void fields(S& s, V& v) { v(s.t, s.p, s.q, s.rssi, s.segment); }
+template <Of<core::LocationFit> S, class V>
+void fields(S& s, V& v) {
+    v(s.location, s.exponent, s.gamma_dbm, s.segment_gammas, s.residual_db,
+      s.confidence, s.ambiguous);
 }
-
-/// Exact fieldwise u64 difference of two monotone stats views (now >= base).
-IngestStats stats_minus(const IngestStats& now, const IngestStats& base) {
-    IngestStats d;
-    d.submitted = now.submitted - base.submitted;
-    d.accepted = now.accepted - base.accepted;
-    d.dropped = now.dropped - base.dropped;
-    d.rejected = now.rejected - base.rejected;
-    d.late = now.late - base.late;
-    d.epochs = now.epochs - base.epochs;
-    d.clients_created = now.clients_created - base.clients_created;
-    d.clients_evicted = now.clients_evicted - base.clients_evicted;
-    d.sessions_created = now.sessions_created - base.sessions_created;
-    d.sessions_evicted = now.sessions_evicted - base.sessions_evicted;
-    d.sessions_reset = now.sessions_reset - base.sessions_reset;
-    d.batches_flushed = now.batches_flushed - base.batches_flushed;
-    d.solves = now.solves - base.solves;
-    d.cluster_runs = now.cluster_runs - base.cluster_runs;
-    return d;
+template <Of<core::SolverWorkspace::WarmGrid> S, class V>
+void fields(S& s, V& v) {
+    v(s.valid);
+    if (s.valid) v(s.n_min, s.n_max, s.step, s.points);
 }
-
-void put_sketch(wire::ByteWriter& w, const obs::QuantileSketch& s) {
-    w.bool8(s.configured());
-    if (!s.configured()) return;
-    w.f64(s.upper_bound());
-    w.varint(s.resolution());
-    w.varint(s.count());
-    w.f64(s.max());
-    for (const std::uint64_t b : s.buckets()) w.varint(b);
+template <Of<core::SolverWorkspace::WarmGrid::Point> S, class V>
+void fields(S& s, V& v) { v(s.has_fit, s.loc, s.gammas); }
+template <Of<core::LocateResult::Diagnostics> S, class V>
+void fields(S& s, V& v) {
+    v(s.solver_calls, s.solver_candidates, s.solver_failures, s.solver_multistarts,
+      s.solver_warm_starts, s.convergence_failures, s.envaware_windows,
+      s.batch_samples);
 }
-
-void get_sketch(wire::ByteReader& r, obs::QuantileSketch& out) {
-    if (!r.bool8()) {
-        out = obs::QuantileSketch{};
-        return;
-    }
-    const double upper = r.f64();
-    const auto resolution = static_cast<std::uint32_t>(r.varint());
-    const std::uint64_t count = r.varint();
-    const double max = r.f64();
-    if (resolution == 0 || !(upper > 0.0) ||
-        static_cast<std::uint64_t>(resolution) + 1 > r.remaining()) {
-        r.bytes(r.remaining() + 1);  // corrupted parameters: latch failure
-        return;
-    }
-    std::vector<std::uint64_t> buckets(static_cast<std::size_t>(resolution) + 1);
-    for (auto& b : buckets) b = r.varint();
-    if (!r.ok()) return;
-    out.restore(upper, resolution, std::move(buckets), count, max);
-}
-
-void put_fit(wire::ByteWriter& w, const core::LocationFit& f) {
-    w.f64(f.location.x);
-    w.f64(f.location.y);
-    w.f64(f.exponent);
-    w.f64(f.gamma_dbm);
-    w.varint(f.segment_gammas.size());
-    for (const double g : f.segment_gammas) w.f64(g);
-    w.f64(f.residual_db);
-    w.f64(f.confidence);
-    w.bool8(f.ambiguous);
-}
-
-void get_fit(wire::ByteReader& r, core::LocationFit& f) {
-    f.location.x = r.f64();
-    f.location.y = r.f64();
-    f.exponent = r.f64();
-    f.gamma_dbm = r.f64();
-    f.segment_gammas.resize(read_count(r));
-    for (double& g : f.segment_gammas) g = r.f64();
-    f.residual_db = r.f64();
-    f.confidence = r.f64();
-    f.ambiguous = r.bool8();
-}
-
-void put_sample(wire::ByteWriter& w, const core::FusedSample& s) {
-    w.f64(s.t);
-    w.f64(s.p);
-    w.f64(s.q);
-    w.f64(s.rssi);
-    w.svarint(s.segment);
-}
-
-void get_sample(wire::ByteReader& r, core::FusedSample& s) {
-    s.t = r.f64();
-    s.p = r.f64();
-    s.q = r.f64();
-    s.rssi = r.f64();
-    s.segment = static_cast<int>(r.svarint());
-}
-
-/// Full serve-layer event (not the wire::EventRecord mirror): the ingest
-/// queues hold the POD verbatim, so the checkpoint writes all fields flat.
-void put_event(wire::ByteWriter& w, const Event& e) {
-    w.varint(e.client);
-    w.f64(e.t);
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.varint(e.beacon);
-    w.f64(e.rssi_dbm);
-    w.f64(e.position.x);
-    w.f64(e.position.y);
-}
-
-bool get_event(wire::ByteReader& r, Event& e) {
-    e.client = r.varint();
-    e.t = r.f64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(EventKind::pose)) return false;
-    e.kind = static_cast<EventKind>(kind);
-    e.beacon = r.varint();
-    e.rssi_dbm = r.f64();
-    e.position.x = r.f64();
-    e.position.y = r.f64();
-    return r.ok();
-}
-
-void put_optional_class(wire::ByteWriter& w,
-                        const std::optional<channel::PropagationClass>& c) {
-    w.bool8(c.has_value());
-    w.u8(c ? static_cast<std::uint8_t>(*c) : 0u);
-}
-
-bool get_optional_class(wire::ByteReader& r,
-                        std::optional<channel::PropagationClass>& out) {
-    const bool has = r.bool8();
-    const std::uint8_t v = r.u8();
-    if (v > static_cast<std::uint8_t>(channel::PropagationClass::nlos))
-        return false;
-    out.reset();
-    if (has) out = static_cast<channel::PropagationClass>(v);
-    return r.ok();
-}
-
-void put_session(wire::ByteWriter& w, const TrackingSession::Ckpt& ck) {
-    // ANF chain state.
-    w.varint(ck.anf.sections.size());
-    for (const auto& [s1, s2] : ck.anf.sections) {
-        w.f64(s1);
-        w.f64(s2);
-    }
-    w.f64(ck.anf.akf.x);
-    w.f64(ck.anf.akf.p);
-    w.bool8(ck.anf.akf.initialized);
-    w.f64(ck.anf.akf.bias);
-    w.bool8(ck.anf.primed);
-    w.f64(ck.anf.last_bf);
-    // EnvAware regime tracker.
-    w.bool8(ck.has_env);
-    put_optional_class(w, ck.env.regime);
-    put_optional_class(w, ck.env.pending);
-    w.svarint(ck.env.pending_count);
-    // Accumulated regression samples (the solver folds rebuild from these).
-    w.varint(ck.samples.size());
-    for (const auto& s : ck.samples) put_sample(w, s);
-    // Warm-start grid (the one non-rebuildable piece of solver state).
-    w.bool8(ck.warm_grid.valid);
-    if (ck.warm_grid.valid) {
-        w.f64(ck.warm_grid.n_min);
-        w.f64(ck.warm_grid.n_max);
-        w.f64(ck.warm_grid.step);
-        w.varint(ck.warm_grid.points.size());
-        for (const auto& p : ck.warm_grid.points) {
-            w.bool8(p.has_fit);
-            w.f64(p.loc.x);
-            w.f64(p.loc.y);
-            w.varint(p.gammas.size());
-            for (const double g : p.gammas) w.f64(g);
-        }
-    }
-    // Batch window and lifecycle scalars.
-    w.bool8(ck.started);
-    w.f64(ck.batch_end);
-    w.f64(ck.last_event_t);
-    w.varint(ck.batch_raw.size());
-    for (const double v : ck.batch_raw) w.f64(v);
-    w.varint(ck.batch_fused.size());
-    for (const auto& s : ck.batch_fused) put_sample(w, s);
-    w.svarint(ck.segment);
-    w.svarint(ck.restarts);
-    w.svarint(ck.resets);
-    w.bool8(ck.has_regime);
-    w.u8(static_cast<std::uint8_t>(ck.regime));
-    w.f64(ck.band_min);
-    w.f64(ck.band_max);
-    w.bool8(ck.saw_blocked);
-    w.f64(ck.prev_batch_mean);
-    w.bool8(ck.have_prev_batch);
-    w.bool8(ck.dirty);
-    w.bool8(ck.epoch_changed);
-    w.bool8(ck.snap_dirty);
-    w.bool8(ck.dirty_listed);
-    // Published estimate.
-    w.bool8(ck.has_fit);
-    if (ck.has_fit) put_fit(w, ck.fit);
-    w.varint(ck.samples_used);
-    w.varint(ck.samples_seen);
-    // Diagnostics.
-    w.svarint(ck.diag.solver_calls);
-    w.svarint(ck.diag.solver_candidates);
-    w.svarint(ck.diag.solver_failures);
-    w.svarint(ck.diag.solver_multistarts);
-    w.svarint(ck.diag.solver_warm_starts);
-    w.svarint(ck.diag.convergence_failures);
-    w.svarint(ck.diag.envaware_windows);
-    w.varint(ck.diag.batch_samples.size());
-    for (const std::size_t n : ck.diag.batch_samples) w.varint(n);
-    // Clustering calibration.
-    w.bool8(ck.has_cluster);
-    if (ck.has_cluster) {
-        w.f64(ck.cluster.calibrated.x);
-        w.f64(ck.cluster.calibrated.y);
-        w.f64(ck.cluster.combined_confidence);
-        w.varint(ck.cluster.members.size());
-        for (const std::uint64_t m : ck.cluster.members) w.varint(m);
-        w.varint(ck.cluster.rejected);
-    }
-}
-
-bool get_session(wire::ByteReader& r, TrackingSession::Ckpt& ck) {
-    ck.anf.sections.resize(read_count(r));
-    for (auto& [s1, s2] : ck.anf.sections) {
-        s1 = r.f64();
-        s2 = r.f64();
-    }
-    ck.anf.akf.x = r.f64();
-    ck.anf.akf.p = r.f64();
-    ck.anf.akf.initialized = r.bool8();
-    ck.anf.akf.bias = r.f64();
-    ck.anf.primed = r.bool8();
-    ck.anf.last_bf = r.f64();
-    ck.has_env = r.bool8();
-    if (!get_optional_class(r, ck.env.regime)) return false;
-    if (!get_optional_class(r, ck.env.pending)) return false;
-    ck.env.pending_count = static_cast<int>(r.svarint());
-    ck.samples.resize(read_count(r));
-    for (auto& s : ck.samples) get_sample(r, s);
-    ck.warm_grid.valid = r.bool8();
-    if (ck.warm_grid.valid) {
-        ck.warm_grid.n_min = r.f64();
-        ck.warm_grid.n_max = r.f64();
-        ck.warm_grid.step = r.f64();
-        ck.warm_grid.points.resize(read_count(r));
-        for (auto& p : ck.warm_grid.points) {
-            p.has_fit = r.bool8();
-            p.loc.x = r.f64();
-            p.loc.y = r.f64();
-            p.gammas.resize(read_count(r));
-            for (double& g : p.gammas) g = r.f64();
-        }
-    }
-    ck.started = r.bool8();
-    ck.batch_end = r.f64();
-    ck.last_event_t = r.f64();
-    ck.batch_raw.resize(read_count(r));
-    for (double& v : ck.batch_raw) v = r.f64();
-    ck.batch_fused.resize(read_count(r));
-    for (auto& s : ck.batch_fused) get_sample(r, s);
-    ck.segment = static_cast<int>(r.svarint());
-    ck.restarts = static_cast<int>(r.svarint());
-    ck.resets = static_cast<int>(r.svarint());
-    ck.has_regime = r.bool8();
-    const std::uint8_t regime = r.u8();
-    if (regime > static_cast<std::uint8_t>(channel::PropagationClass::nlos))
-        return false;
-    ck.regime = static_cast<channel::PropagationClass>(regime);
-    ck.band_min = r.f64();
-    ck.band_max = r.f64();
-    ck.saw_blocked = r.bool8();
-    ck.prev_batch_mean = r.f64();
-    ck.have_prev_batch = r.bool8();
-    ck.dirty = r.bool8();
-    ck.epoch_changed = r.bool8();
-    ck.snap_dirty = r.bool8();
-    ck.dirty_listed = r.bool8();
-    ck.has_fit = r.bool8();
-    if (ck.has_fit) get_fit(r, ck.fit);
-    ck.samples_used = r.varint();
-    ck.samples_seen = r.varint();
-    ck.diag.solver_calls = static_cast<int>(r.svarint());
-    ck.diag.solver_candidates = static_cast<int>(r.svarint());
-    ck.diag.solver_failures = static_cast<int>(r.svarint());
-    ck.diag.solver_multistarts = static_cast<int>(r.svarint());
-    ck.diag.solver_warm_starts = static_cast<int>(r.svarint());
-    ck.diag.convergence_failures = static_cast<int>(r.svarint());
-    ck.diag.envaware_windows = static_cast<int>(r.svarint());
-    ck.diag.batch_samples.resize(read_count(r));
-    for (std::size_t& n : ck.diag.batch_samples)
-        n = static_cast<std::size_t>(r.varint());
-    ck.has_cluster = r.bool8();
-    if (ck.has_cluster) {
-        ck.cluster.calibrated.x = r.f64();
-        ck.cluster.calibrated.y = r.f64();
-        ck.cluster.combined_confidence = r.f64();
-        ck.cluster.members.resize(read_count(r));
-        for (auto& m : ck.cluster.members) m = r.varint();
-        ck.cluster.rejected = static_cast<std::size_t>(r.varint());
-    }
-    return r.ok();
-}
+template <Of<core::ClusterCalibration> S, class V>
+void fields(S& s, V& v) { v(s.calibrated, s.combined_confidence, s.members, s.rejected); }
+template <Of<core::EnvAware::StreamState> S, class V>
+void fields(S& s, V& v) { v(s.regime, s.pending, s.pending_count); }
+template <Of<dsp::Anf::State> S, class V>
+void fields(S& s, V& v) { v(s.sections, s.akf, s.primed, s.last_bf); }
+template <Of<dsp::AdaptiveKalman::State> S, class V>
+void fields(S& s, V& v) { v(s.x, s.p, s.initialized, s.bias); }
+template <Of<motion::TimedPosition> S, class V>
+void fields(S& s, V& v) { v(s.t, s.position); }
 
 }  // namespace
 
-/// The befriended codec: the only code that reaches past the service's and
-/// shard's public surfaces. Checkpoint/restore semantics — what is carried,
-/// what is recomputed — are documented field-by-field in docs/WIRE.md.
+/// The befriended codec: the only code that reaches past the service's,
+/// shard's and session's public surfaces. Checkpoint/restore semantics —
+/// what is carried, what is recomputed — are documented in docs/WIRE.md.
 struct CheckpointCodec {
+    /// The `meta` section after its format number and config digest. Two
+    /// merged stats views plus the recorder baseline: restore() rebuilds
+    /// per-shard stats from these three alone.
+    struct Meta {
+        std::uint64_t epoch{0};
+        bool has_horizon{false};
+        double horizon{0.0};
+        double epoch_horizon{0.0};
+        IngestStats barrier, live, last_record;
+        std::uint64_t clients{0};
+
+        template <class Self, class Visitor>
+        static void fields(Self& s, Visitor& v) {
+            v.fixed_u64(s.epoch);
+            v(s.has_horizon, s.horizon, s.epoch_horizon, s.barrier, s.live,
+              s.last_record, s.clients);
+        }
+    };
+
+    /// Encodes by type — bool8, f64, svarint for int, varint for unsigned,
+    /// u8 for enums; an optional as its presence flag and value (default when
+    /// absent); a container as a varint count and its elements; any other
+    /// struct through its field list.
+    struct Writer {
+        wire::ByteWriter& w;
+
+        template <class... T>
+        void operator()(const T&... xs) {
+            (put(xs), ...);
+        }
+        void fixed_u64(std::uint64_t v) { w.u64(v); }
+
+        void put(bool v) { w.bool8(v); }
+        void put(double v) { w.f64(v); }
+        void put(int v) { w.svarint(v); }
+        template <std::unsigned_integral U>
+        void put(const U& v) { w.varint(v); }
+        template <class E>
+            requires std::is_enum_v<E>
+        void put(const E& e) { w.u8(static_cast<std::uint8_t>(e)); }
+        template <class T>
+        void put(const std::optional<T>& o) {
+            put(o.has_value());
+            put(o ? *o : T{});
+        }
+        template <class A, class B>
+        void put(const std::pair<A, B>& p) {
+            put(p.first);
+            put(p.second);
+        }
+        template <std::ranges::sized_range C>
+        void put(const C& c) {
+            w.varint(c.size());
+            for (const auto& x : c) put(x);
+        }
+        void put(const IngestStats& s) {
+            for (const IngestStatsField& f : kIngestStatsFields) put(s.*f.value);
+        }
+        void put(const obs::QuantileSketch& s) {
+            put(s.configured());
+            if (!s.configured()) return;
+            w.f64(s.upper_bound());
+            w.varint(s.resolution());
+            w.varint(s.count());
+            w.f64(s.max());
+            for (const std::uint64_t b : s.buckets()) w.varint(b);  // resolution + 1
+        }
+        void put(const dsp::Anf& anf) { put(anf.checkpoint_state()); }
+        void put(const std::optional<core::EnvAware>& env) {
+            put(env.has_value());
+            put(env ? env->stream_state() : core::EnvAware::StreamState{});
+        }
+        /// The samples in place (no copy of the history), then the warm grid.
+        void put(const core::LocationSolver::Session& s) {
+            put(s.samples());
+            put(s.workspace().export_warm_grid());
+        }
+        template <class T>
+        void put(const T& x) {
+            if constexpr (requires { T::fields(x, *this); })
+                T::fields(x, *this);
+            else
+                fields(x, *this);
+        }
+    };
+
+    /// The Writer's inverse, and the one place checkpoint input is
+    /// validated: counts are bounded by the bytes present, enum values,
+    /// sketch parameters and session segments are range-checked, and
+    /// semantic damage fails `malformed` right here.
+    struct Reader {
+        wire::ByteReader& r;
+        /// Construction context of restored sessions (the shard's stats
+        /// sink is set per client).
+        const TrackingSession::Config* session_cfg{nullptr};
+        const core::EnvAware* envaware{nullptr};
+        IngestStats* shard_stats{nullptr};
+
+        template <class... T>
+        void operator()(T&... xs) {
+            (get(xs), ...);
+        }
+        void fixed_u64(std::uint64_t& v) { v = r.u64(); }
+
+        void get(bool& v) { v = r.bool8(); }
+        void get(double& v) { v = r.f64(); }
+        void get(int& v) { v = static_cast<int>(r.svarint()); }
+        template <std::unsigned_integral U>
+        void get(U& v) { v = static_cast<U>(r.varint()); }
+        void get(EventKind& k) { k = checked(EventKind::pose); }
+        void get(channel::PropagationClass& c) {
+            c = checked(channel::PropagationClass::nlos);
+        }
+        template <class T>
+        void get(std::optional<T>& o) {
+            bool has = false;
+            T v{};
+            get(has);
+            get(v);
+            o.reset();
+            if (has) o = v;
+        }
+        template <class A, class B>
+        void get(std::pair<A, B>& p) {
+            get(p.first);
+            get(p.second);
+        }
+        template <std::ranges::sized_range C>  // vector, deque
+        void get(C& c) {
+            c.resize(count());
+            for (auto& x : c) get(x);
+        }
+        void get(std::map<BeaconId, TrackingSession>& sessions) {
+            const std::size_t n = count();
+            for (std::size_t i = 0; i < n && r.ok(); ++i) {
+                BeaconId beacon = 0;
+                get(beacon);
+                auto [it, created] =
+                    sessions.try_emplace(beacon, *session_cfg, envaware, shard_stats);
+                if (!created) fail(wire::WireStatus::malformed, "duplicate session");
+                get(it->second);
+            }
+        }
+        void get(IngestStats& s) {
+            for (const IngestStatsField& f : kIngestStatsFields) get(s.*f.value);
+        }
+        void get(obs::QuantileSketch& out) {
+            if (!r.bool8()) {
+                out = obs::QuantileSketch{};
+                return;
+            }
+            const double upper = r.f64();
+            const auto resolution = static_cast<std::uint32_t>(r.varint());
+            const std::uint64_t n = r.varint();
+            const double max = r.f64();
+            if (resolution == 0 || !(upper > 0.0) ||
+                static_cast<std::uint64_t>(resolution) + 1 > r.remaining()) {
+                r.bytes(r.remaining() + 1);  // corrupted parameters: latch failure
+                return;
+            }
+            std::vector<std::uint64_t> buckets(static_cast<std::size_t>(resolution) + 1);
+            for (auto& b : buckets) b = r.varint();
+            if (!r.ok()) return;
+            out.restore(upper, resolution, std::move(buckets), n, max);
+        }
+        void get(dsp::Anf& anf) {
+            dsp::Anf::State st;
+            get(st);
+            anf.restore_state(st);  // throws std::invalid_argument on a foreign design
+        }
+        void get(std::optional<core::EnvAware>& env) {
+            bool has = false;
+            core::EnvAware::StreamState st;
+            get(has);
+            get(st);
+            if (has && env) env->restore_stream(st);
+        }
+        void get(core::LocationSolver::Session& s) {
+            std::vector<core::FusedSample> samples;
+            core::SolverWorkspace::WarmGrid grid;
+            get(samples);
+            get(grid);
+            // Re-adding the samples rebuilds every incremental solver fold
+            // bit-identically (exhaustive mode is exact by the Session
+            // contract; coarse_to_fine additionally needs the warm grid).
+            s.reset();
+            s.add(samples);
+            s.workspace().import_warm_grid(grid);  // may throw std::invalid_argument
+        }
+        void get(TrackingSession& s) {
+            TrackingSession::fields(s, *this);
+            // The solver sizes and indexes its per-segment arrays by sample
+            // segment. A session's segment advances at most once per flushed
+            // batch, and every accumulated sample lies in [0, segment].
+            const std::vector<core::FusedSample>& samples = s.session_.samples();
+            const auto in_segment = [&](const core::FusedSample& x) {
+                return x.segment >= 0 && x.segment <= s.segment_;
+            };
+            if (s.segment_ < 0 ||
+                static_cast<std::size_t>(s.segment_) > s.diag_.batch_samples.size() ||
+                !std::all_of(samples.begin(), samples.end(), in_segment))
+                fail(wire::WireStatus::malformed, "session segment out of range");
+        }
+        template <class T>
+        void get(T& x) {
+            if constexpr (requires { T::fields(x, *this); })
+                T::fields(x, *this);
+            else
+                fields(x, *this);
+        }
+
+        /// Element count for a following loop, bounded by the bytes
+        /// actually present: every element costs at least one byte, so a
+        /// count beyond remaining() can only come from corruption — latch
+        /// failure instead of letting a forged length drive a giant
+        /// allocation loop.
+        std::size_t count() {
+            const std::uint64_t n = r.varint();
+            if (n > r.remaining()) {
+                r.bytes(r.remaining() + 1);  // latch failed()
+                return 0;
+            }
+            return static_cast<std::size_t>(n);
+        }
+
+        template <class E>
+        E checked(E last) {
+            const std::uint8_t v = r.u8();
+            if (v > static_cast<std::uint8_t>(last))
+                fail(wire::WireStatus::malformed, "enum value out of range");
+            return static_cast<E>(v);
+        }
+    };
+
     /// Digest of every *result-affecting* config field. shards/threads are
     /// excluded on purpose (results are invariant to them by the serve
     /// determinism contract), as is the solver kernel mode (bit-identical by
@@ -465,103 +403,40 @@ struct CheckpointCodec {
         wire::LogWriter log(wire::StreamKind::checkpoint);
 
         // Gather the fleet in global client order. The per-shard ingest maps
-        // are unordered — collect, then sort (the determinism-lint idiom),
-        // so the bytes carry no trace of hash order or shard count.
-        struct ClientRef {
-            ClientId id;
-            const Shard* shard;
-        };
-        std::vector<ClientRef> fleet;
+        // are unordered — collect into an ordered map (the determinism-lint
+        // idiom), so the bytes carry no trace of hash order or shard count.
+        std::map<ClientId, const Shard*> fleet;
         for (const auto& sp : svc.shards_) {
-            const Shard& s = *sp;
-            for (const auto& [id, q] : s.ingest_) fleet.push_back({id, &s});
-            for (const auto& [id, c] : s.clients_)
-                if (s.ingest_.find(id) == s.ingest_.end())
-                    fleet.push_back({id, &s});
-        }
-        std::sort(fleet.begin(), fleet.end(),
-                  [](const ClientRef& a, const ClientRef& b) {
-                      return a.id < b.id;
-                  });
-
-        {
-            wire::ByteWriter meta;
-            meta.u32(kCkptFormat);
-            meta.u64(config_digest(svc.cfg_));
-            meta.u64(svc.epoch_);
-            meta.bool8(svc.has_horizon_);
-            meta.f64(svc.horizon_);
-            meta.f64(svc.epoch_horizon_);
-            // Two merged stats views plus the recorder baseline. Restore
-            // reconstructs per-shard state from these three alone — see
-            // restore() below for the algebra.
-            put_stats(meta, svc.merged_stats(/*barrier_view=*/true));
-            put_stats(meta, svc.merged_stats(/*barrier_view=*/false));
-            put_stats(meta, svc.last_record_stats_);
-            meta.varint(fleet.size());
-            log.section("meta", meta.data());
+            for (const auto& [id, q] : sp->ingest_) fleet.emplace(id, sp.get());
+            for (const auto& [id, c] : sp->clients_) fleet.emplace(id, sp.get());
         }
 
-        {
-            wire::ByteWriter rec;
-            const FlightRecorder& fr = svc.recorder_;
-            rec.varint(fr.epochs_recorded());
-            const std::vector<EpochRecord> records = fr.records();
-            rec.varint(records.size());
-            for (const EpochRecord& er : records) {
-                rec.u64(er.epoch);
-                rec.f64(er.horizon);
-                put_stats(rec, er.delta);
-                rec.varint(er.snapshot_rows);
-                rec.varint(er.sessions_live);
-                rec.varint(er.sessions_no_fit);
-                put_sketch(rec, er.staleness_s);
-                rec.f64(er.wall_epoch_us);
-                rec.varint(er.shards.size());
-                for (const ShardEpochRecord& sr : er.shards) {
-                    rec.varint(sr.events_drained);
-                    rec.varint(sr.clients_visited);
-                    rec.varint(sr.sessions_live);
-                    rec.varint(sr.sessions_no_fit);
-                    rec.f64(sr.wall_us);
-                }
-            }
-            log.section("recorder", rec.data());
-        }
+        wire::ByteWriter body;
+        Writer put{body};
+        body.u32(kCkptFormat);
+        body.u64(config_digest(svc.cfg_));
+        put(Meta{svc.epoch_, svc.has_horizon_, svc.horizon_, svc.epoch_horizon_,
+                 svc.merged_stats(/*barrier_view=*/true),
+                 svc.merged_stats(/*barrier_view=*/false), svc.last_record_stats_,
+                 fleet.size()});
+        log.section("meta", body.data());
 
-        for (const ClientRef& ref : fleet) {
-            wire::ByteWriter c;
-            c.varint(ref.id);
-            const auto qit = ref.shard->ingest_.find(ref.id);
-            c.bool8(qit != ref.shard->ingest_.end());
-            if (qit != ref.shard->ingest_.end()) {
-                const Shard::IngestQueue& q = qit->second;
-                c.varint(q.buf.size());
-                for (const Event& e : q.buf) put_event(c, e);
-                c.f64(q.last_event_t);
-                c.bool8(q.has_event_t);
-            }
-            const auto cit = ref.shard->clients_.find(ref.id);
-            c.bool8(cit != ref.shard->clients_.end());
-            if (cit != ref.shard->clients_.end()) {
-                const Shard::ClientState& cs = cit->second;
-                c.varint(cs.path.size());
-                for (const auto& tp : cs.path) {
-                    c.f64(tp.t);
-                    c.f64(tp.position.x);
-                    c.f64(tp.position.y);
-                }
-                c.varint(cs.path_cursor);
-                c.bool8(cs.open_batches);
-                c.varint(cs.sessions.size());
-                for (const auto& [beacon, session] : cs.sessions) {
-                    c.varint(beacon);
-                    put_session(c, session.export_ckpt());
-                }
-            }
-            log.section("client", c.data());
-        }
+        body.clear();
+        put(svc.recorder_.epochs_recorded(), svc.recorder_.records());
+        log.section("recorder", body.data());
 
+        // One section per client: its id, then the ingest queue and the
+        // resident state, each behind a presence flag.
+        for (const auto& [id, shard] : fleet) {
+            body.clear();
+            const auto q = shard->ingest_.find(id);
+            const auto c = shard->clients_.find(id);
+            put(id, q != shard->ingest_.end());
+            if (q != shard->ingest_.end()) put(q->second);
+            put(c != shard->clients_.end());
+            if (c != shard->clients_.end()) put(c->second);
+            log.section("client", body.data());
+        }
         return log.finish();
     }
 
@@ -578,142 +453,90 @@ struct CheckpointCodec {
         if (log.kind() != wire::StreamKind::checkpoint)
             fail(wire::WireStatus::malformed, "stream is not a checkpoint");
 
+        // The next frame, which must be a `name` section; false at the clean
+        // end. Every section body must then be read exactly to its end.
         wire::LogRecord frame;
+        const auto next_section = [&](const std::string& name) {
+            const wire::WireStatus st = log.next(frame);
+            if (st == wire::WireStatus::end) return false;
+            if (st != wire::WireStatus::ok) fail(st, "reading " + name + " section");
+            if (frame.type != wire::FrameType::section || frame.section_name != name)
+                fail(wire::WireStatus::malformed, "expected a " + name + " section");
+            return true;
+        };
+        const auto read_to_end = [](const wire::ByteReader& r, const std::string& name) {
+            if (!r.ok() || !r.at_end())
+                fail(wire::WireStatus::malformed, name + " section");
+        };
 
         // --- meta (must come first: the digest gates everything else) ---
-        wire::WireStatus st = log.next(frame);
-        if (st != wire::WireStatus::ok) fail(st, "reading meta section");
-        if (frame.type != wire::FrameType::section ||
-            frame.section_name != "meta")
-            fail(wire::WireStatus::malformed, "first frame is not meta");
-        wire::ByteReader meta(frame.section_body);
-        if (meta.u32() != kCkptFormat)
-            fail(wire::WireStatus::unknown_version,
-                 "unknown checkpoint format");
-        if (meta.u64() != config_digest(svc.cfg_))
+        if (!next_section("meta")) fail(wire::WireStatus::malformed, "no meta section");
+        wire::ByteReader mr(frame.section_body);
+        if (mr.u32() != kCkptFormat)
+            fail(wire::WireStatus::unknown_version, "unknown checkpoint format");
+        if (mr.u64() != config_digest(svc.cfg_))
             fail(wire::WireStatus::config_mismatch,
                  "checkpoint was taken under a different service config");
-        const std::uint64_t epoch = meta.u64();
-        const bool has_horizon = meta.bool8();
-        const double horizon = meta.f64();
-        const double epoch_horizon = meta.f64();
-        const IngestStats barrier = get_stats(meta);
-        const IngestStats live = get_stats(meta);
-        const IngestStats last_record = get_stats(meta);
-        const std::uint64_t client_count = meta.varint();
-        if (!meta.ok()) fail(wire::WireStatus::malformed, "meta section");
+        Meta meta;
+        Reader{mr}(meta);
+        read_to_end(mr, "meta");
 
         // --- recorder ---
-        st = log.next(frame);
-        if (st != wire::WireStatus::ok) fail(st, "reading recorder section");
-        if (frame.type != wire::FrameType::section ||
-            frame.section_name != "recorder")
-            fail(wire::WireStatus::malformed, "second frame is not recorder");
-        {
-            wire::ByteReader rr(frame.section_body);
-            const std::uint64_t epochs_recorded = rr.varint();
-            std::vector<EpochRecord> records(read_count(rr));
-            for (EpochRecord& er : records) {
-                er.epoch = rr.u64();
-                er.horizon = rr.f64();
-                er.delta = get_stats(rr);
-                er.snapshot_rows = rr.varint();
-                er.sessions_live = rr.varint();
-                er.sessions_no_fit = rr.varint();
-                get_sketch(rr, er.staleness_s);
-                er.wall_epoch_us = rr.f64();
-                er.shards.resize(read_count(rr));
-                for (ShardEpochRecord& sr : er.shards) {
-                    sr.events_drained = rr.varint();
-                    sr.clients_visited = rr.varint();
-                    sr.sessions_live = rr.varint();
-                    sr.sessions_no_fit = rr.varint();
-                    sr.wall_us = rr.f64();
-                }
-            }
-            if (!rr.ok()) fail(wire::WireStatus::malformed, "recorder section");
-            svc.recorder_.restore(std::move(records), epochs_recorded);
-        }
+        if (!next_section("recorder"))
+            fail(wire::WireStatus::malformed, "no recorder section");
+        wire::ByteReader rr(frame.section_body);
+        std::uint64_t epochs_recorded = 0;
+        std::vector<EpochRecord> records;
+        Reader{rr}(epochs_recorded, records);
+        read_to_end(rr, "recorder");
+        svc.recorder_.restore(std::move(records), epochs_recorded);
 
         // --- clients ---
         const auto nshards = static_cast<std::uint32_t>(svc.shards_.size());
+        const core::EnvAware* env = svc.envaware_ ? &*svc.envaware_ : nullptr;
         std::uint64_t restored = 0;
-        for (;;) {
-            st = log.next(frame);
-            if (st == wire::WireStatus::end) break;
-            if (st != wire::WireStatus::ok) fail(st, "reading client section");
-            if (frame.type != wire::FrameType::section ||
-                frame.section_name != "client")
-                fail(wire::WireStatus::malformed, "unexpected section");
+        while (next_section("client")) {
             wire::ByteReader cr(frame.section_body);
-            const ClientId id = cr.varint();
+            Reader get{cr, &svc.cfg_.shard.session, env};
+            ClientId id = 0;
+            bool queued = false, resident = false;
+            get(id, queued);
             Shard& shard = *svc.shards_[shard_of(id, nshards)];
-            if (cr.bool8()) {
-                auto [qit, fresh] = shard.ingest_.try_emplace(id);
-                if (!fresh)
-                    fail(wire::WireStatus::malformed, "duplicate client");
-                Shard::IngestQueue& q = qit->second;
-                const std::size_t nbuf = read_count(cr);
-                for (std::size_t i = 0; i < nbuf; ++i) {
-                    Event e;
-                    if (!get_event(cr, e))
-                        fail(wire::WireStatus::malformed, "client queue event");
-                    q.buf.push_back(e);
-                }
-                q.last_event_t = cr.f64();
-                q.has_event_t = cr.bool8();
+            if (queued) {
+                auto [q, fresh] = shard.ingest_.try_emplace(id);
+                if (!fresh) fail(wire::WireStatus::malformed, "duplicate client");
+                get(q->second);
             }
-            if (cr.ok() && cr.bool8()) {
-                auto [cit, fresh] = shard.clients_.try_emplace(id);
-                if (!fresh)
-                    fail(wire::WireStatus::malformed, "duplicate client");
-                Shard::ClientState& cs = cit->second;
-                cs.path.resize(read_count(cr));
-                for (auto& tp : cs.path) {
-                    tp.t = cr.f64();
-                    tp.position.x = cr.f64();
-                    tp.position.y = cr.f64();
+            get(resident);
+            if (resident) {
+                auto [c, fresh] = shard.clients_.try_emplace(id);
+                if (!fresh) fail(wire::WireStatus::malformed, "duplicate client");
+                get.shard_stats = &shard.epoch_stats_;
+                try {
+                    get(c->second);
+                } catch (const std::invalid_argument& ex) {
+                    fail(wire::WireStatus::malformed, ex.what());
                 }
-                cs.path_cursor = static_cast<std::size_t>(cr.varint());
-                cs.open_batches = cr.bool8();
-                const std::size_t nsessions = read_count(cr);
-                const core::EnvAware* env =
-                    svc.envaware_ ? &*svc.envaware_ : nullptr;
-                for (std::size_t i = 0; i < nsessions; ++i) {
-                    const BeaconId beacon = cr.varint();
-                    TrackingSession::Ckpt ck;
-                    if (!get_session(cr, ck))
-                        fail(wire::WireStatus::malformed, "session state");
-                    auto [sit, created] = cs.sessions.try_emplace(
-                        beacon, svc.cfg_.shard.session, env,
-                        &shard.epoch_stats_);
-                    if (!created)
-                        fail(wire::WireStatus::malformed, "duplicate session");
-                    try {
-                        sit->second.import_ckpt(ck);
-                    } catch (const std::invalid_argument& ex) {
-                        fail(wire::WireStatus::malformed, ex.what());
-                    }
-                }
-                shard.live_sessions_ += nsessions;
             }
-            if (!cr.ok() || !cr.at_end())
-                fail(wire::WireStatus::malformed, "client section");
+            read_to_end(cr, "client");
             ++restored;
         }
-        if (restored != client_count)
+        if (restored != meta.clients)
             fail(wire::WireStatus::malformed,
                  "client count does not match meta");
 
-        // Per-shard incremental-snapshot dirty lists, rebuilt in (client,
-        // beacon) order from the serialized dirty_listed marks. The original
-        // lists were in worker discovery order, but snapshot assembly sorts
-        // its rows globally — the order here is unobservable.
+        // Per-shard live-session counts, and the incremental-snapshot dirty
+        // lists rebuilt in (client, beacon) order from the serialized
+        // dirty_listed marks. The original lists were in worker discovery
+        // order, but snapshot assembly sorts its rows globally — the order
+        // here is unobservable.
         for (auto& sp : svc.shards_) {
             Shard& s = *sp;
-            for (auto& [id, cs] : s.clients_)
+            for (auto& [id, cs] : s.clients_) {
+                s.live_sessions_ += cs.sessions.size();
                 for (auto& [beacon, session] : cs.sessions)
                     if (session.dirty_listed()) s.dirty_.emplace_back(id, beacon);
+            }
         }
 
         // Stats reconstruction. merged barrier view must equal `barrier` and
@@ -724,13 +547,13 @@ struct CheckpointCodec {
         // stats is unobservable — every consumer sees merged sums — and the
         // next begin_epoch() folds the delta into its swap capture exactly
         // as the uninterrupted run would have.
-        svc.retired_ingest_ = barrier;
-        svc.shards_[0]->ingest_stats_ = stats_minus(live, barrier);
-        svc.last_record_stats_ = last_record;
-        svc.epoch_ = epoch;
-        svc.has_horizon_ = has_horizon;
-        svc.horizon_ = horizon;
-        svc.epoch_horizon_ = epoch_horizon;
+        svc.retired_ingest_ = meta.barrier;
+        svc.shards_[0]->ingest_stats_ = meta.live - meta.barrier;
+        svc.last_record_stats_ = meta.last_record;
+        svc.epoch_ = meta.epoch;
+        svc.has_horizon_ = meta.has_horizon;
+        svc.horizon_ = meta.horizon;
+        svc.epoch_horizon_ = meta.epoch_horizon;
     }
 };
 

@@ -35,6 +35,13 @@ struct Event {
     BeaconId beacon{0};          ///< adv only
     double rssi_dbm{0.0};        ///< adv only
     locble::Vec2 position{};     ///< pose only (observer frame)
+
+    /// Field list in checkpoint byte order (serve/checkpoint.cpp): the
+    /// ingest queues hold the POD verbatim, so every field is written flat.
+    template <class Self, class Visitor>
+    static void fields(Self& s, Visitor& v) {
+        v(s.client, s.t, s.kind, s.beacon, s.rssi_dbm, s.position);
+    }
 };
 
 /// Advertisement event shorthand.

@@ -84,18 +84,8 @@ std::string FlightRecorder::to_json() const {
         if (r) out += ",";
         out += "\n  {\"epoch\":" + u64(rec.epoch);
         out += ",\"horizon\":" + fmt(rec.horizon);
-        const IngestStats& d = rec.delta;
-        out += ",\"submitted\":" + u64(d.submitted);
-        out += ",\"accepted\":" + u64(d.accepted);
-        out += ",\"dropped\":" + u64(d.dropped);
-        out += ",\"rejected\":" + u64(d.rejected);
-        out += ",\"late\":" + u64(d.late);
-        out += ",\"clients_created\":" + u64(d.clients_created);
-        out += ",\"clients_evicted\":" + u64(d.clients_evicted);
-        out += ",\"sessions_created\":" + u64(d.sessions_created);
-        out += ",\"sessions_evicted\":" + u64(d.sessions_evicted);
-        out += ",\"batches_flushed\":" + u64(d.batches_flushed);
-        out += ",\"solves\":" + u64(d.solves);
+        for (const IngestStatsField& f : kIngestStatsFields)
+            out += std::string(",\"") + f.name + "\":" + u64(rec.delta.*f.value);
         out += ",\"snapshot_rows\":" + u64(rec.snapshot_rows);
         out += ",\"sessions_live\":" + u64(rec.sessions_live);
         out += ",\"sessions_no_fit\":" + u64(rec.sessions_no_fit);

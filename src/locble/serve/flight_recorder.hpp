@@ -21,6 +21,13 @@ struct ShardEpochRecord {
     std::uint64_t sessions_live{0};    ///< live sessions at epoch end
     std::uint64_t sessions_no_fit{0};  ///< live sessions without a location fit
     double wall_us{0.0};               ///< wall-clock shard epoch duration (ND)
+
+    /// Field list in checkpoint byte order (serve/checkpoint.cpp).
+    template <class Self, class Visitor>
+    static void fields(Self& s, Visitor& v) {
+        v(s.events_drained, s.clients_visited, s.sessions_live, s.sessions_no_fit,
+          s.wall_us);
+    }
 };
 
 /// One epoch of service history as the flight recorder keeps it.
@@ -46,6 +53,15 @@ struct EpochRecord {
     obs::QuantileSketch staleness_s;
     double wall_epoch_us{0.0};  ///< wall-clock begin->barrier duration (ND)
     std::vector<ShardEpochRecord> shards;
+
+    /// Field list in checkpoint byte order (serve/checkpoint.cpp); `epoch`
+    /// is a fixed-width u64 there, every other counter a varint.
+    template <class Self, class Visitor>
+    static void fields(Self& s, Visitor& v) {
+        v.fixed_u64(s.epoch);
+        v(s.horizon, s.delta, s.snapshot_rows, s.sessions_live, s.sessions_no_fit,
+          s.staleness_s, s.wall_epoch_us, s.shards);
+    }
 };
 
 /// Fixed-capacity ring of per-epoch records — the service's black box.

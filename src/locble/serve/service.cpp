@@ -20,27 +20,6 @@ std::string fmt(double v) {
     return buf;
 }
 
-/// This epoch's increment of the merged stats: exact u64 subtraction of
-/// consecutive barrier views (both monotone, so never underflows).
-IngestStats stats_delta(const IngestStats& now, const IngestStats& prev) {
-    IngestStats d;
-    d.submitted = now.submitted - prev.submitted;
-    d.accepted = now.accepted - prev.accepted;
-    d.dropped = now.dropped - prev.dropped;
-    d.rejected = now.rejected - prev.rejected;
-    d.late = now.late - prev.late;
-    d.epochs = now.epochs - prev.epochs;
-    d.clients_created = now.clients_created - prev.clients_created;
-    d.clients_evicted = now.clients_evicted - prev.clients_evicted;
-    d.sessions_created = now.sessions_created - prev.sessions_created;
-    d.sessions_evicted = now.sessions_evicted - prev.sessions_evicted;
-    d.sessions_reset = now.sessions_reset - prev.sessions_reset;
-    d.batches_flushed = now.batches_flushed - prev.batches_flushed;
-    d.solves = now.solves - prev.solves;
-    d.cluster_runs = now.cluster_runs - prev.cluster_runs;
-    return d;
-}
-
 /// Nearest-rank percentile of an unsorted sample (sorted in place). Only
 /// used for the ND wall-clock fields — event-time quantiles go through the
 /// deterministic sketch.
@@ -82,21 +61,10 @@ std::string canonical_text(const ServiceSnapshot& snap) {
            " live=" + std::to_string(snap.sessions_live) +
            " delta=" + (snap.incremental ? std::string("1") : std::string("0")) +
            "\n";
-    const IngestStats& s = snap.stats;
-    out += "stats submitted=" + std::to_string(s.submitted) +
-           " accepted=" + std::to_string(s.accepted) +
-           " dropped=" + std::to_string(s.dropped) +
-           " rejected=" + std::to_string(s.rejected) +
-           " late=" + std::to_string(s.late) +
-           " epochs=" + std::to_string(s.epochs) +
-           " clients_created=" + std::to_string(s.clients_created) +
-           " clients_evicted=" + std::to_string(s.clients_evicted) +
-           " sessions_created=" + std::to_string(s.sessions_created) +
-           " sessions_evicted=" + std::to_string(s.sessions_evicted) +
-           " sessions_reset=" + std::to_string(s.sessions_reset) +
-           " batches_flushed=" + std::to_string(s.batches_flushed) +
-           " solves=" + std::to_string(s.solves) +
-           " cluster_runs=" + std::to_string(s.cluster_runs) + "\n";
+    out += "stats";
+    for (const IngestStatsField& f : kIngestStatsFields)
+        out += std::string(" ") + f.name + "=" + std::to_string(snap.stats.*f.value);
+    out += "\n";
     for (const BeaconEstimate& e : snap.estimates) {
         out += "client=" + std::to_string(e.client) +
                " beacon=" + std::to_string(e.beacon) +
@@ -303,7 +271,8 @@ void TrackingService::finalize_epoch_record() {
     rec.epoch = epoch_;
     rec.horizon = epoch_horizon_;
     const IngestStats now = merged_stats(/*barrier_view=*/true);
-    rec.delta = stats_delta(now, last_record_stats_);
+    // Both views are monotone, so the exact u64 difference never underflows.
+    rec.delta = now - last_record_stats_;
     last_record_stats_ = now;
     for (const auto& s : shards_) {
         const Shard::EpochTelemetry& t = s->telemetry();

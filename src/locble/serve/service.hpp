@@ -277,8 +277,10 @@ public:
     /// Serialize the warm service state — every client's queues, sessions
     /// and dirty marks, the merged stats, the flight-recorder ring — into a
     /// wire-format checkpoint stream (docs/WIRE.md). Driver thread at a
-    /// quiescent point, like snapshot(). The bytes are independent of the
-    /// shard/thread count that produced them.
+    /// quiescent point, like snapshot(). The `meta` and `client` sections
+    /// are independent of the shard/thread count that produced them; the
+    /// flight-recorder section is not (one row per shard, wall-clock
+    /// durations), so the whole stream is only with the recorder disabled.
     std::string checkpoint() const;
 
     /// Restore a checkpoint into this service, which must be freshly

@@ -117,6 +117,13 @@ public:
         /// Some session still holds un-flushed batch samples: keep visiting
         /// this client at epoch end even when no new events arrive.
         bool open_batches{false};
+
+        /// Field list in checkpoint byte order (serve/checkpoint.cpp), where
+        /// `open_batches` precedes `sessions`.
+        template <class Self, class Visitor>
+        static void fields(Self& s, Visitor& v) {
+            v(s.path, s.path_cursor, s.open_batches, s.sessions);
+        }
     };
 
     /// Owned clients in id order (quiescent point required; the snapshot
@@ -179,6 +186,12 @@ private:
         std::deque<Event> buf;
         double last_event_t{0.0};  ///< newest accepted event timestamp
         bool has_event_t{false};
+
+        /// Field list in checkpoint byte order (serve/checkpoint.cpp).
+        template <class Self, class Visitor>
+        static void fields(Self& s, Visitor& v) {
+            v(s.buf, s.last_event_t, s.has_event_t);
+        }
     };
 
     /// One swapped-out buffer handed to the worker at the epoch barrier.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 
 namespace locble::serve {
 
@@ -36,23 +37,54 @@ struct IngestStats {
     std::uint64_t solves{0};
     std::uint64_t cluster_runs{0};
 
-    IngestStats& operator+=(const IngestStats& o) {
-        submitted += o.submitted;
-        accepted += o.accepted;
-        dropped += o.dropped;
-        rejected += o.rejected;
-        late += o.late;
-        epochs += o.epochs;
-        clients_created += o.clients_created;
-        clients_evicted += o.clients_evicted;
-        sessions_created += o.sessions_created;
-        sessions_evicted += o.sessions_evicted;
-        sessions_reset += o.sessions_reset;
-        batches_flushed += o.batches_flushed;
-        solves += o.solves;
-        cluster_runs += o.cluster_runs;
-        return *this;
-    }
+    IngestStats& operator+=(const IngestStats& o);
+    /// Exact fieldwise difference of two monotone views (`*this` >= `o`),
+    /// e.g. one epoch's increment of the merged barrier stats.
+    IngestStats operator-(const IngestStats& o) const;
+    bool operator==(const IngestStats&) const = default;
 };
+
+/// The one field list of IngestStats. Every per-field operation iterates
+/// it: the sum and difference above, the canonical snapshot `stats` line,
+/// the flight-recorder JSON and the checkpoint encoding — so a counter is
+/// declared above, listed here, and incremented where it happens, nowhere
+/// else. The order is the canonical text order and the checkpoint byte
+/// layout: reordering or adding an entry bumps kCkptFormat
+/// (serve/checkpoint.cpp) and re-pins tests/serve/test_checkpoint.cpp.
+struct IngestStatsField {
+    const char* name;
+    std::uint64_t IngestStats::*value;
+};
+inline constexpr IngestStatsField kIngestStatsFields[] = {
+    {"submitted", &IngestStats::submitted},
+    {"accepted", &IngestStats::accepted},
+    {"dropped", &IngestStats::dropped},
+    {"rejected", &IngestStats::rejected},
+    {"late", &IngestStats::late},
+    {"epochs", &IngestStats::epochs},
+    {"clients_created", &IngestStats::clients_created},
+    {"clients_evicted", &IngestStats::clients_evicted},
+    {"sessions_created", &IngestStats::sessions_created},
+    {"sessions_evicted", &IngestStats::sessions_evicted},
+    {"sessions_reset", &IngestStats::sessions_reset},
+    {"batches_flushed", &IngestStats::batches_flushed},
+    {"solves", &IngestStats::solves},
+    {"cluster_runs", &IngestStats::cluster_runs},
+};
+static_assert(std::size(kIngestStatsFields) * sizeof(std::uint64_t) ==
+                  sizeof(IngestStats),
+              "every IngestStats counter must be listed in kIngestStatsFields");
+
+inline IngestStats& IngestStats::operator+=(const IngestStats& o) {
+    for (const IngestStatsField& f : kIngestStatsFields) this->*f.value += o.*f.value;
+    return *this;
+}
+
+inline IngestStats IngestStats::operator-(const IngestStats& o) const {
+    IngestStats d;
+    for (const IngestStatsField& f : kIngestStatsFields)
+        d.*f.value = this->*f.value - o.*f.value;
+    return d;
+}
 
 }  // namespace locble::serve

@@ -164,83 +164,6 @@ void TrackingSession::solve_now() {
     dirty_ = false;
 }
 
-TrackingSession::Ckpt TrackingSession::export_ckpt() const {
-    Ckpt ck;
-    ck.anf = anf_.checkpoint_state();
-    if (env_) {
-        ck.has_env = true;
-        ck.env = env_->stream_state();
-    }
-    ck.samples = session_.samples();
-    ck.warm_grid = session_.workspace().export_warm_grid();
-    ck.started = started_;
-    ck.batch_end = batch_end_;
-    ck.last_event_t = last_event_t_;
-    ck.batch_raw = batch_raw_;
-    ck.batch_fused = batch_fused_;
-    ck.segment = segment_;
-    ck.restarts = restarts_;
-    ck.resets = resets_;
-    if (regime_) {
-        ck.has_regime = true;
-        ck.regime = *regime_;
-    }
-    ck.band_min = band_min_;
-    ck.band_max = band_max_;
-    ck.saw_blocked = saw_blocked_;
-    ck.prev_batch_mean = prev_batch_mean_;
-    ck.have_prev_batch = have_prev_batch_;
-    ck.dirty = dirty_;
-    ck.epoch_changed = epoch_changed_;
-    ck.snap_dirty = snap_dirty_;
-    ck.dirty_listed = dirty_listed_;
-    ck.has_fit = has_fit_;
-    if (has_fit_) ck.fit = fit_;
-    ck.samples_used = samples_used_;
-    ck.samples_seen = samples_seen_;
-    ck.diag = diag_;
-    ck.has_cluster = has_cluster_;
-    if (has_cluster_) ck.cluster = cluster_;
-    return ck;
-}
-
-void TrackingSession::import_ckpt(const Ckpt& ck) {
-    anf_.restore_state(ck.anf);
-    if (ck.has_env && env_) env_->restore_stream(ck.env);
-    // Re-adding the samples rebuilds every incremental solver fold
-    // bit-identically (exhaustive mode is exact by the Session contract;
-    // coarse_to_fine additionally needs the warm grid installed below).
-    session_.reset();
-    session_.add(ck.samples);
-    session_.workspace().import_warm_grid(ck.warm_grid);
-    started_ = ck.started;
-    batch_end_ = ck.batch_end;
-    last_event_t_ = ck.last_event_t;
-    batch_raw_ = ck.batch_raw;
-    batch_fused_ = ck.batch_fused;
-    segment_ = ck.segment;
-    restarts_ = ck.restarts;
-    resets_ = ck.resets;
-    regime_.reset();
-    if (ck.has_regime) regime_ = ck.regime;
-    band_min_ = ck.band_min;
-    band_max_ = ck.band_max;
-    saw_blocked_ = ck.saw_blocked;
-    prev_batch_mean_ = ck.prev_batch_mean;
-    have_prev_batch_ = ck.have_prev_batch;
-    dirty_ = ck.dirty;
-    epoch_changed_ = ck.epoch_changed;
-    snap_dirty_ = ck.snap_dirty;
-    dirty_listed_ = ck.dirty_listed;
-    has_fit_ = ck.has_fit;
-    fit_ = ck.fit;
-    samples_used_ = static_cast<std::size_t>(ck.samples_used);
-    samples_seen_ = static_cast<std::size_t>(ck.samples_seen);
-    diag_ = ck.diag;
-    has_cluster_ = ck.has_cluster;
-    cluster_ = ck.cluster;
-}
-
 locble::TimeSeries TrackingSession::rss_series() const {
     locble::TimeSeries out;
     out.reserve(session_.size());

@@ -133,51 +133,32 @@ public:
     /// with the old shard's totals, which the service retires.
     void rebind_stats(IngestStats* stats) { stats_ = stats; }
 
-    /// Complete serializable state of a session (service checkpointing,
-    /// docs/WIRE.md). The solver's incremental per-grid-point folds are NOT
-    /// here: import re-adds `samples` to a fresh Session, which rebuilds
-    /// them bit-identically (they are left-to-right folds of the append-only
-    /// stream); only the warm-start grid — genuine history — is carried.
-    struct Ckpt {
-        dsp::Anf::State anf{};
-        bool has_env{false};
-        core::EnvAware::StreamState env{};
-        std::vector<core::FusedSample> samples;
-        core::SolverWorkspace::WarmGrid warm_grid{};
-        bool started{false};
-        double batch_end{0.0};
-        double last_event_t{0.0};
-        std::vector<double> batch_raw;
-        std::vector<core::FusedSample> batch_fused;
-        int segment{0};
-        int restarts{0};
-        int resets{0};
-        bool has_regime{false};
-        channel::PropagationClass regime{};
-        double band_min{10.0}, band_max{0.0};
-        bool saw_blocked{false};
-        double prev_batch_mean{0.0};
-        bool have_prev_batch{false};
-        bool dirty{false};
-        bool epoch_changed{false};
-        bool snap_dirty{true};
-        bool dirty_listed{false};
-        bool has_fit{false};
-        core::LocationFit fit{};
-        std::uint64_t samples_used{0};
-        std::uint64_t samples_seen{0};
-        core::LocateResult::Diagnostics diag{};
-        bool has_cluster{false};
-        core::ClusterCalibration cluster{};
-    };
-    Ckpt export_ckpt() const;
-    /// Install checkpointed state into a freshly constructed session (same
-    /// config and EnvAware model — the checkpoint's config digest enforces
-    /// this at the service layer). After import the session continues
-    /// bit-identically to the one the checkpoint came from.
-    void import_ckpt(const Ckpt& ck);
-
 private:
+    /// Checkpoint/restore (serve/checkpoint.cpp) visits fields() below.
+    friend struct CheckpointCodec;
+
+    /// The session's complete serializable state as one field list, in
+    /// checkpoint byte order (docs/WIRE.md): the codec's writer visits a
+    /// const session, its reader a freshly constructed one (same config and
+    /// EnvAware model — the config digest enforces this), which then
+    /// continues bit-identically. `anf_`, `env_` and `session_` are visited
+    /// through their own checkpoint state. The solver's incremental
+    /// per-grid-point folds are not carried: restore re-adds the samples to
+    /// the fresh Session, which rebuilds them bit-identically (left-to-right
+    /// folds of the append-only stream); only the warm-start grid — genuine
+    /// history — travels.
+    template <class Self, class Visitor>
+    static void fields(Self& s, Visitor& v) {
+        v(s.anf_, s.env_, s.session_, s.started_, s.batch_end_, s.last_event_t_,
+          s.batch_raw_, s.batch_fused_, s.segment_, s.restarts_, s.resets_,
+          s.regime_, s.band_min_, s.band_max_, s.saw_blocked_,
+          s.prev_batch_mean_, s.have_prev_batch_, s.dirty_, s.epoch_changed_,
+          s.snap_dirty_, s.dirty_listed_, s.has_fit_);
+        if (s.has_fit_) v(s.fit_);
+        v(s.samples_used_, s.samples_seen_, s.diag_, s.has_cluster_);
+        if (s.has_cluster_) v(s.cluster_);
+    }
+
     void flush_batch();
     void solve_now();
     void reset_regression();

@@ -1,0 +1,281 @@
+// Checkpoint byte-layout pin and forged-checkpoint rejection (docs/WIRE.md).
+//
+// The constants below pin checkpoint format 1 (kCkptFormat). The field
+// lists *are* the layout: reordering, retyping or adding an entry moves
+// these bytes, which requires bumping kCkptFormat and re-pinning here.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <optional>
+#include <string>
+#include <string_view>
+
+#include "locble/common/rng.hpp"
+#include "locble/core/envaware.hpp"
+#include "locble/serve/event.hpp"
+#include "locble/serve/replay.hpp"
+#include "locble/serve/service.hpp"
+#include "locble/sim/workload_log.hpp"
+#include "locble/wire/log.hpp"
+
+namespace locble::serve {
+namespace {
+
+TrackingService::Config pin_config(bool clustering, std::size_t recorder_epochs) {
+    TrackingService::Config cfg;
+    cfg.shards = 2;
+    cfg.threads = 1;
+    cfg.shard.session.pipeline.use_envaware = false;
+    cfg.shard.session.pipeline.gamma_prior_dbm = -59.0;
+    cfg.shard.session.pipeline.solver.search_mode =
+        core::LocationSolver::SearchMode::coarse_to_fine;
+    cfg.shard.queue_capacity = 4096;
+    cfg.shard.enable_clustering = clustering;
+    cfg.flight_recorder_epochs = recorder_epochs;
+    return cfg;
+}
+
+/// FNV-1a 64. Unlike a CRC over the (already CRC-framed) sections, it sees
+/// every payload edit.
+std::uint64_t fnv1a64(std::uint64_t h, std::string_view s) {
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+/// Replay the first half of a fixed synthesized log, leave two events
+/// queued (so the ingest-queue encoding carries data), and checkpoint.
+std::string pinned_checkpoint(const TrackingService::Config& cfg,
+                              std::optional<core::EnvAware> env = std::nullopt) {
+    sim::WorkloadLogConfig lcfg;
+    lcfg.workload.clients = 16;
+    lcfg.workload.beacons = 4;
+    lcfg.epoch_s = 4.0;
+    lcfg.seed = 7;
+    const sim::WorkloadLog log = sim::make_workload_log(lcfg);
+
+    TrackingService svc(cfg, std::move(env));
+    ReplayDriver driver(svc, log.bytes);
+    for (std::uint64_t i = 0; i < log.epochs / 2; ++i) {
+        EXPECT_TRUE(driver.step_epoch());
+    }
+    const double t = svc.horizon() + 0.25;
+    svc.submit(pose_event(900, t, {0.5, -1.5}));
+    svc.submit(adv_event(900, t + 0.125, 3, -64.5));
+    std::string ckpt = svc.checkpoint();
+
+    // The pin must cover the optional branches: published fits, the warm
+    // grid (coarse_to_fine solves), and cluster calibrations when enabled.
+    const std::string snap = canonical_text(svc.snapshot(SnapshotMode::full));
+    EXPECT_NE(snap.find(" fit=1 "), std::string::npos);
+    if (cfg.shard.enable_clustering) {
+        EXPECT_NE(snap.find(" cluster=1 "), std::string::npos);
+    }
+    return ckpt;
+}
+
+struct SectionPin {
+    std::uint64_t hash{kFnvBasis};  ///< over name + body of pinned sections
+    std::size_t bytes{0};           ///< body bytes of pinned sections
+    std::size_t sections{0};
+    std::size_t recorder_bytes{0};  ///< length of the unpinned recorder body
+};
+
+/// Every section except `recorder`, whose rows carry wall-clock times and
+/// one row per shard; of that one only the length is pinned.
+SectionPin pin_sections(std::string_view ckpt) {
+    SectionPin pin;
+    wire::LogReader log(ckpt);
+    EXPECT_EQ(log.header_status(), wire::WireStatus::ok);
+    wire::LogRecord frame;
+    wire::WireStatus st;
+    while ((st = log.next(frame)) == wire::WireStatus::ok) {
+        EXPECT_EQ(frame.type, wire::FrameType::section);
+        if (frame.section_name == "recorder") {
+            pin.recorder_bytes = frame.section_body.size();
+            continue;
+        }
+        pin.hash = fnv1a64(pin.hash, frame.section_name);
+        pin.hash = fnv1a64(pin.hash, frame.section_body);
+        pin.bytes += frame.section_body.size();
+        ++pin.sections;
+    }
+    EXPECT_EQ(st, wire::WireStatus::end);
+    return pin;
+}
+
+TEST(WireCheckpointTest, FormatIsPinnedWithRecorderOff) {
+    const std::string plain = pinned_checkpoint(pin_config(false, 0));
+    EXPECT_EQ(fnv1a64(kFnvBasis, plain), 0x3b45a37d56abe028ull);
+    EXPECT_EQ(plain.size(), 147788u);
+
+    const std::string clustered = pinned_checkpoint(pin_config(true, 0));
+    EXPECT_EQ(fnv1a64(kFnvBasis, clustered), 0x4b8548801d5a3bb2ull);
+    EXPECT_EQ(clustered.size(), 148773u);
+
+    // EnvAware on: the regime tracker's optional classes carry data too.
+    locble::Rng rng(20);
+    core::EnvDatasetConfig dcfg;
+    dcfg.traces_per_class = 15;
+    core::EnvAware env;
+    env.train(core::generate_env_dataset(dcfg, rng));
+    auto cfg = pin_config(false, 0);
+    cfg.shard.session.pipeline.use_envaware = true;
+    const std::string envaware = pinned_checkpoint(cfg, env);
+    EXPECT_EQ(fnv1a64(kFnvBasis, envaware), 0x7393d8e641263502ull);
+    EXPECT_EQ(envaware.size(), 90606u);
+}
+
+TEST(WireCheckpointTest, FormatIsPinnedWithRecorderOn) {
+    const SectionPin plain = pin_sections(pinned_checkpoint(pin_config(false, 64)));
+    EXPECT_EQ(plain.hash, 0x258432d4e686b1e1ull);
+    EXPECT_EQ(plain.bytes, 147523u);
+    EXPECT_EQ(plain.sections, 14u);
+    EXPECT_EQ(plain.recorder_bytes, 664u);
+
+    const SectionPin clustered =
+        pin_sections(pinned_checkpoint(pin_config(true, 64)));
+    EXPECT_EQ(clustered.hash, 0xda7b14c47e9b1545ull);
+    EXPECT_EQ(clustered.bytes, 148508u);
+    EXPECT_EQ(clustered.sections, 14u);
+    EXPECT_EQ(clustered.recorder_bytes, 664u);
+}
+
+/// Re-frame a checkpoint with section bodies passed through `edit`. The
+/// frame CRCs are recomputed, so only the checkpoint reader's own
+/// validation can catch the edit.
+std::string reframe(
+    std::string_view ckpt,
+    const std::function<void(std::string_view name, std::string& body)>& edit) {
+    wire::LogReader in(ckpt);
+    wire::LogWriter out(wire::StreamKind::checkpoint);
+    wire::LogRecord frame;
+    while (in.next(frame) == wire::WireStatus::ok) {
+        std::string body(frame.section_body);
+        edit(frame.section_name, body);
+        out.section(frame.section_name, body);
+    }
+    return out.finish();
+}
+
+void expect_malformed(std::string_view bytes, const char* what) {
+    TrackingService fresh(pin_config(false, 64));
+    try {
+        fresh.restore_checkpoint(bytes);
+        ADD_FAILURE() << what << ": forged checkpoint restored";
+    } catch (const wire::WireError& e) {
+        EXPECT_EQ(e.code(), wire::WireStatus::malformed) << what << ": " << e.what();
+    }
+}
+
+/// One client walking past beacon 7. Poses sit on whole seconds and
+/// advertisements on t = 0.05 + 0.1 k, so the first advertisement's
+/// timestamp bytes occur in the client section first as the first
+/// accumulated sample's `t`, and the last advertisement's last as the
+/// session's `last_event_t`. A final pose at t = 12 moves the horizon past
+/// the last batch window, so every batch has flushed.
+constexpr double kFirstAdvT = 0.05;
+constexpr int kAdvs = 100;
+
+std::string forgery_donor() {
+    TrackingService donor(pin_config(false, 64));
+    for (int s = 0; s <= 10; ++s)
+        donor.submit(pose_event(1, s, {0.5 * s, s > 5 ? 0.5 * (s - 5) : 0.0}));
+    for (int k = 0; k < kAdvs; ++k)
+        donor.submit(adv_event(1, kFirstAdvT + 0.1 * k, 7, -60.0 - 0.1 * (k % 13)));
+    donor.submit(pose_event(1, 12.0, {5.0, 2.5}));
+    donor.run_epoch();
+    return donor.checkpoint();
+}
+
+std::string_view bytes_of(const double& v) {
+    return {reinterpret_cast<const char*>(&v), sizeof v};
+}
+
+/// Rewrite the zigzag svarint `segment` of the first accumulated sample:
+/// the FusedSample layout is f64 t, p, q, rssi, then svarint segment, so
+/// it sits 32 bytes after the sample's `t`.
+std::string with_first_sample_segment(std::string_view ckpt, std::uint8_t zigzag) {
+    bool patched = false;
+    std::string out = reframe(ckpt, [&](std::string_view name, std::string& body) {
+        if (name != "client") return;
+        const std::size_t at = body.find(bytes_of(kFirstAdvT));
+        if (at == std::string::npos || at + 32 >= body.size()) return;
+        EXPECT_EQ(body[at + 32], 0) << "first sample is not in segment 0";
+        body[at + 32] = static_cast<char>(zigzag);
+        patched = true;
+    });
+    EXPECT_TRUE(patched);
+    return out;
+}
+
+/// Rewrite the session's own `segment` svarint with `zigzag`. The session
+/// writes `last_event_t`, two empty batch buffers (one count byte each),
+/// then `segment`.
+std::string with_session_segment(std::string_view ckpt, std::string_view zigzag) {
+    bool patched = false;
+    std::string out = reframe(ckpt, [&](std::string_view name, std::string& body) {
+        if (name != "client") return;
+        const double last_t = kFirstAdvT + 0.1 * (kAdvs - 1);
+        const std::size_t at = body.rfind(bytes_of(last_t));
+        if (at == std::string::npos || at + 10 >= body.size()) return;
+        EXPECT_EQ(body.substr(at + 8, 3), std::string(3, '\0'))
+            << "unexpected open batch or segment";
+        body.replace(at + 10, 1, zigzag);
+        patched = true;
+    });
+    EXPECT_TRUE(patched);
+    return out;
+}
+
+/// The control for the forgeries below: re-framing alone changes nothing.
+TEST(WireCheckpointTest, ReframedCheckpointRestoresUnchanged) {
+    const std::string ckpt = forgery_donor();
+    const std::string same = reframe(ckpt, [](std::string_view, std::string&) {});
+    EXPECT_EQ(same, ckpt);
+    TrackingService fresh(pin_config(false, 64));
+    fresh.restore_checkpoint(same);
+    EXPECT_EQ(fresh.checkpoint(), ckpt);
+}
+
+TEST(WireCheckpointTest, NegativeSampleSegmentIsMalformed) {
+    expect_malformed(with_first_sample_segment(forgery_donor(), 1), "segment -1");
+}
+
+TEST(WireCheckpointTest, SampleSegmentBeyondSessionSegmentIsMalformed) {
+    expect_malformed(with_first_sample_segment(forgery_donor(), 2), "segment +1");
+}
+
+TEST(WireCheckpointTest, NegativeSessionSegmentIsMalformed) {
+    expect_malformed(with_session_segment(forgery_donor(), "\x01"), "segment -1");
+}
+
+TEST(WireCheckpointTest, SessionSegmentBeyondFlushedBatchesIsMalformed) {
+    // zigzag(1000) = 2000, varint d0 0f: more segments than flushed batches.
+    expect_malformed(with_session_segment(forgery_donor(), "\xd0\x0f"),
+                     "segment 1000");
+}
+
+TEST(WireCheckpointTest, TrailingMetaBytesAreMalformed) {
+    const std::string forged =
+        reframe(forgery_donor(), [](std::string_view name, std::string& body) {
+            if (name == "meta") body.push_back('\0');
+        });
+    expect_malformed(forged, "meta + 1 byte");
+}
+
+TEST(WireCheckpointTest, TrailingRecorderBytesAreMalformed) {
+    const std::string forged =
+        reframe(forgery_donor(), [](std::string_view name, std::string& body) {
+            if (name == "recorder") body.push_back('\0');
+        });
+    expect_malformed(forged, "recorder + 1 byte");
+}
+
+}  // namespace
+}  // namespace locble::serve

@@ -156,6 +156,14 @@ TEST(FlightRecorderTest, RecorderJsonIsVersionedAndStructured) {
     EXPECT_NE(json.find("\"epochs_recorded\":1"), std::string::npos);
     EXPECT_NE(json.find("\"records\":["), std::string::npos);
     EXPECT_NE(json.find("\"staleness_s\":{"), std::string::npos);
+    // Every record carries the epoch's whole IngestStats delta.
+    for (const char* field :
+         {"submitted", "accepted", "dropped", "rejected", "late", "epochs",
+          "clients_created", "clients_evicted", "sessions_created",
+          "sessions_evicted", "sessions_reset", "batches_flushed", "solves",
+          "cluster_runs"})
+        EXPECT_NE(json.find("\"" + std::string(field) + "\":"), std::string::npos)
+            << field;
     // ND data is quarantined under its own key, one per record.
     EXPECT_NE(json.find("\"nd\":{\"wall_epoch_us\":"), std::string::npos);
     EXPECT_NE(json.find("\"shards\":["), std::string::npos);
