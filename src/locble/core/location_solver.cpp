@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
 #include "locble/common/linalg.hpp"
 #include "locble/obs/obs.hpp"
@@ -495,48 +494,6 @@ void SolverWorkspace::rebuild_grid(double n_min, double n_max, double step) {
     grid_n_min = n_min;
     grid_n_max = n_max;
     grid_step = step;
-}
-
-SolverWorkspace::WarmGrid SolverWorkspace::export_warm_grid() const {
-    WarmGrid wg;
-    if (!grid_valid) return wg;
-    wg.valid = true;
-    wg.n_min = grid_n_min;
-    wg.n_max = grid_n_max;
-    wg.step = grid_step;
-    wg.points.reserve(grid.size());
-    for (const GridPoint& gp : grid) {
-        WarmGrid::Point pt;
-        pt.has_fit = gp.has_fit;
-        if (gp.has_fit) {
-            pt.loc = gp.warm_loc;
-            pt.gammas = gp.warm_gammas;
-        }
-        wg.points.push_back(std::move(pt));
-    }
-    return wg;
-}
-
-void SolverWorkspace::import_warm_grid(const WarmGrid& wg) {
-    if (!wg.valid) return;
-    // Validate before enumerating: a corrupted (or adversarial) checkpoint
-    // must not drive an unbounded loop or allocation.
-    if (!(wg.step > 0.0) || !(wg.n_min <= wg.n_max) ||
-        !std::isfinite(wg.n_min) || !std::isfinite(wg.n_max) ||
-        (wg.n_max - wg.n_min) / wg.step > 1e6)
-        throw std::invalid_argument("WarmGrid: implausible grid parameters");
-    rebuild_grid(wg.n_min, wg.n_max, wg.step);
-    if (wg.points.size() != grid.size())
-        throw std::invalid_argument("WarmGrid: point count does not match grid");
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        GridPoint& gp = grid[i];
-        const WarmGrid::Point& pt = wg.points[i];
-        gp.has_fit = pt.has_fit;
-        if (pt.has_fit) {
-            gp.warm_loc = pt.loc;
-            gp.warm_gammas = pt.gammas;
-        }
-    }
 }
 
 bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -108,30 +109,43 @@ public:
     /// two identical solves == the zero-allocation guarantee held.
     std::uint64_t grow_events() const { return grow_events_; }
 
-    /// Serializable snapshot of the exponent grid's warm-start state — the
-    /// one piece of incremental solver state that is *not* rebuildable from
-    /// the sample stream (rho caches and normal-equation sums are re-folded
+    /// The exponent grid's warm-start state as one field list — the one
+    /// piece of incremental solver state that is *not* rebuildable from the
+    /// sample stream (rho caches and normal-equation sums are re-folded
     /// bit-identically from the samples; the coarse_to_fine GN seeds are
-    /// history). Export/import exists for service checkpointing
-    /// (docs/WIRE.md): importing into a fresh workspace, then re-adding the
-    /// same samples, reproduces solves bit-identical to the uninterrupted
-    /// run in either search mode.
-    struct WarmGrid {
-        bool valid{false};
-        double n_min{0.0}, n_max{0.0}, step{0.0};
-        struct Point {
-            bool has_fit{false};
-            locble::Vec2 loc{};
-            std::vector<double> gammas{};
-        };
-        std::vector<Point> points;
-    };
-    WarmGrid export_warm_grid() const;
-    /// Rebuild the grid exactly as solve_impl would for the exported hint
-    /// band and install the warm-start fields. No-op when `wg.valid` is
-    /// false; throws std::invalid_argument when the point count does not
-    /// match the grid the (n_min, n_max, step) triple enumerates.
-    void import_warm_grid(const WarmGrid& wg);
+    /// history). Service checkpointing (docs/WIRE.md) visits it in place:
+    /// a writer visits a const workspace, a reader a workspace whose
+    /// samples were just re-added, which then solves bit-identically to the
+    /// uninterrupted run in either search mode.
+    ///
+    /// Visits `valid`; when set, the band `n_min, n_max, step`, the point
+    /// count through `v.warm_points(n)`, and per point `has_fit` plus — only
+    /// when set — its warm location and gammas (an unset point visits a
+    /// default location and no gammas). A reader gets `v.warm_band(n_min,
+    /// n_max, step)` right after the band, to refuse an implausible one; the
+    /// grid is then rebuilt exactly as solve_impl would build it, and
+    /// `v.warm_points` receives the rebuilt point count.
+    template <class Self, class Visitor>
+    static void warm_grid_fields(Self& ws, Visitor& v) {
+        v(ws.grid_valid);
+        if (!ws.grid_valid) return;
+        v(ws.grid_n_min, ws.grid_n_max, ws.grid_step);
+        if constexpr (!std::is_const_v<Self>) {
+            v.warm_band(ws.grid_n_min, ws.grid_n_max, ws.grid_step);
+            ws.rebuild_grid(ws.grid_n_min, ws.grid_n_max, ws.grid_step);
+        }
+        v.warm_points(ws.grid.size());
+        for (auto& gp : ws.grid) {
+            v(gp.has_fit);
+            if (gp.has_fit) {
+                v(gp.warm_loc, gp.warm_gammas);
+            } else {
+                locble::Vec2 loc{};
+                std::vector<double> gammas;
+                v(loc, gammas);
+            }
+        }
+    }
 
     /// Read-only view of the structure-of-arrays sample mirror the solver
     /// packs once per flush (append-only, like every other aggregate).
@@ -192,7 +206,7 @@ private:
     }
 
     /// (Re)enumerate the exponent grid for a hint band — the single grid
-    /// constructor shared by solve_impl and import_warm_grid, so a restored
+    /// constructor shared by solve_impl and warm_grid_fields, so a restored
     /// workspace's grid is the one the uninterrupted run would have built.
     void rebuild_grid(double n_min, double n_max, double step);
 

@@ -19,6 +19,9 @@ double gini(const std::vector<std::size_t>& counts, std::size_t total) {
     return g;
 }
 
+/// Class labels are non-negative indices into per-class tallies.
+std::size_t class_index(int label) { return static_cast<std::size_t>(label); }
+
 int majority(const std::vector<std::size_t>& counts) {
     return static_cast<int>(std::max_element(counts.begin(), counts.end()) -
                             counts.begin());
@@ -28,8 +31,8 @@ int majority(const std::vector<std::size_t>& counts) {
 
 int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& rows, int depth,
                         locble::Rng& rng) {
-    std::vector<std::size_t> counts(num_classes_, 0);
-    for (std::size_t r : rows) counts[data.y[r]]++;
+    std::vector<std::size_t> counts(class_index(num_classes_), 0);
+    for (std::size_t r : rows) counts[class_index(data.y[r])]++;
     const int node_label = majority(counts);
     const double node_gini = gini(counts, rows.size());
 
@@ -61,11 +64,11 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& rows, int
         for (std::size_t r : rows) sorted.emplace_back(data.x[r][f], data.y[r]);
         std::sort(sorted.begin(), sorted.end());
 
-        std::vector<std::size_t> left(num_classes_, 0);
+        std::vector<std::size_t> left(class_index(num_classes_), 0);
         std::vector<std::size_t> right = counts;
         for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-            left[sorted[i].second]++;
-            right[sorted[i].second]--;
+            left[class_index(sorted[i].second)]++;
+            right[class_index(sorted[i].second)]--;
             if (sorted[i].first == sorted[i + 1].first) continue;
             const std::size_t nl = i + 1;
             const std::size_t nr = sorted.size() - nl;
@@ -84,19 +87,22 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& rows, int
 
     if (best_feature < 0) return node_index;
 
+    const auto split = static_cast<std::size_t>(best_feature);
     std::vector<std::size_t> left_rows, right_rows;
     for (std::size_t r : rows) {
-        if (data.x[r][best_feature] <= best_threshold)
+        if (data.x[r][split] <= best_threshold)
             left_rows.push_back(r);
         else
             right_rows.push_back(r);
     }
     if (left_rows.empty() || right_rows.empty()) return node_index;
 
-    nodes_[node_index].feature = best_feature;
-    nodes_[node_index].threshold = best_threshold;
-    nodes_[node_index].left = build(data, left_rows, depth + 1, rng);
-    nodes_[node_index].right = build(data, right_rows, depth + 1, rng);
+    // build() appends to nodes_, so index afresh after each call.
+    const auto at = static_cast<std::size_t>(node_index);
+    nodes_[at].feature = best_feature;
+    nodes_[at].threshold = best_threshold;
+    nodes_[at].left = build(data, left_rows, depth + 1, rng);
+    nodes_[at].right = build(data, right_rows, depth + 1, rng);
     return node_index;
 }
 
@@ -118,12 +124,14 @@ void DecisionTree::fit(const Dataset& data, const std::vector<std::size_t>& rows
 
 int DecisionTree::predict(const std::vector<double>& features) const {
     if (!fitted()) throw std::logic_error("DecisionTree: predict before fit");
-    int i = 0;
+    std::size_t i = 0;
     while (nodes_[i].feature >= 0) {
         const auto f = static_cast<std::size_t>(nodes_[i].feature);
         if (f >= features.size())
             throw std::invalid_argument("DecisionTree: feature dimension mismatch");
-        i = features[f] <= nodes_[i].threshold ? nodes_[i].left : nodes_[i].right;
+        const int next = features[f] <= nodes_[i].threshold ? nodes_[i].left
+                                                            : nodes_[i].right;
+        i = static_cast<std::size_t>(next);
     }
     return nodes_[i].label;
 }
@@ -162,8 +170,8 @@ void RandomForest::fit(const Dataset& data) {
 
 int RandomForest::predict(const std::vector<double>& features) const {
     if (!fitted()) throw std::logic_error("RandomForest: predict before fit");
-    std::vector<std::size_t> votes(num_classes_, 0);
-    for (const auto& tree : trees_) votes[tree.predict(features)]++;
+    std::vector<std::size_t> votes(class_index(num_classes_), 0);
+    for (const auto& tree : trees_) votes[class_index(tree.predict(features))]++;
     return static_cast<int>(std::max_element(votes.begin(), votes.end()) - votes.begin());
 }
 

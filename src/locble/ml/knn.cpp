@@ -32,11 +32,11 @@ int KnnClassifier::predict(const std::vector<double>& features) const {
     const std::size_t k = std::min(cfg_.k, dist.size());
     std::partial_sort(dist.begin(), dist.begin() + static_cast<long>(k), dist.end());
 
-    std::vector<double> votes(num_classes_, 0.0);
+    std::vector<double> votes(static_cast<std::size_t>(num_classes_), 0.0);
     for (std::size_t i = 0; i < k; ++i) {
         const double w =
             cfg_.distance_weighted ? 1.0 / (std::sqrt(dist[i].first) + 1e-9) : 1.0;
-        votes[dist[i].second] += w;
+        votes[static_cast<std::size_t>(dist[i].second)] += w;
     }
     return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
                             votes.begin());

@@ -16,22 +16,25 @@ ClassificationReport evaluate_classification(const std::vector<int>& truth,
     for (std::size_t i = 0; i < truth.size(); ++i)
         k = std::max({k, truth[i] + 1, predicted[i] + 1});
 
+    // Labels are class indices (non-negative); k counts the classes.
+    const auto n = static_cast<std::size_t>(k);
     ClassificationReport r;
-    r.confusion.assign(k, std::vector<std::size_t>(k, 0));
+    r.confusion.assign(n, std::vector<std::size_t>(n, 0));
     std::size_t correct = 0;
     for (std::size_t i = 0; i < truth.size(); ++i) {
-        r.confusion[truth[i]][predicted[i]]++;
+        r.confusion[static_cast<std::size_t>(truth[i])]
+                   [static_cast<std::size_t>(predicted[i])]++;
         if (truth[i] == predicted[i]) ++correct;
     }
     r.accuracy = static_cast<double>(correct) / static_cast<double>(truth.size());
 
-    r.precision.assign(k, 0.0);
-    r.recall.assign(k, 0.0);
-    r.f1.assign(k, 0.0);
-    for (int c = 0; c < k; ++c) {
+    r.precision.assign(n, 0.0);
+    r.recall.assign(n, 0.0);
+    r.f1.assign(n, 0.0);
+    for (std::size_t c = 0; c < n; ++c) {
         std::size_t tp = r.confusion[c][c];
         std::size_t pred_c = 0, true_c = 0;
-        for (int o = 0; o < k; ++o) {
+        for (std::size_t o = 0; o < n; ++o) {
             pred_c += r.confusion[o][c];
             true_c += r.confusion[c][o];
         }

@@ -14,6 +14,7 @@
 // tests/serve/test_checkpoint.cpp.
 
 #include <algorithm>
+#include <cmath>
 #include <concepts>
 #include <cstddef>
 #include <map>
@@ -57,7 +58,8 @@ concept Of = std::same_as<std::remove_const_t<S>, T>;
 
 // Field lists of the leaf types from core/, dsp/, motion/ and common/, kept
 // beside their only serializer so those modules stay unaware of the wire
-// format. serve structs carry their own lists (`T::fields`).
+// format. serve structs carry their own lists (`T::fields`), and so does the
+// solver workspace's private warm grid (SolverWorkspace::warm_grid_fields).
 template <Of<locble::Vec2> S, class V>
 void fields(S& s, V& v) { v(s.x, s.y); }
 template <Of<core::FusedSample> S, class V>
@@ -67,13 +69,6 @@ void fields(S& s, V& v) {
     v(s.location, s.exponent, s.gamma_dbm, s.segment_gammas, s.residual_db,
       s.confidence, s.ambiguous);
 }
-template <Of<core::SolverWorkspace::WarmGrid> S, class V>
-void fields(S& s, V& v) {
-    v(s.valid);
-    if (s.valid) v(s.n_min, s.n_max, s.step, s.points);
-}
-template <Of<core::SolverWorkspace::WarmGrid::Point> S, class V>
-void fields(S& s, V& v) { v(s.has_fit, s.loc, s.gammas); }
 template <Of<core::LocateResult::Diagnostics> S, class V>
 void fields(S& s, V& v) {
     v(s.solver_calls, s.solver_candidates, s.solver_failures, s.solver_multistarts,
@@ -169,11 +164,12 @@ struct CheckpointCodec {
             put(env.has_value());
             put(env ? env->stream_state() : core::EnvAware::StreamState{});
         }
-        /// The samples in place (no copy of the history), then the warm grid.
+        /// The samples and then the warm grid, both in place.
         void put(const core::LocationSolver::Session& s) {
             put(s.samples());
-            put(s.workspace().export_warm_grid());
+            core::SolverWorkspace::warm_grid_fields(s.workspace(), *this);
         }
+        void warm_points(std::size_t n) { w.varint(n); }
         template <class T>
         void put(const T& x) {
             if constexpr (requires { T::fields(x, *this); })
@@ -185,15 +181,12 @@ struct CheckpointCodec {
 
     /// The Writer's inverse, and the one place checkpoint input is
     /// validated: counts are bounded by the bytes present, enum values,
-    /// sketch parameters and session segments are range-checked, and
-    /// semantic damage fails `malformed` right here.
+    /// sketch parameters, warm grid bands and session segments are
+    /// range-checked, and semantic damage fails `malformed` right here.
     struct Reader {
         wire::ByteReader& r;
-        /// Construction context of restored sessions (the shard's stats
-        /// sink is set per client).
-        const TrackingSession::Config* session_cfg{nullptr};
-        const core::EnvAware* envaware{nullptr};
-        IngestStats* shard_stats{nullptr};
+        /// The shard that builds restored sessions (set per client).
+        Shard* shard{nullptr};
 
         template <class... T>
         void operator()(T&... xs) {
@@ -234,8 +227,7 @@ struct CheckpointCodec {
             for (std::size_t i = 0; i < n && r.ok(); ++i) {
                 BeaconId beacon = 0;
                 get(beacon);
-                auto [it, created] =
-                    sessions.try_emplace(beacon, *session_cfg, envaware, shard_stats);
+                auto [it, created] = shard->emplace_session(sessions, beacon);
                 if (!created) fail(wire::WireStatus::malformed, "duplicate session");
                 get(it->second);
             }
@@ -276,15 +268,25 @@ struct CheckpointCodec {
         }
         void get(core::LocationSolver::Session& s) {
             std::vector<core::FusedSample> samples;
-            core::SolverWorkspace::WarmGrid grid;
             get(samples);
-            get(grid);
             // Re-adding the samples rebuilds every incremental solver fold
             // bit-identically (exhaustive mode is exact by the Session
             // contract; coarse_to_fine additionally needs the warm grid).
             s.reset();
             s.add(samples);
-            s.workspace().import_warm_grid(grid);  // may throw std::invalid_argument
+            core::SolverWorkspace::warm_grid_fields(s.workspace(), *this);
+        }
+        /// A warm grid band is enumerated before its points are read, so an
+        /// implausible one must not drive an unbounded loop or allocation.
+        void warm_band(double n_min, double n_max, double step) {
+            if (!(step > 0.0) || !(n_min <= n_max) || !std::isfinite(n_min) ||
+                !std::isfinite(n_max) || (n_max - n_min) / step > 1e6)
+                fail(wire::WireStatus::malformed, "implausible warm grid band");
+        }
+        void warm_points(std::size_t n) {
+            if (count() != n)
+                fail(wire::WireStatus::malformed,
+                     "warm grid point count does not match its band");
         }
         void get(TrackingSession& s) {
             TrackingSession::fields(s, *this);
@@ -493,11 +495,10 @@ struct CheckpointCodec {
 
         // --- clients ---
         const auto nshards = static_cast<std::uint32_t>(svc.shards_.size());
-        const core::EnvAware* env = svc.envaware_ ? &*svc.envaware_ : nullptr;
         std::uint64_t restored = 0;
         while (next_section("client")) {
             wire::ByteReader cr(frame.section_body);
-            Reader get{cr, &svc.cfg_.shard.session, env};
+            Reader get{cr};
             ClientId id = 0;
             bool queued = false, resident = false;
             get(id, queued);
@@ -511,7 +512,7 @@ struct CheckpointCodec {
             if (resident) {
                 auto [c, fresh] = shard.clients_.try_emplace(id);
                 if (!fresh) fail(wire::WireStatus::malformed, "duplicate client");
-                get.shard_stats = &shard.epoch_stats_;
+                get.shard = &shard;
                 try {
                     get(c->second);
                 } catch (const std::invalid_argument& ex) {

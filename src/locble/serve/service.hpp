@@ -281,6 +281,8 @@ public:
     /// are independent of the shard/thread count that produced them; the
     /// flight-recorder section is not (one row per shard, wall-clock
     /// durations), so the whole stream is only with the recorder disabled.
+    /// Throws wire::WireError (malformed) when one client's section would
+    /// exceed wire::kMaxFramePayload, which no reader accepts.
     std::string checkpoint() const;
 
     /// Restore a checkpoint into this service, which must be freshly

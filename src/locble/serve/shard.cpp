@@ -183,8 +183,7 @@ void Shard::process_client(ClientId id, ClientState& c,
                     c.path.push_back({e.t, e.position});
                 continue;
             }
-            auto [sit, created] = c.sessions.try_emplace(
-                e.beacon, cfg_.session, envaware_, &epoch_stats_);
+            auto [sit, created] = emplace_session(c.sessions, e.beacon);
             if (created) {
                 ++epoch_stats_.sessions_created;
                 ++live_sessions_;

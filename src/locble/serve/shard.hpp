@@ -5,9 +5,11 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "locble/core/clustering.hpp"
+#include "locble/dsp/anf.hpp"
 #include "locble/motion/dead_reckoning.hpp"
 #include "locble/obs/quantile.hpp"
 #include "locble/serve/event.hpp"
@@ -75,7 +77,8 @@ public:
     /// `envaware` may be null when the session config does not use it; it
     /// must outlive the shard.
     Shard(const Config& cfg, const core::EnvAware* envaware)
-        : cfg_(cfg), envaware_(envaware), calibrator_(cfg.clustering) {}
+        : cfg_(cfg), envaware_(envaware), anf_(cfg.session.pipeline.anf),
+          calibrator_(cfg.clustering) {}
 
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
@@ -201,6 +204,15 @@ private:
         bool evict{false};  ///< idle-evict after processing (decided at swap)
     };
 
+    /// Find or create `beacon`'s session in `sessions`: the one
+    /// construction path of this shard's sessions, for ingest and
+    /// checkpoint restore alike.
+    std::pair<std::map<BeaconId, TrackingSession>::iterator, bool> emplace_session(
+        std::map<BeaconId, TrackingSession>& sessions, BeaconId beacon) {
+        return sessions.try_emplace(beacon, cfg_.session, anf_, envaware_,
+                                    &epoch_stats_);
+    }
+
     void process_client(ClientId id, ClientState& c, std::deque<Event>* events,
                         double horizon);
     void run_clustering(ClientState& c);
@@ -208,6 +220,9 @@ private:
 
     Config cfg_;
     const core::EnvAware* envaware_;
+    /// The sessions' ANF, built once: its design is a pure function of the
+    /// config, and every new session starts from a copy.
+    dsp::Anf anf_;
     core::ClusteringCalibrator calibrator_;
 
     // --- ingest side (driver thread, any time) ---

@@ -7,9 +7,9 @@
 
 namespace locble::serve {
 
-TrackingSession::TrackingSession(const Config& cfg, const core::EnvAware* envaware,
-                                 IngestStats* stats)
-    : cfg_(cfg), stats_(stats), anf_(cfg.pipeline.anf), solver_(cfg.pipeline.solver),
+TrackingSession::TrackingSession(const Config& cfg, const dsp::Anf& anf,
+                                 const core::EnvAware* envaware, IngestStats* stats)
+    : cfg_(cfg), stats_(stats), anf_(anf), solver_(cfg.pipeline.solver),
       session_(solver_) {
     if (cfg_.pipeline.use_envaware) {
         if (envaware == nullptr || !envaware->trained())

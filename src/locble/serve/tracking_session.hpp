@@ -54,13 +54,17 @@ public:
         std::size_t max_session_samples{0};
     };
 
-    /// `envaware` must be a trained model when cfg.pipeline.use_envaware is
-    /// set; the session keeps its own copy (the regime tracker carries
-    /// per-session streaming state). When `stats` is non-null the session
-    /// bumps the shard's batches_flushed / solves / sessions_reset counters
-    /// there, so the totals survive the session's own eviction.
-    TrackingSession(const Config& cfg, const core::EnvAware* envaware,
-                    IngestStats* stats = nullptr);
+    /// `anf` is a fresh ANF built from cfg.pipeline.anf; the session copies
+    /// it. Building one designs the Butterworth cascade and probes its group
+    /// delay, which costs far more than the copy, so a shard builds it once
+    /// for all its sessions. `envaware` must be a trained model when
+    /// cfg.pipeline.use_envaware is set; the session keeps its own copy (the
+    /// regime tracker carries per-session streaming state). When `stats` is
+    /// non-null the session bumps the shard's batches_flushed / solves /
+    /// sessions_reset counters there, so the totals survive the session's
+    /// own eviction.
+    TrackingSession(const Config& cfg, const dsp::Anf& anf,
+                    const core::EnvAware* envaware, IngestStats* stats = nullptr);
 
     TrackingSession(const TrackingSession&) = delete;
     TrackingSession& operator=(const TrackingSession&) = delete;

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -44,34 +45,39 @@ private:
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `n` bytes,
 /// continuing from `seed` (pass the previous return value to checksum a
 /// logical stream in pieces). Pure function of the bytes — the per-frame
-/// integrity check of the wire format.
+/// integrity check of the wire format. Computed slice-by-8 (eight bytes per
+/// table step); the values are those of the classic bytewise loop.
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+/// Longest LEB128 encoding of a u64 (ten 7-bit groups).
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Unsigned LEB128 (7 bits per byte, high bit = continue) of `v` into
+/// `out`; returns the number of bytes written (1..kMaxVarintBytes).
+inline std::size_t encode_varint(std::uint64_t v, char* out) {
+    std::size_t n = 0;
+    while (v >= 0x80u) {
+        out[n++] = static_cast<char>((v & 0x7fu) | 0x80u);
+        v >>= 7;
+    }
+    out[n++] = static_cast<char>(v);
+    return n;
+}
 
 /// Append-only little-endian byte sink. All multi-byte integers are fixed
 /// little-endian; varints are LEB128; doubles travel as their raw IEEE-754
-/// bit pattern (round-trip exact, NaN payloads included).
+/// bit pattern (round-trip exact, NaN payloads included). Every value goes
+/// out in one append.
 class ByteWriter {
 public:
     void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-    void u16(std::uint16_t v) {
-        u8(static_cast<std::uint8_t>(v & 0xffu));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
-    void u32(std::uint32_t v) {
-        u16(static_cast<std::uint16_t>(v & 0xffffu));
-        u16(static_cast<std::uint16_t>(v >> 16));
-    }
-    void u64(std::uint64_t v) {
-        u32(static_cast<std::uint32_t>(v & 0xffffffffu));
-        u32(static_cast<std::uint32_t>(v >> 32));
-    }
-    /// Unsigned LEB128 (7 bits per byte, high bit = continue).
+    void u16(std::uint16_t v) { fixed(v); }
+    void u32(std::uint32_t v) { fixed(v); }
+    void u64(std::uint64_t v) { fixed(v); }
+    /// Unsigned LEB128, as encode_varint writes it.
     void varint(std::uint64_t v) {
-        while (v >= 0x80u) {
-            u8(static_cast<std::uint8_t>((v & 0x7fu) | 0x80u));
-            v >>= 7;
-        }
-        u8(static_cast<std::uint8_t>(v));
+        char b[kMaxVarintBytes];
+        out_.append(b, encode_varint(v, b));
     }
     /// Zigzag-mapped signed varint.
     void svarint(std::int64_t v) {
@@ -96,6 +102,18 @@ public:
     void clear() { out_.clear(); }
 
 private:
+    template <class U>
+    void fixed(U v) {
+        char b[sizeof v];
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(b, &v, sizeof v);
+        } else {
+            for (std::size_t i = 0; i < sizeof v; ++i)
+                b[i] = static_cast<char>((v >> (8 * i)) & 0xffu);
+        }
+        out_.append(b, sizeof b);
+    }
+
     std::string out_;
 };
 
@@ -114,15 +132,25 @@ public:
         if (pos_ >= bytes_.size()) return fail_u8();
         return static_cast<std::uint8_t>(bytes_[pos_++]);
     }
+    // Fixed-width reads load the whole value after one bounds check. Short
+    // of that they take the byte-at-a-time path, which consumes what is
+    // left, latches failure and keeps the partial value, so a truncated
+    // read yields the same value, status and position either way.
     std::uint16_t u16() {
+        std::uint16_t v = 0;
+        if (load(v)) return v;
         const std::uint16_t lo = u8();
         return static_cast<std::uint16_t>(lo | (static_cast<std::uint16_t>(u8()) << 8));
     }
     std::uint32_t u32() {
+        std::uint32_t v = 0;
+        if (load(v)) return v;
         const std::uint32_t lo = u16();
         return lo | (static_cast<std::uint32_t>(u16()) << 16);
     }
     std::uint64_t u64() {
+        std::uint64_t v = 0;
+        if (load(v)) return v;
         const std::uint64_t lo = u32();
         return lo | (static_cast<std::uint64_t>(u32()) << 32);
     }
@@ -167,6 +195,17 @@ public:
     bool at_end() const { return pos_ >= bytes_.size(); }
 
 private:
+    /// Load a whole value when all its bytes are present; false leaves the
+    /// read to the byte-at-a-time path (always so on a big-endian host).
+    template <class U>
+    bool load(U& v) {
+        if (std::endian::native != std::endian::little || remaining() < sizeof v)
+            return false;
+        std::memcpy(&v, bytes_.data() + pos_, sizeof v);
+        pos_ += sizeof v;
+        return true;
+    }
+
     std::uint8_t fail_u8() {
         failed_ = true;
         return 0;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 namespace locble::wire {
 
@@ -47,24 +48,41 @@ LogWriter::LogWriter(StreamKind kind) {
     out_.u32(crc32(out_.data().data(), out_.size()));
 }
 
-void LogWriter::frame(FrameType type, const std::string& payload) {
+void LogWriter::frame(FrameType type, std::initializer_list<std::string_view> payload) {
+    std::size_t len = 0;
+    for (const std::string_view piece : payload) len += piece.size();
+    // Refuse what LogReader::next would refuse: a frame is only ever
+    // written if it can be read back.
+    if (len > kMaxFramePayload)
+        throw WireError(WireStatus::malformed,
+                        "LogWriter: frame payload of " + std::to_string(len) +
+                            " bytes exceeds kMaxFramePayload");
     const auto t = static_cast<std::uint8_t>(type);
     out_.u8(t);
-    out_.u32(static_cast<std::uint32_t>(payload.size()));
-    out_.bytes(payload.data(), payload.size());
+    out_.u32(static_cast<std::uint32_t>(len));
     // The CRC covers the type byte and the payload (not the length field:
     // a damaged length already fails structurally as truncated/malformed).
     std::uint32_t crc = crc32(&t, 1);
-    crc = crc32(payload.data(), payload.size(), crc);
+    for (const std::string_view piece : payload) {
+        out_.bytes(piece.data(), piece.size());
+        crc = crc32(piece.data(), piece.size(), crc);
+    }
     out_.u32(crc);
 }
 
+namespace {
+
+/// A varint's encoding as a payload piece, in caller-provided storage.
+std::string_view varint_piece(std::uint64_t v, char (&buf)[kMaxVarintBytes]) {
+    return {buf, encode_varint(v, buf)};
+}
+
+}  // namespace
+
 void LogWriter::flush_events() {
     if (batch_count_ == 0) return;
-    ByteWriter payload;
-    payload.varint(batch_count_);
-    payload.bytes(batch_.data().data(), batch_.size());
-    frame(FrameType::events, payload.data());
+    char count[kMaxVarintBytes];
+    frame(FrameType::events, {varint_piece(batch_count_, count), batch_.data()});
     batch_.clear();
     batch_count_ = 0;
 }
@@ -78,23 +96,20 @@ void LogWriter::add_event(const EventRecord& e) {
 
 void LogWriter::epoch_mark(std::uint64_t epoch) {
     flush_events();
-    ByteWriter payload;
-    payload.varint(epoch);
-    frame(FrameType::epoch, payload.data());
+    char index[kMaxVarintBytes];
+    frame(FrameType::epoch, {varint_piece(epoch, index)});
     ++epochs_written_;
 }
 
 void LogWriter::section(std::string_view name, std::string_view body) {
     flush_events();
-    ByteWriter payload;
-    payload.str(name);
-    payload.bytes(body.data(), body.size());
-    frame(FrameType::section, payload.data());
+    char name_len[kMaxVarintBytes];
+    frame(FrameType::section, {varint_piece(name.size(), name_len), name, body});
 }
 
 std::string LogWriter::finish() {
     flush_events();
-    frame(FrameType::end, std::string());
+    frame(FrameType::end, {});
     return out_.take();
 }
 

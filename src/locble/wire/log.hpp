@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,7 +36,8 @@ enum class FrameType : std::uint8_t {
 
 /// Upper bound on a single frame payload (64 MiB). A length field beyond it
 /// is treated as `malformed` rather than trusted — a corrupted length must
-/// never drive allocation or a giant skip.
+/// never drive allocation or a giant skip — and LogWriter refuses to write
+/// such a frame, so every frame it writes reads back.
 inline constexpr std::uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
 
 /// One decoded frame. `events` is filled for events frames; `epoch` for
@@ -62,6 +64,9 @@ public:
 
     void add_event(const EventRecord& e);
     void epoch_mark(std::uint64_t epoch);
+    /// Append a named section. Throws WireError (malformed), writing
+    /// nothing of the frame, when its payload — name plus body — would
+    /// exceed kMaxFramePayload, the most LogReader accepts.
     void section(std::string_view name, std::string_view body);
 
     /// Flush pending events, append the end frame, and hand over the bytes.
@@ -75,7 +80,9 @@ public:
 
 private:
     void flush_events();
-    void frame(FrameType type, const std::string& payload);
+    /// One frame whose payload is the concatenation of `payload`, written
+    /// straight into the output and checksummed piece by piece.
+    void frame(FrameType type, std::initializer_list<std::string_view> payload);
 
     ByteWriter out_;
     ByteWriter batch_;

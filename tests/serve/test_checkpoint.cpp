@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -233,7 +235,96 @@ std::string with_session_segment(std::string_view ckpt, std::string_view zigzag)
     return out;
 }
 
-/// The control for the forgeries below: re-framing alone changes nothing.
+/// Rewrite the session's warm grid with `edit(body, at)`, where `at` is the
+/// grid's offset in the client body. The grid follows the accumulated
+/// samples: their one-byte varint count precedes the first sample's `t`,
+/// and each sample is four f64s plus a one-byte segment (all in segment 0
+/// here). The grid is the valid flag, f64 n_min, n_max and step, then the
+/// varint point count at +25.
+std::string with_warm_grid(std::string_view ckpt,
+                           const std::function<void(std::string&, std::size_t)>& edit) {
+    bool patched = false;
+    std::string out = reframe(ckpt, [&](std::string_view name, std::string& body) {
+        if (name != "client") return;
+        const std::size_t first = body.find(bytes_of(kFirstAdvT));
+        if (first == std::string::npos || first == 0) return;
+        const auto samples = static_cast<unsigned char>(body[first - 1]);
+        ASSERT_GT(samples, 8u);
+        ASSERT_LT(samples, 128u);
+        const std::size_t at = first + samples * std::size_t{33};
+        ASSERT_LT(at + 25, body.size());
+        ASSERT_EQ(body[at], 1) << "warm grid not valid";
+        edit(body, at);
+        patched = true;
+    });
+    EXPECT_TRUE(patched);
+    return out;
+}
+
+double f64_at(const std::string& body, std::size_t at) {
+    double v = 0.0;
+    std::memcpy(&v, body.data() + at, sizeof v);
+    return v;
+}
+
+void set_f64(std::string& body, std::size_t at, double v) {
+    body.replace(at, sizeof v, bytes_of(v));
+}
+
+TEST(WireCheckpointTest, WarmGridZeroStepIsMalformed) {
+    expect_malformed(with_warm_grid(forgery_donor(),
+                                    [](std::string& body, std::size_t at) {
+                                        set_f64(body, at + 17, 0.0);
+                                    }),
+                     "step 0");
+}
+
+TEST(WireCheckpointTest, WarmGridNanBandIsMalformed) {
+    expect_malformed(with_warm_grid(forgery_donor(),
+                                    [](std::string& body, std::size_t at) {
+                                        set_f64(body, at + 1,
+                                                std::numeric_limits<double>::quiet_NaN());
+                                    }),
+                     "n_min NaN");
+}
+
+TEST(WireCheckpointTest, WarmGridInvertedBandIsMalformed) {
+    expect_malformed(with_warm_grid(forgery_donor(),
+                                    [](std::string& body, std::size_t at) {
+                                        const double n_min = f64_at(body, at + 1);
+                                        const double n_max = f64_at(body, at + 9);
+                                        ASSERT_LT(n_min, n_max);
+                                        set_f64(body, at + 1, n_max);
+                                        set_f64(body, at + 9, n_min);
+                                    }),
+                     "n_min > n_max");
+}
+
+TEST(WireCheckpointTest, WarmGridOfMoreThanAMillionPointsIsMalformed) {
+    expect_malformed(with_warm_grid(forgery_donor(),
+                                    [](std::string& body, std::size_t at) {
+                                        const double step = f64_at(body, at + 17);
+                                        set_f64(body, at + 9,
+                                                f64_at(body, at + 1) + 2e6 * step);
+                                    }),
+                     "2e6 points");
+}
+
+TEST(WireCheckpointTest, WarmGridPointCountOffByOneIsMalformed) {
+    for (const int delta : {-1, +1}) {
+        expect_malformed(
+            with_warm_grid(forgery_donor(),
+                           [delta](std::string& body, std::size_t at) {
+                               const auto n = static_cast<unsigned char>(body[at + 25]);
+                               ASSERT_GT(n, 1u);
+                               ASSERT_LT(n, 127u);
+                               body[at + 25] = static_cast<char>(n + delta);
+                           }),
+            delta < 0 ? "points - 1" : "points + 1");
+    }
+}
+
+/// The control for every forgery here: re-framing alone changes nothing.
 TEST(WireCheckpointTest, ReframedCheckpointRestoresUnchanged) {
     const std::string ckpt = forgery_donor();
     const std::string same = reframe(ckpt, [](std::string_view, std::string&) {});

@@ -7,6 +7,7 @@
 
 #include "locble/common/rng.hpp"
 #include "locble/core/envaware.hpp"
+#include "locble/dsp/anf.hpp"
 
 namespace locble::serve {
 namespace {
@@ -41,7 +42,7 @@ void feed_walk(TrackingSession& s, const locble::Vec2& target, double seconds,
 }
 
 TEST(TrackingSessionTest, RecoversStationaryBeaconFromStream) {
-    TrackingSession s(clean_config(), nullptr);
+    TrackingSession s(clean_config(), dsp::Anf(), nullptr);
     feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1);
     s.finish_epoch(9.0);
     ASSERT_TRUE(s.has_fit());
@@ -55,11 +56,11 @@ TEST(TrackingSessionTest, EpochSplitIsInvisible) {
     // Deferred warm-started solves: splitting the same stream across many
     // epochs must land on the exact same fit as one big epoch (the solver
     // session contract: exhaustive warm solve == cold solve).
-    TrackingSession one(clean_config(), nullptr);
+    TrackingSession one(clean_config(), dsp::Anf(), nullptr);
     feed_walk(one, {4.0, 1.5}, 8.0, 1.0, 7);
     one.finish_epoch(9.0);
 
-    TrackingSession split(clean_config(), nullptr);
+    TrackingSession split(clean_config(), dsp::Anf(), nullptr);
     locble::Rng rng(7);
     for (double t = 0.0; t <= 8.0; t += 0.1) {
         const locble::Vec2 obs{t, 0.0};
@@ -83,9 +84,9 @@ TEST(TrackingSessionTest, EpochSplitIsInvisible) {
 
 TEST(TrackingSessionTest, SolvePerFlushMatchesDeferredFinalFit) {
     auto cfg = clean_config();
-    TrackingSession deferred(cfg, nullptr);
+    TrackingSession deferred(cfg, dsp::Anf(cfg.pipeline.anf), nullptr);
     cfg.solve_per_flush = true;
-    TrackingSession eager(cfg, nullptr);
+    TrackingSession eager(cfg, dsp::Anf(cfg.pipeline.anf), nullptr);
     feed_walk(deferred, {5.0, 2.0}, 8.0, 1.0, 3);
     feed_walk(eager, {5.0, 2.0}, 8.0, 1.0, 3);
     deferred.finish_epoch(9.0);
@@ -99,9 +100,10 @@ TEST(TrackingSessionTest, SolvePerFlushMatchesDeferredFinalFit) {
 
 TEST(TrackingSessionTest, PoseLagTracksAnfGroupDelay) {
     auto cfg = clean_config();
-    EXPECT_EQ(TrackingSession(cfg, nullptr).pose_lag_s(), 0.0);
+    EXPECT_EQ(TrackingSession(cfg, dsp::Anf(cfg.pipeline.anf), nullptr).pose_lag_s(),
+              0.0);
     cfg.pipeline.use_anf = true;
-    const TrackingSession with_anf(cfg, nullptr);
+    const TrackingSession with_anf(cfg, dsp::Anf(cfg.pipeline.anf), nullptr);
     EXPECT_GT(with_anf.pose_lag_s(), 0.0);
 }
 
@@ -109,7 +111,7 @@ TEST(TrackingSessionTest, MaxSessionSamplesBoundsAndResets) {
     auto cfg = clean_config();
     cfg.max_session_samples = 30;
     IngestStats stats;
-    TrackingSession s(cfg, nullptr, &stats);
+    TrackingSession s(cfg, dsp::Anf(cfg.pipeline.anf), nullptr, &stats);
     feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1);  // 81 samples
     s.finish_epoch(9.0);
     EXPECT_GE(s.resets(), 1);
@@ -121,13 +123,15 @@ TEST(TrackingSessionTest, MaxSessionSamplesBoundsAndResets) {
 TEST(TrackingSessionTest, EnvAwareRequiredWhenEnabled) {
     auto cfg = clean_config();
     cfg.pipeline.use_envaware = true;
-    EXPECT_THROW(TrackingSession(cfg, nullptr), std::invalid_argument);
+    EXPECT_THROW(TrackingSession(cfg, dsp::Anf(cfg.pipeline.anf), nullptr),
+                 std::invalid_argument);
     const core::EnvAware untrained;
-    EXPECT_THROW(TrackingSession(cfg, &untrained), std::invalid_argument);
+    EXPECT_THROW(TrackingSession(cfg, dsp::Anf(cfg.pipeline.anf), &untrained),
+                 std::invalid_argument);
 }
 
 TEST(TrackingSessionTest, EpochChangeFlagLatchesUntilTaken) {
-    TrackingSession s(clean_config(), nullptr);
+    TrackingSession s(clean_config(), dsp::Anf(), nullptr);
     EXPECT_FALSE(s.take_epoch_changed());
     feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1);
     s.finish_epoch(9.0);

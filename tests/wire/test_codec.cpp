@@ -1,12 +1,17 @@
 // locble::wire codec primitives: CRC-32 vectors, ByteWriter/ByteReader
 // round-trips (property-tested over seeded random values), varint edge
 // cases, and the fail-latch behavior that keeps corrupted input from ever
-// turning into UB (docs/WIRE.md).
+// turning into UB (docs/WIRE.md). The slice-by-8 CRC and the whole-value
+// reader and writer are checked against the plain bitwise / byte-at-a-time
+// references below.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +20,107 @@
 #include "locble/wire/codec.hpp"
 
 namespace wire = locble::wire;
+
+namespace {
+
+/// Bitwise CRC-32 (reflected 0xEDB88320), no tables: the definition the
+/// production slice-by-8 must reproduce.
+std::uint32_t crc32_bitwise(const void* data, std::size_t n, std::uint32_t seed = 0) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+/// The byte-at-a-time reader: every fixed-width value is composed from
+/// u8() reads, so a short read consumes what is left, latches failure and
+/// keeps the partial value. ByteReader must agree on every value, ok() and
+/// pos(), truncated or not.
+class ByteAtATimeReader {
+public:
+    explicit ByteAtATimeReader(std::string_view bytes) : bytes_(bytes) {}
+
+    std::uint8_t u8() {
+        if (pos_ >= bytes_.size()) {
+            failed_ = true;
+            return 0;
+        }
+        return static_cast<std::uint8_t>(bytes_[pos_++]);
+    }
+    std::uint16_t u16() {
+        const std::uint16_t lo = u8();
+        return static_cast<std::uint16_t>(lo | (static_cast<std::uint16_t>(u8()) << 8));
+    }
+    std::uint32_t u32() {
+        const std::uint32_t lo = u16();
+        return lo | (static_cast<std::uint32_t>(u16()) << 16);
+    }
+    std::uint64_t u64() {
+        const std::uint64_t lo = u32();
+        return lo | (static_cast<std::uint64_t>(u32()) << 32);
+    }
+    std::uint64_t varint() {
+        std::uint64_t v = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            const std::uint8_t b = u8();
+            if (failed_) return 0;
+            v |= static_cast<std::uint64_t>(b & 0x7fu) << shift;
+            if ((b & 0x80u) == 0) {
+                if (shift == 63 && b > 1) break;
+                return v;
+            }
+        }
+        failed_ = true;
+        return 0;
+    }
+    std::int64_t svarint() {
+        const std::uint64_t u = varint();
+        return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
+    }
+    double f64() { return std::bit_cast<double>(u64()); }
+
+    bool ok() const { return !failed_; }
+    std::size_t pos() const { return pos_; }
+
+private:
+    std::string_view bytes_;
+    std::size_t pos_{0};
+    bool failed_{false};
+};
+
+enum class Op { u8, u16, u32, u64, f64, varint, svarint };
+constexpr int kOps = 7;
+
+/// Byte-at-a-time encodings, the reference for ByteWriter's whole-value
+/// appends: fixed widths least significant byte first, varints LEB128.
+void append_le(std::string& out, std::uint64_t v, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+}
+void append_leb128(std::string& out, std::uint64_t v) {
+    for (; v >= 0x80u; v >>= 7) out.push_back(static_cast<char>((v & 0x7fu) | 0x80u));
+    out.push_back(static_cast<char>(v));
+}
+
+/// Read `op` from `r` as raw bits, so values of every type compare with ==.
+template <class Reader>
+std::uint64_t read_bits(Reader& r, Op op) {
+    switch (op) {
+        case Op::u8: return r.u8();
+        case Op::u16: return r.u16();
+        case Op::u32: return r.u32();
+        case Op::u64: return r.u64();
+        case Op::f64: return std::bit_cast<std::uint64_t>(r.f64());
+        case Op::varint: return r.varint();
+        case Op::svarint: return static_cast<std::uint64_t>(r.svarint());
+    }
+    return 0;
+}
+
+}  // namespace
 
 TEST(WireCrc32Test, MatchesThePublishedCheckVector) {
     // The canonical IEEE 802.3 check value: CRC32("123456789").
@@ -33,6 +139,23 @@ TEST(WireCrc32Test, SeedChainingEqualsOneShot) {
         const std::uint32_t chained =
             wire::crc32(data.data() + split, data.size() - split, head);
         EXPECT_EQ(chained, one_shot) << "split at " << split;
+    }
+}
+
+TEST(WireCrc32Test, SliceBy8EqualsBitwiseAtEveryLengthAndAlignment) {
+    locble::Rng rng(20261017);
+    std::vector<unsigned char> buf(257 + 8);
+    for (auto& b : buf) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        const unsigned char* p = buf.data() + offset;
+        for (std::size_t n = 0; n <= 257; ++n) {
+            ASSERT_EQ(wire::crc32(p, n), crc32_bitwise(p, n))
+                << "offset " << offset << " length " << n;
+            // Chained: continue from the CRC of a preceding piece.
+            const std::uint32_t seed = crc32_bitwise(buf.data(), offset + n % 5);
+            ASSERT_EQ(wire::crc32(p, n, seed), crc32_bitwise(p, n, seed))
+                << "offset " << offset << " length " << n << " chained";
+        }
     }
 }
 
@@ -197,6 +320,78 @@ TEST(WireByteCodecTest, RandomSequenceRoundTripProperty) {
         }
         EXPECT_TRUE(r.ok());
         EXPECT_TRUE(r.at_end());
+    }
+}
+
+TEST(WireByteCodecTest, WholeValueCodecEqualsByteAtATimeOnEveryTruncation) {
+    for (int trial = 0; trial < 20; ++trial) {
+        locble::Rng rng = locble::Rng::for_stream(20261017ull,
+                                                  static_cast<std::uint64_t>(trial));
+        std::vector<Op> ops;
+        wire::ByteWriter w;
+        std::string reference;
+        const int n = static_cast<int>(rng.uniform_int(1, 24));
+        for (int i = 0; i < n; ++i) {
+            const auto op = static_cast<Op>(rng.uniform_int(0, kOps - 1));
+            // A random value of a random bit width, so varints of every
+            // length (1..10 bytes) occur.
+            const auto high = static_cast<std::uint64_t>(
+                rng.uniform_int(0, std::numeric_limits<std::int64_t>::max()));
+            const std::uint64_t raw =
+                (high << 1) | static_cast<std::uint64_t>(rng.uniform_int(0, 1));
+            const auto bits = static_cast<unsigned>(rng.uniform_int(0, 64));
+            const std::uint64_t fit = bits == 0 ? 0 : raw >> (64 - bits);
+            ops.push_back(op);
+            switch (op) {
+                case Op::u8:
+                    w.u8(static_cast<std::uint8_t>(fit));
+                    append_le(reference, fit, 1);
+                    break;
+                case Op::u16:
+                    w.u16(static_cast<std::uint16_t>(fit));
+                    append_le(reference, fit, 2);
+                    break;
+                case Op::u32:
+                    w.u32(static_cast<std::uint32_t>(fit));
+                    append_le(reference, fit, 4);
+                    break;
+                case Op::u64:
+                    w.u64(fit);
+                    append_le(reference, fit, 8);
+                    break;
+                case Op::f64:
+                    w.f64(std::bit_cast<double>(fit));
+                    append_le(reference, fit, 8);
+                    break;
+                case Op::varint:
+                    w.varint(fit);
+                    append_leb128(reference, fit);
+                    break;
+                case Op::svarint: {
+                    const auto sv = static_cast<std::int64_t>(fit);
+                    w.svarint(sv);
+                    append_leb128(reference,
+                                  (fit << 1) ^ static_cast<std::uint64_t>(sv >> 63));
+                    break;
+                }
+            }
+        }
+        ASSERT_EQ(w.data(), reference) << "trial " << trial;
+
+        // Every prefix, the whole stream included: same values, status and
+        // position after every read, through and past the truncation.
+        for (std::size_t len = 0; len <= reference.size(); ++len) {
+            const std::string_view prefix(reference.data(), len);
+            wire::ByteReader fast(prefix);
+            ByteAtATimeReader slow(prefix);
+            for (std::size_t i = 0; i < ops.size(); ++i) {
+                ASSERT_EQ(read_bits(fast, ops[i]), read_bits(slow, ops[i]))
+                    << "trial " << trial << " prefix " << len << " read " << i;
+                ASSERT_EQ(fast.ok(), slow.ok()) << "prefix " << len << " read " << i;
+                ASSERT_EQ(fast.pos(), slow.pos()) << "prefix " << len << " read " << i;
+            }
+            EXPECT_EQ(fast.ok(), len == reference.size());
+        }
     }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -236,6 +237,31 @@ TEST(WireLogTest, OversizedLengthIsMalformedNotTrusted) {
     wire::LogReader r(bytes);
     wire::LogRecord rec;
     EXPECT_EQ(r.next(rec), wire::WireStatus::malformed);
+}
+
+TEST(WireLogTest, WriterRefusesFramesItsReaderWouldReject) {
+    // A section payload is a one-byte name length, the name, then the body:
+    // with name "s", a body of kMaxFramePayload - 2 bytes fills it exactly.
+    const std::string body(wire::kMaxFramePayload - 1, 'x');
+    const std::string_view at_limit(body.data(), body.size() - 1);
+    wire::LogWriter w(wire::StreamKind::checkpoint);
+    w.section("s", at_limit);
+    const std::size_t written = w.size();
+    try {
+        w.section("s", body);  // one byte over
+        ADD_FAILURE() << "oversized section was written";
+    } catch (const wire::WireError& e) {
+        EXPECT_EQ(e.code(), wire::WireStatus::malformed);
+    }
+    EXPECT_EQ(w.size(), written);  // nothing of the refused frame went out
+
+    const std::string bytes = w.finish();
+    wire::LogReader r(bytes);
+    wire::LogRecord rec;
+    ASSERT_EQ(r.next(rec), wire::WireStatus::ok);
+    EXPECT_EQ(rec.section_name, "s");
+    EXPECT_EQ(rec.section_body.size(), at_limit.size());
+    EXPECT_EQ(r.next(rec), wire::WireStatus::end);
 }
 
 TEST(WireLogTest, EventsFrameWithForgedCountIsMalformed) {
