@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     const char* names[] = {"linear SVM (EnvAware)", "decision tree", "random forest"};
     const char* keys[] = {"svm", "decision_tree", "random_forest"};
     TextTable table({"classifier", "accuracy", "macro precision", "macro recall"});
-    for (int i = 0; i < 3; ++i) {
+    for (std::size_t i = 0; i < 3; ++i) {
         table.add_row(names[i], {reports[i].accuracy, reports[i].macro_precision,
                                  reports[i].macro_recall},
                       3);

@@ -65,14 +65,15 @@ int main(int argc, char** argv) {
 
     // The claim: offsets differ, trend (slope) is shared.
     std::vector<double> drops(3);
-    for (int p = 0; p < 3; ++p) drops[p] = mean_rss[p].front() - mean_rss[p].back();
+    for (std::size_t p = 0; p < 3; ++p)
+        drops[p] = mean_rss[p].front() - mean_rss[p].back();
     std::printf("RSSI drop 0.8 m -> 6.1 m: %s / %s / %s dB (similar trend)\n",
                 fmt(drops[0], 1).c_str(), fmt(drops[1], 1).c_str(),
                 fmt(drops[2], 1).c_str());
     std::printf("phone offsets at 3 m: %s / %s / %s dBm (distinct levels)\n",
                 fmt(mean_rss[0][2], 1).c_str(), fmt(mean_rss[1][2], 1).c_str(),
                 fmt(mean_rss[2][2], 1).c_str());
-    for (int p = 0; p < 3; ++p) {
+    for (std::size_t p = 0; p < 3; ++p) {
         runner.report().add_scalar(std::string(phones[p].name) + "_drop_db", drops[p]);
         runner.report().add_scalar(std::string(phones[p].name) + "_rss_at_3m_dbm",
                                    mean_rss[p][2]);

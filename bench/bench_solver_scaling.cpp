@@ -59,7 +59,7 @@ std::vector<std::vector<FusedSample>> make_batches(const SweepPoint& pt,
     const locble::Vec2 target{5.0, 2.0};
     const int total = pt.per_batch * pt.batches;
     const int half = total / 2;
-    std::vector<std::vector<FusedSample>> out(pt.batches);
+    std::vector<std::vector<FusedSample>> out(static_cast<std::size_t>(pt.batches));
     for (int i = 0; i < total; ++i) {
         // L-shape: first half along +x, second half along +y.
         locble::Vec2 obs;
@@ -75,7 +75,7 @@ std::vector<std::vector<FusedSample>> make_batches(const SweepPoint& pt,
         const double l = locble::Vec2::distance(target, obs);
         s.rssi = -59.0 - 10.0 * 2.1 * std::log10(std::max(l, 0.1)) +
                  rng.gaussian(0.0, 3.0);
-        out[i / pt.per_batch].push_back(s);
+        out[static_cast<std::size_t>(i / pt.per_batch)].push_back(s);
     }
     return out;
 }

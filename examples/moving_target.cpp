@@ -4,6 +4,7 @@
 // the observer (the paper uses UPnP); frames are aligned through the
 // compass heading each device measured at its own start.
 
+#include <cstdint>
 #include <cstdio>
 
 #include "locble/sim/harness.hpp"
@@ -30,7 +31,7 @@ int main() {
     double err_sum = 0.0;
     const int runs = 5;
     for (int r = 0; r < runs; ++r) {
-        locble::Rng rng(600 + r * 17);
+        locble::Rng rng(static_cast<std::uint64_t>(600 + r * 17));
         const auto walk = sim::default_l_walk(lot);
         const sim::MeasurementOutcome out =
             sim::measure_moving(lot, colleague, walk, cfg, rng);

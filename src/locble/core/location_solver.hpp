@@ -354,9 +354,6 @@ public:
             ws_.invalidate();
         }
 
-        /// Alias of reset(), kept for symmetry with container APIs.
-        void clear() { reset(); }
-
         void add(const FusedSample& s) { samples_.push_back(s); }
         void add(const std::vector<FusedSample>& batch) {
             samples_.insert(samples_.end(), batch.begin(), batch.end());

@@ -1,5 +1,6 @@
 #include "locble/core/pipeline.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,7 +9,7 @@
 namespace locble::core {
 
 LocBle::LocBle(const Config& cfg, std::optional<EnvAware> envaware)
-    : cfg_(cfg), envaware_(std::move(envaware)), solver_(cfg.solver) {
+    : cfg_(cfg), envaware_(std::move(envaware)) {
     if (cfg_.use_envaware && (!envaware_ || !envaware_->trained()))
         throw std::invalid_argument("LocBle: use_envaware requires a trained EnvAware");
 }
@@ -21,7 +22,7 @@ motion::MotionEstimate rotate_motion(const motion::MotionEstimate& m, double ang
 
 LocateResult LocBle::locate(const locble::TimeSeries& raw_rss,
                             const motion::MotionEstimate& observer) const {
-    return run(raw_rss, observer, nullptr, 0.0);
+    return run(raw_rss, observer, nullptr);
 }
 
 LocateResult LocBle::locate(const locble::TimeSeries& raw_rss,
@@ -29,127 +30,39 @@ LocateResult LocBle::locate(const locble::TimeSeries& raw_rss,
                             const motion::MotionEstimate& target,
                             double target_frame_rotation) const {
     const motion::MotionEstimate aligned = rotate_motion(target, target_frame_rotation);
-    return run(raw_rss, observer, &aligned, 0.0);
+    return run(raw_rss, observer, &aligned);
 }
 
 LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
                          const motion::MotionEstimate& observer,
-                         const motion::MotionEstimate* target,
-                         double /*target_frame_rotation*/) const {
+                         const motion::MotionEstimate* target) const {
     LOCBLE_SPAN("pipeline.locate");
     LocateResult result;
     if (raw_rss.empty()) return result;
     LOCBLE_COUNT("pipeline.locate_calls", 1);
     LOCBLE_COUNT("pipeline.samples_in", raw_rss.size());
 
-    // ANF runs offline (zero-phase) over the recorded capture; EnvAware
-    // sees raw batches (it learns from the raw fluctuation statistics the
-    // filter would erase).
-    const dsp::Anf anf(cfg_.anf);
+    // ANF runs offline (zero-phase) over the recorded capture.
     locble::TimeSeries denoised_series;
-    if (cfg_.use_anf) denoised_series = anf.process_offline(raw_rss);
-    std::optional<EnvAware> env = envaware_;  // private streaming state
-    if (env) env->reset_stream();
+    if (cfg_.use_anf) denoised_series = dsp::Anf(cfg_.anf).process_offline(raw_rss);
 
-    // One regression shared across the walk; a regime change opens a new
-    // environment *segment* (Algo. 1's "new regression"): the solver keeps
-    // (x, h) common and fits Gamma per segment, so blockage insertion loss
-    // is absorbed without discarding geometry. The Session makes the
-    // per-batch re-solve incremental: each flush folds only the new batch
-    // into the per-exponent solver state instead of rebuilding it from the
-    // whole accumulated stream.
-    LocationSolver::Session session(solver_);
-    std::optional<LocationFit> last_fit;
-    std::size_t last_fit_samples = 0;
-    int segment = 0;
-    std::optional<channel::PropagationClass> regime;
-    double band_min = 10.0, band_max = 0.0;  // union of regime bands seen
-    bool saw_blocked = false;  // any non-LoS window so far (running, not rescanned)
-    double prev_batch_mean = 0.0;
-    bool have_prev_batch = false;
-
-    const double t0 = raw_rss.front().t;
-    double batch_end = t0 + cfg_.batch_seconds;
-    std::vector<double> batch_raw;
-    std::vector<FusedSample> batch_fused;
-
-    auto flush_batch = [&]() {
-        if (batch_raw.empty()) return;
+    // The per-batch re-solve of Algorithm 1: one solve after every closed
+    // batch, keeping the last fit that converged.
+    BatchLoop loop(cfg_, envaware_ ? &*envaware_ : nullptr);
+    LocationFit fit;
+    const auto solve_after = [&](const BatchLoop::Flush& f) {
+        if (f.samples == 0) return;
         LOCBLE_COUNT("pipeline.batches", 1);
-        result.diagnostics.batch_samples.push_back(batch_raw.size());
-        bool restart = false;
-        if (cfg_.use_envaware && env && batch_raw.size() >= 4) {
-            const auto obs = env->observe(batch_raw);
-            result.diagnostics.envaware_windows += 1;
-            result.window_classes.push_back(obs.window_class);
-            if (obs.window_class != channel::PropagationClass::los) saw_blocked = true;
-            regime = obs.regime;
-            restart = obs.changed;
+        if (f.window_class) result.window_classes.push_back(*f.window_class);
+        if (f.restarted) LOCBLE_COUNT("pipeline.regression_restarts", 1);
+        if (loop.solve(fit, result.diagnostics)) {
+            result.fit = fit;
+            result.samples_used = loop.size();
         }
-        if (regime && cfg_.use_regime_bands) {
-            const auto band = exponent_band_for(*regime);
-            band_min = std::min(band_min, band.first);
-            band_max = std::max(band_max, band.second);
-        }
-        double batch_mean = 0.0;
-        for (double v : batch_raw) batch_mean += v;
-        batch_mean /= static_cast<double>(batch_raw.size());
-        // A classifier flip only opens a new segment when the received
-        // level actually moved (real insertion-loss change); spurious
-        // reclassifications must not fragment the regression.
-        const bool level_jumped =
-            have_prev_batch && std::abs(batch_mean - prev_batch_mean) > 4.0;
-        prev_batch_mean = batch_mean;
-        have_prev_batch = true;
-        if (restart && level_jumped && cfg_.restart_on_change) {
-            ++segment;
-            ++result.regression_restarts;
-            LOCBLE_COUNT("pipeline.regression_restarts", 1);
-        }
-        for (auto& s : batch_fused) s.segment = segment;
-        session.add(batch_fused);
-
-        SolveHints hints;
-        // The regime's exponent band is applied only when a single regime
-        // covered the whole walk; mixed-regime data keeps the full range
-        // (the union band measured worse than either constraint).
-        if (cfg_.use_regime_bands && band_max > band_min &&
-            result.regression_restarts == 0)
-            hints.exponent_band = {{band_min, band_max}};
-        if (cfg_.gamma_prior_dbm) {
-            // Blockage shows up as insertion loss the log-distance model has
-            // no term for; per-segment Gammas absorb it, so the band must
-            // open downward when any blocked regime was seen (glass/body
-            // ~3-8 dB, concrete or metal 8-15 dB below calibration).
-            double below = cfg_.gamma_prior_below_db;
-            if (saw_blocked && cfg_.use_regime_bands) below += 14.0;
-            hints.gamma_band_dbm = {*cfg_.gamma_prior_dbm - below,
-                                    *cfg_.gamma_prior_dbm + cfg_.gamma_prior_above_db};
-        }
-
-        SolveDiagnostics sd;
-        if (auto fit = session.solve(hints, &sd)) {
-            last_fit = std::move(fit);
-            last_fit_samples = session.size();
-        }
-        auto& diag = result.diagnostics;
-        diag.solver_calls += 1;
-        diag.solver_candidates += sd.exponent_candidates;
-        diag.solver_failures += sd.candidate_failures;
-        diag.solver_multistarts += sd.multistart_runs;
-        diag.solver_warm_starts += sd.warm_starts;
-        if (!sd.converged) diag.convergence_failures += 1;
-        batch_raw.clear();
-        batch_fused.clear();
     };
 
     for (std::size_t i = 0; i < raw_rss.size(); ++i) {
         const auto& s = raw_rss[i];
-        while (s.t > batch_end) {
-            flush_batch();
-            batch_end += cfg_.batch_seconds;
-        }
-        const double denoised = cfg_.use_anf ? denoised_series[i].value : s.value;
         // Match movement to the RSS sample by timestamp (Algo. 1 line 8).
         const locble::Vec2 obs_pos = observer.position_at(s.t);
         locble::Vec2 tgt_pos{0.0, 0.0};
@@ -158,16 +71,136 @@ LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
         fused.t = s.t;
         fused.p = tgt_pos.x - obs_pos.x;
         fused.q = tgt_pos.y - obs_pos.y;
-        fused.rssi = denoised;
-        batch_raw.push_back(s.value);
-        batch_fused.push_back(fused);
+        fused.rssi = cfg_.use_anf ? denoised_series[i].value : s.value;
+        solve_after(loop.add(s.value, fused, result.diagnostics));
     }
-    flush_batch();
+    solve_after(loop.flush(result.diagnostics));
 
-    result.fit = last_fit;
-    result.samples_used = last_fit_samples;
+    result.regression_restarts = loop.restarts();
     if (!result.fit) LOCBLE_COUNT("pipeline.no_fix", 1);
     return result;
+}
+
+BatchLoop::BatchLoop(const LocBle::Config& cfg, const EnvAware* envaware,
+                     std::size_t max_samples)
+    : cfg_(cfg), max_samples_(max_samples), solver_(cfg.solver), session_(solver_) {
+    if (cfg_.use_envaware) {
+        if (envaware == nullptr || !envaware->trained())
+            throw std::invalid_argument(
+                "BatchLoop: use_envaware requires a trained EnvAware");
+        env_ = *envaware;
+        env_->reset_stream();
+    }
+}
+
+BatchLoop::Flush BatchLoop::add(double raw_rssi, FusedSample s,
+                                LocateResult::Diagnostics& diag) {
+    if (!started_) {
+        started_ = true;
+        batch_end_ = s.t + cfg_.batch_seconds;
+    }
+    const Flush f = close(s.t, diag);
+    s.segment = segment_;
+    batch_raw_.push_back(raw_rssi);
+    batch_fused_.push_back(s);
+    last_t_ = s.t;
+    return f;
+}
+
+BatchLoop::Flush BatchLoop::close(double t, LocateResult::Diagnostics& diag) {
+    Flush f;
+    while (started_ && t > batch_end_) {
+        if (has_open_batch()) f = flush(diag);
+        batch_end_ += cfg_.batch_seconds;
+    }
+    return f;
+}
+
+BatchLoop::Flush BatchLoop::flush(LocateResult::Diagnostics& diag) {
+    Flush f;
+    if (!has_open_batch()) return f;
+    f.samples = batch_raw_.size();
+    diag.batch_samples.push_back(f.samples);
+
+    bool changed = false;
+    if (env_ && batch_raw_.size() >= 4) {
+        const auto obs = env_->observe(batch_raw_);
+        diag.envaware_windows += 1;
+        f.window_class = obs.window_class;
+        if (obs.window_class != channel::PropagationClass::los) saw_blocked_ = true;
+        regime_ = obs.regime;
+        changed = obs.changed;
+    }
+    if (regime_ && cfg_.use_regime_bands) {
+        const auto band = exponent_band_for(*regime_);
+        band_min_ = std::min(band_min_, band.first);
+        band_max_ = std::max(band_max_, band.second);
+    }
+    double batch_mean = 0.0;
+    for (const double v : batch_raw_) batch_mean += v;
+    batch_mean /= static_cast<double>(batch_raw_.size());
+    // A classifier flip only opens a new segment when the received level
+    // actually moved (a real insertion-loss change); spurious
+    // reclassifications must not fragment the regression.
+    const bool level_jumped =
+        have_prev_batch_ && std::abs(batch_mean - prev_batch_mean_) > 4.0;
+    prev_batch_mean_ = batch_mean;
+    have_prev_batch_ = true;
+    // One regression shared across the walk: a confirmed change opens a new
+    // environment segment (Algo. 1's "new regression"). The solver keeps
+    // (x, h) common and fits Gamma per segment, so blockage insertion loss
+    // is absorbed without discarding geometry.
+    if (changed && level_jumped && cfg_.restart_on_change) {
+        ++segment_;
+        ++restarts_;
+        f.restarted = true;
+    }
+    if (max_samples_ > 0 && session_.size() + batch_fused_.size() > max_samples_) {
+        // Allocation-free: Session::reset keeps every buffer's capacity.
+        session_.reset();
+        segment_ = 0;
+        restarts_ = 0;
+        saw_blocked_ = false;
+        band_min_ = 10.0;
+        band_max_ = 0.0;
+        ++resets_;
+        f.reset = true;
+    }
+
+    for (auto& s : batch_fused_) s.segment = segment_;
+    session_.add(batch_fused_);
+    batch_raw_.clear();
+    batch_fused_.clear();
+    return f;
+}
+
+bool BatchLoop::solve(LocationFit& out, LocateResult::Diagnostics& diag) {
+    SolveHints hints;
+    // The regime's exponent band applies only while one regime covered the
+    // whole regression; mixed-regime data keeps the full range (the union
+    // band measured worse than either constraint).
+    if (cfg_.use_regime_bands && band_max_ > band_min_ && restarts_ == 0)
+        hints.exponent_band = {{band_min_, band_max_}};
+    if (cfg_.gamma_prior_dbm) {
+        // Blockage shows up as insertion loss the log-distance model has no
+        // term for; per-segment Gammas absorb it, so the band must open
+        // downward when any blocked window was seen (glass/body ~3-8 dB,
+        // concrete or metal 8-15 dB below calibration).
+        double below = cfg_.gamma_prior_below_db;
+        if (saw_blocked_ && cfg_.use_regime_bands) below += 14.0;
+        hints.gamma_band_dbm = {*cfg_.gamma_prior_dbm - below,
+                                *cfg_.gamma_prior_dbm + cfg_.gamma_prior_above_db};
+    }
+
+    SolveDiagnostics sd;
+    const bool converged = session_.solve_into(out, hints, &sd);
+    diag.solver_calls += 1;
+    diag.solver_candidates += sd.exponent_candidates;
+    diag.solver_failures += sd.candidate_failures;
+    diag.solver_multistarts += sd.multistart_runs;
+    diag.solver_warm_starts += sd.warm_starts;
+    if (!sd.converged) diag.convergence_failures += 1;
+    return converged;
 }
 
 }  // namespace locble::core

@@ -88,12 +88,100 @@ public:
 private:
     LocateResult run(const locble::TimeSeries& raw_rss,
                      const motion::MotionEstimate& observer,
-                     const motion::MotionEstimate* target,
-                     double target_frame_rotation) const;
+                     const motion::MotionEstimate* target) const;
 
     Config cfg_;
     std::optional<EnvAware> envaware_;
+};
+
+/// Algorithm 1's per-beacon batch loop (Sec. 5.3), the one copy behind both
+/// LocBle::locate and the streaming serve::TrackingSession. It cuts the
+/// stream into `batch_seconds` windows, classifies each closed batch with
+/// EnvAware, opens a new Gamma segment on a confirmed environment change,
+/// and folds the batch into one incremental LocationSolver::Session. The
+/// callers differ only in what they feed add() — zero-phase or causal ANF,
+/// and how they pair poses — and in when they call solve(): after every
+/// closed batch offline, once per epoch in the service.
+class BatchLoop {
+public:
+    /// What one add(), close() or flush() did. At most one non-empty batch
+    /// closes per call: add() closes the windows before it buffers, so the
+    /// open batch always lies in the current window.
+    struct Flush {
+        std::size_t samples{0};  ///< size of the batch that closed; 0 if none did
+        bool restarted{false};   ///< a confirmed environment change opened a segment
+        bool reset{false};       ///< the sample cap reset the regression first
+        /// EnvAware's class for the batch, when it ran (batches of >= 4).
+        std::optional<channel::PropagationClass> window_class;
+    };
+
+    /// `envaware` must be trained when cfg.use_envaware is set; the loop
+    /// keeps its own copy (the regime tracker is per-stream state). A
+    /// `max_samples` > 0 caps the regression: a batch that would grow it
+    /// past the cap resets it first (counted in resets()).
+    BatchLoop(const LocBle::Config& cfg, const EnvAware* envaware,
+              std::size_t max_samples = 0);
+    BatchLoop(const BatchLoop&) = delete;
+    BatchLoop& operator=(const BatchLoop&) = delete;
+
+    /// Close every window that ended before `s.t`, then buffer the sample:
+    /// `raw_rssi` for EnvAware (it learns from the fluctuation statistics a
+    /// filter erases), `s` — denoised RSSI and relative displacement — for
+    /// the regression. Closed batches add their sizes and EnvAware windows
+    /// into `diag`.
+    Flush add(double raw_rssi, FusedSample s, LocateResult::Diagnostics& diag);
+    /// Close every window that ended before `t`.
+    Flush close(double t, LocateResult::Diagnostics& diag);
+    /// Close the open batch whatever its window (the end of a capture).
+    Flush flush(LocateResult::Diagnostics& diag);
+
+    /// Solve the regression over every batch folded so far, with the
+    /// regime's exponent band and the Gamma prior band as hints, and add
+    /// the solve's accounting into `diag`. Returns false, leaving `out`
+    /// untouched, when no fit converged.
+    bool solve(LocationFit& out, LocateResult::Diagnostics& diag);
+
+    const LocBle::Config& config() const { return cfg_; }
+    /// The samples of the current regression, in arrival order.
+    const std::vector<FusedSample>& samples() const { return session_.samples(); }
+    std::size_t size() const { return session_.size(); }
+    int segment() const { return segment_; }
+    int restarts() const { return restarts_; }
+    int resets() const { return resets_; }
+    double last_t() const { return last_t_; }
+    bool has_open_batch() const { return !batch_raw_.empty(); }
+
+    /// The loop's complete stream state as one field list, for any visitor
+    /// (like SolverWorkspace::warm_grid_fields, this module knows nothing
+    /// of the wire format). `env_` and `session_` are visited whole; the
+    /// visitor reaches their state through their own accessors.
+    template <class Self, class Visitor>
+    static void fields(Self& s, Visitor& v) {
+        v(s.env_, s.session_, s.started_, s.batch_end_, s.last_t_, s.batch_raw_,
+          s.batch_fused_, s.segment_, s.restarts_, s.resets_, s.regime_, s.band_min_,
+          s.band_max_, s.saw_blocked_, s.prev_batch_mean_, s.have_prev_batch_);
+    }
+
+private:
+    LocBle::Config cfg_;
+    std::size_t max_samples_;
     LocationSolver solver_;
+
+    std::optional<EnvAware> env_;
+    LocationSolver::Session session_;
+    bool started_{false};
+    double batch_end_{0.0};
+    double last_t_{0.0};
+    std::vector<double> batch_raw_;
+    std::vector<FusedSample> batch_fused_;
+    int segment_{0};
+    int restarts_{0};
+    int resets_{0};
+    std::optional<channel::PropagationClass> regime_;
+    double band_min_{10.0}, band_max_{0.0};  ///< union of the regime bands seen
+    bool saw_blocked_{false};  ///< any non-LoS window in this regression
+    double prev_batch_mean_{0.0};
+    bool have_prev_batch_{false};
 };
 
 /// Rotate a dead-reckoned path by `angle` radians (frame alignment for the

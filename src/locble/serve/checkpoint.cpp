@@ -293,12 +293,13 @@ struct CheckpointCodec {
             // The solver sizes and indexes its per-segment arrays by sample
             // segment. A session's segment advances at most once per flushed
             // batch, and every accumulated sample lies in [0, segment].
-            const std::vector<core::FusedSample>& samples = s.session_.samples();
+            const std::vector<core::FusedSample>& samples = s.loop_.samples();
+            const int segment = s.loop_.segment();
             const auto in_segment = [&](const core::FusedSample& x) {
-                return x.segment >= 0 && x.segment <= s.segment_;
+                return x.segment >= 0 && x.segment <= segment;
             };
-            if (s.segment_ < 0 ||
-                static_cast<std::size_t>(s.segment_) > s.diag_.batch_samples.size() ||
+            if (segment < 0 ||
+                static_cast<std::size_t>(segment) > s.diag_.batch_samples.size() ||
                 !std::all_of(samples.begin(), samples.end(), in_segment))
                 fail(wire::WireStatus::malformed, "session segment out of range");
         }
@@ -356,8 +357,10 @@ struct CheckpointCodec {
         w.f64(sh.staleness_max_s);
         w.varint(sh.staleness_resolution);
         const TrackingSession::Config& se = sh.session;
-        w.bool8(se.reset_on_env_change);
-        w.bool8(se.solve_per_flush);
+        // Slots of two removed session knobs (reset on environment change,
+        // solve per flush), kept `false` so every config digests as before.
+        w.bool8(false);
+        w.bool8(false);
         w.varint(se.max_session_samples);
         const core::LocBle::Config& p = se.pipeline;
         w.svarint(p.anf.butterworth_order);

@@ -305,8 +305,11 @@ void Shard::run_clustering(ClientState& c) {
 
 locble::Vec2 Shard::pose_at(ClientState& c, double t) const {
     const auto& path = c.path;
-    if (t <= path.front().t) return path.front().position;
-    if (t >= path.back().t) return path.back().position;
+    // NaN-safe endpoints: a NaN pairing time (or a one-point track whose
+    // only pose is at NaN) takes an end pose, so the bracket search below
+    // only runs strictly inside a track of at least two points.
+    if (!(t > path.front().t)) return path.front().position;
+    if (!(t < path.back().t)) return path.back().position;
     // Cursor-hinted bracket search: pairing times are near-monotone within
     // a drain, so this is O(1) amortized instead of a per-event scan. The
     // cursor only ever changes results' cost, never their value.

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <vector>
+#include <cstddef>
 
 #include "locble/core/clustering.hpp"
 #include "locble/core/envaware.hpp"
@@ -13,10 +11,9 @@
 
 namespace locble::serve {
 
-/// Streaming per-(client, beacon) tracking chain: causal ANF denoising,
-/// per-batch EnvAware regime tracking, and an incremental warm-started
-/// LocationSolver::Session — the online counterpart of the offline
-/// core::LocBle pipeline (Sec. 5.3, Algorithm 1).
+/// Streaming per-(client, beacon) tracking chain: causal ANF denoising
+/// feeding core::BatchLoop, the Algorithm 1 batch loop (Sec. 5.3) that the
+/// offline core::LocBle pipeline drives too.
 ///
 /// Two deliberate differences from the offline pipeline, documented in
 /// docs/SERVING.md: the ANF runs causally (a service cannot zero-phase
@@ -24,7 +21,8 @@ namespace locble::serve {
 /// `Anf::group_delay_s()` earlier; and the solver re-solve is deferred to
 /// the end of the epoch instead of running at every batch flush, so one
 /// warm-started solve amortizes over every event the epoch delivered —
-/// the serve layer's batching win.
+/// the serve layer's batching win. The cadence changes cost, not state:
+/// the final fit equals the offline one for the same fused stream.
 ///
 /// Everything here is driven by event-stream time, never the wall clock,
 /// and by exactly one shard thread at a time, so a session's whole history
@@ -36,18 +34,6 @@ public:
         /// Stage configuration shared with the offline pipeline: ANF,
         /// solver, batch cadence, EnvAware/regime switches, Gamma prior.
         core::LocBle::Config pipeline{};
-        /// Lifecycle policy for a debounced regime change with a real level
-        /// jump: false splits the regression into a new environment segment
-        /// (Algo. 1's per-segment Gamma, the offline pipeline's behavior);
-        /// true resets the solver session outright and starts a fresh
-        /// regression from the new environment (buffer capacity is kept, so
-        /// the reset is allocation-free).
-        bool reset_on_env_change{false};
-        /// Solve at every batch flush (the offline pipeline's cadence)
-        /// instead of once per epoch. Costs roughly one extra solve per
-        /// flushed batch; only worth it when estimates must not lag an
-        /// epoch behind the freshest batch.
-        bool solve_per_flush{false};
         /// When > 0, a session whose accumulated regression exceeds this
         /// many samples is reset (counted in `resets`) before the next
         /// batch is added — bounds per-session memory on endless streams.
@@ -76,8 +62,8 @@ public:
     void on_adv(double t, double rssi_dbm, double p, double q);
 
     /// Close out the epoch at event-time `horizon`: flush every batch whose
-    /// window has passed, then (unless solve_per_flush already did) run one
-    /// warm-started incremental solve over everything accumulated.
+    /// window has passed, then, if a batch closed since the last solve, run
+    /// one warm-started incremental solve over everything accumulated.
     void finish_epoch(double horizon);
 
     /// Pair poses this many seconds before the advertisement timestamp —
@@ -88,9 +74,9 @@ public:
     const core::LocationFit& fit() const { return fit_; }
     std::size_t samples_used() const { return samples_used_; }
     std::size_t samples_seen() const { return samples_seen_; }
-    int regression_restarts() const { return restarts_; }
-    int resets() const { return resets_; }
-    double last_event_t() const { return last_event_t_; }
+    int regression_restarts() const { return loop_.restarts(); }
+    int resets() const { return loop_.resets(); }
+    double last_event_t() const { return loop_.last_t(); }
     const core::LocateResult::Diagnostics& diagnostics() const { return diag_; }
 
     /// The accumulated (denoised) RSS stream of the current regression —
@@ -118,7 +104,7 @@ public:
     /// Does the session still hold samples in an un-flushed batch window?
     /// The shard uses this to keep visiting otherwise-idle clients until
     /// their last open batch has closed and solved.
-    bool has_open_batch() const { return !batch_raw_.empty(); }
+    bool has_open_batch() const { return loop_.has_open_batch(); }
 
     /// Snapshot dirty tracking (incremental snapshots, docs/SERVING.md):
     /// `snapshot_dirty()` is true when any field of the session's snapshot
@@ -145,49 +131,29 @@ private:
     /// checkpoint byte order (docs/WIRE.md): the codec's writer visits a
     /// const session, its reader a freshly constructed one (same config and
     /// EnvAware model — the config digest enforces this), which then
-    /// continues bit-identically. `anf_`, `env_` and `session_` are visited
-    /// through their own checkpoint state. The solver's incremental
-    /// per-grid-point folds are not carried: restore re-adds the samples to
-    /// the fresh Session, which rebuilds them bit-identically (left-to-right
-    /// folds of the append-only stream); only the warm-start grid — genuine
-    /// history — travels.
+    /// continues bit-identically. `loop_` nests core::BatchLoop::fields;
+    /// `anf_` and the loop's EnvAware and solver Session are visited through
+    /// their own checkpoint state. The solver's incremental per-grid-point
+    /// folds are not carried: restore re-adds the samples to the fresh
+    /// Session, which rebuilds them bit-identically (left-to-right folds of
+    /// the append-only stream); only the warm-start grid — genuine history
+    /// — travels.
     template <class Self, class Visitor>
     static void fields(Self& s, Visitor& v) {
-        v(s.anf_, s.env_, s.session_, s.started_, s.batch_end_, s.last_event_t_,
-          s.batch_raw_, s.batch_fused_, s.segment_, s.restarts_, s.resets_,
-          s.regime_, s.band_min_, s.band_max_, s.saw_blocked_,
-          s.prev_batch_mean_, s.have_prev_batch_, s.dirty_, s.epoch_changed_,
-          s.snap_dirty_, s.dirty_listed_, s.has_fit_);
+        v(s.anf_, s.loop_, s.dirty_, s.epoch_changed_, s.snap_dirty_, s.dirty_listed_,
+          s.has_fit_);
         if (s.has_fit_) v(s.fit_);
         v(s.samples_used_, s.samples_seen_, s.diag_, s.has_cluster_);
         if (s.has_cluster_) v(s.cluster_);
     }
 
-    void flush_batch();
-    void solve_now();
-    void reset_regression();
+    /// The session's side of a closed batch: shard counters, obs, and the
+    /// snapshot and solve bookkeeping.
+    void on_flush(const core::BatchLoop::Flush& f);
 
-    Config cfg_;
     IngestStats* stats_{nullptr};
     dsp::Anf anf_;
-    std::optional<core::EnvAware> env_;
-    core::LocationSolver solver_;
-    core::LocationSolver::Session session_;
-
-    bool started_{false};
-    double batch_end_{0.0};
-    double last_event_t_{0.0};
-    std::vector<double> batch_raw_;
-    std::vector<core::FusedSample> batch_fused_;
-
-    int segment_{0};
-    int restarts_{0};
-    int resets_{0};
-    std::optional<channel::PropagationClass> regime_;
-    double band_min_{10.0}, band_max_{0.0};
-    bool saw_blocked_{false};
-    double prev_batch_mean_{0.0};
-    bool have_prev_batch_{false};
+    core::BatchLoop loop_;
 
     bool dirty_{false};
     bool epoch_changed_{false};

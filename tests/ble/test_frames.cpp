@@ -58,8 +58,9 @@ TEST(IBeaconTest, OtherFormatsDecodeToNullopt) {
 TEST(EddystoneTest, EncodeDecodeRoundTrip) {
     EddystoneUidFrame f;
     f.tx_power = -12;
-    for (int i = 0; i < 10; ++i) f.namespace_id[i] = static_cast<std::uint8_t>(i);
-    for (int i = 0; i < 6; ++i) f.instance_id[i] = static_cast<std::uint8_t>(0xA0 + i);
+    for (std::size_t i = 0; i < 10; ++i) f.namespace_id[i] = static_cast<std::uint8_t>(i);
+    for (std::size_t i = 0; i < 6; ++i)
+        f.instance_id[i] = static_cast<std::uint8_t>(0xA0 + i);
     const auto back = decode_eddystone_uid(encode_eddystone_uid(f));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->tx_power, f.tx_power);
@@ -74,7 +75,8 @@ TEST(EddystoneTest, RejectsForeignServiceData) {
 TEST(AltBeaconTest, EncodeDecodeRoundTrip) {
     AltBeaconFrame f;
     f.manufacturer_id = 0x0118;
-    for (int i = 0; i < 20; ++i) f.beacon_id[i] = static_cast<std::uint8_t>(i * 3);
+    for (std::size_t i = 0; i < 20; ++i)
+        f.beacon_id[i] = static_cast<std::uint8_t>(i * 3);
     f.reference_rssi = -61;
     f.mfg_reserved = 0x5A;
     const auto back = decode_altbeacon(encode_altbeacon(f));

@@ -93,7 +93,7 @@ TEST(LbKeoghTest, LowerBoundsTrueDtw) {
     locble::Rng rng(1);
     for (int trial = 0; trial < 50; ++trial) {
         std::vector<double> a(20), b(20);
-        for (int i = 0; i < 20; ++i) {
+        for (std::size_t i = 0; i < 20; ++i) {
             a[i] = rng.gaussian(0.0, 1.0);
             b[i] = rng.gaussian(0.0, 1.0);
         }
@@ -161,7 +161,7 @@ TEST(SegmentedDtwMatcherTest, MajorityRuleExactBoundary) {
     cfg.segment_length = 10;
     cfg.threshold = 0.5;
     std::vector<double> target(20, 0.0), candidate(20, 0.0);
-    for (int i = 10; i < 20; ++i) candidate[i] = 5.0;  // 2nd segment differs
+    for (std::size_t i = 10; i < 20; ++i) candidate[i] = 5.0;  // 2nd segment differs
     const auto r = SegmentedDtwMatcher(cfg).match(target, candidate);
     EXPECT_EQ(r.segments_total, 2u);
     EXPECT_EQ(r.segments_matched, 1u);

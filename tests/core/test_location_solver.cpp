@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <numbers>
 
 #include "locble/common/rng.hpp"
@@ -182,8 +183,10 @@ TEST(LocationSolverTest, ConfidenceDropsWithModelMismatch) {
     auto a = l_shape_samples(target, -59.0, 2.0);
     auto b = l_shape_samples(target, -72.0, 3.4);
     // Second half from the NLOS model.
-    std::vector<FusedSample> mixed(a.begin(), a.begin() + a.size() / 2);
-    mixed.insert(mixed.end(), b.begin() + b.size() / 2, b.end());
+    std::vector<FusedSample> mixed(a.begin(),
+                                   a.begin() + static_cast<std::ptrdiff_t>(a.size() / 2));
+    mixed.insert(mixed.end(), b.begin() + static_cast<std::ptrdiff_t>(b.size() / 2),
+                 b.end());
 
     const auto clean_fit = LocationSolver().solve(a);
     const auto mixed_fit = LocationSolver().solve(mixed);

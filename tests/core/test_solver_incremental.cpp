@@ -40,13 +40,14 @@ std::vector<std::vector<FusedSample>> batched_walk(const Vec2& target, double ga
     for (int i = 0; i < per_leg; ++i, t += 0.1)
         add({4.0, 3.0 * i / (per_leg - 1.0)}, t);
 
-    std::vector<std::vector<FusedSample>> out(batches);
-    const std::size_t per_batch = (all.size() + batches - 1) / batches;
+    const auto n_batches = static_cast<std::size_t>(batches);
+    std::vector<std::vector<FusedSample>> out(n_batches);
+    const std::size_t per_batch = (all.size() + n_batches - 1) / n_batches;
     for (std::size_t i = 0; i < all.size(); ++i) {
         const int b = static_cast<int>(i / per_batch);
         if (segment_switch_batch >= 0 && b >= segment_switch_batch)
             all[i].segment = 1;
-        out[b].push_back(all[i]);
+        out[static_cast<std::size_t>(b)].push_back(all[i]);
     }
     return out;
 }
@@ -260,8 +261,8 @@ TEST(SolverIncrementalTest, ResetThenRefillMatchesColdBitwise) {
     }
     EXPECT_EQ(reused.size(), cold.size());
 
-    // And a second reset keeps working (clear() is the documented alias).
-    reused.clear();
+    // And a second reset keeps working.
+    reused.reset();
     EXPECT_EQ(reused.size(), 0u);
 }
 

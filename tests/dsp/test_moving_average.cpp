@@ -44,7 +44,8 @@ TEST(CenteredMovingAverageTest, ConstantSignalUnchanged) {
 TEST(CenteredMovingAverageTest, PreservesPeakLocation) {
     // Triangular peak at index 10: smoothing must not move the maximum.
     std::vector<double> v(21, 0.0);
-    for (int i = 0; i < 21; ++i) v[i] = 10.0 - std::abs(i - 10);
+    for (int i = 0; i < 21; ++i)
+        v[static_cast<std::size_t>(i)] = 10.0 - std::abs(i - 10);
     const auto out = centered_moving_average(v, 2);
     // Peak stays centered at index 10 after smoothing.
     std::size_t argmax = 0;

@@ -60,7 +60,7 @@ TEST(TrainTestSplitTest, NoSampleLostOrDuplicated) {
     for (const auto& r : train.x) all.push_back(r[0]);
     for (const auto& r : test.x) all.push_back(r[0]);
     std::sort(all.begin(), all.end());
-    for (int i = 0; i < 50; ++i) EXPECT_DOUBLE_EQ(all[i], i);
+    for (int i = 0; i < 50; ++i) EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(i)], i);
 }
 
 TEST(TrainTestSplitTest, BadFractionThrows) {

@@ -246,7 +246,7 @@ TEST(ServiceStatusTest, StatusJsonDeterministicAcrossShardCounts) {
                 svc.submit(pose_event(static_cast<ClientId>(c),
                                       1.0 * e - 0.5, {0.5 * c, 1.0}));
                 svc.submit(adv_event(static_cast<ClientId>(c), 1.0 * e,
-                                     (c % 3) + 1, -60.0 - c));
+                                     static_cast<BeaconId>(c % 3 + 1), -60.0 - c));
             }
             svc.run_epoch();
         }

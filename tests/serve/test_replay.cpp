@@ -36,7 +36,7 @@ TrackingService::Config service_config(unsigned shards, unsigned threads) {
     return cfg;
 }
 
-sim::MultiClientConfig workload_config(unsigned clients, unsigned beacons) {
+sim::MultiClientConfig workload_config(int clients, int beacons) {
     sim::MultiClientConfig wcfg;
     wcfg.clients = clients;
     wcfg.beacons = beacons;

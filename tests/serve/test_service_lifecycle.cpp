@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "locble/core/envaware.hpp"
@@ -97,52 +98,79 @@ TEST(ServeLifecycleTest, SessionsPersistAcrossEpochsUntilIdle) {
     EXPECT_TRUE(snap.estimates[0].has_fit);
 }
 
-TEST(ServeLifecycleTest, ResetOnEnvChangeRestartsTheRegression) {
-    // A trained EnvAware plus a staged LOS -> NLOS level collapse: with
-    // reset_on_env_change the session starts a fresh regression (resets
-    // counted), without it the regression keeps history in a new segment.
+TEST(ServeLifecycleTest, EnvChangeOpensANewSegment) {
+    // A trained EnvAware plus a staged LOS -> NLOS level collapse: the
+    // confirmed change opens a new Gamma segment (Algo. 1), and the
+    // regression keeps its history — nothing is reset.
     locble::Rng train_rng(20);
     core::EnvDatasetConfig dcfg;
     dcfg.traces_per_class = 15;
     core::EnvAware env;
     env.train(core::generate_env_dataset(dcfg, train_rng));
 
-    for (const bool reset_policy : {false, true}) {
-        auto cfg = base_config();
-        cfg.shards = 1;
-        cfg.shard.session.pipeline.use_envaware = true;
-        cfg.shard.session.reset_on_env_change = reset_policy;
-        TrackingService svc(cfg, env);
+    auto cfg = base_config();
+    cfg.shards = 1;
+    cfg.shard.session.pipeline.use_envaware = true;
+    TrackingService svc(cfg, env);
 
-        locble::Rng rng(3);
-        double t = 0.0;
-        // 8 s of quiet LOS-like signal, then 8 s fallen off a cliff with
-        // NLOS-like heavy fluctuation.
-        for (int phase = 0; phase < 2; ++phase) {
-            const double base = phase == 0 ? -55.0 : -78.0;
-            const double sigma = phase == 0 ? 0.6 : 6.0;
-            for (int i = 0; i < 80; ++i, t += 0.1) {
-                svc.submit(pose_event(1, t, {t, 0.0}));
-                svc.submit(adv_event(1, t, 42,
-                                     base + rng.gaussian(0.0, sigma)));
-            }
-        }
-        svc.run_epoch();
-
-        const auto snap = svc.snapshot();
-        ASSERT_EQ(snap.estimates.size(), 1u);
-        const auto& e = snap.estimates[0];
-        if (reset_policy) {
-            EXPECT_GE(e.resets, 1);
-            EXPECT_EQ(snap.stats.sessions_reset,
-                      static_cast<std::uint64_t>(e.resets));
-            // The reset forgot the LOS half.
-            EXPECT_LT(e.samples_used, 160u);
-        } else {
-            EXPECT_EQ(e.resets, 0);
-            EXPECT_GE(e.regression_restarts, 1);
+    locble::Rng rng(3);
+    double t = 0.0;
+    // 8 s of quiet LOS-like signal, then 8 s fallen off a cliff with
+    // NLOS-like heavy fluctuation.
+    for (int phase = 0; phase < 2; ++phase) {
+        const double base = phase == 0 ? -55.0 : -78.0;
+        const double sigma = phase == 0 ? 0.6 : 6.0;
+        for (int i = 0; i < 80; ++i, t += 0.1) {
+            svc.submit(pose_event(1, t, {t, 0.0}));
+            svc.submit(adv_event(1, t, 42, base + rng.gaussian(0.0, sigma)));
         }
     }
+    svc.run_epoch();
+
+    const auto snap = svc.snapshot();
+    ASSERT_EQ(snap.estimates.size(), 1u);
+    const auto& e = snap.estimates[0];
+    EXPECT_EQ(e.resets, 0);
+    EXPECT_GE(e.regression_restarts, 1);
+}
+
+TEST(ServeLifecycleTest, SampleCapResetIsCounted) {
+    // max_session_samples is the one reset left: a batch that would grow
+    // the regression past the cap starts a fresh one, and the shard stats
+    // count every reset the session reports.
+    auto cfg = base_config();
+    cfg.shards = 1;
+    cfg.shard.session.max_session_samples = 30;
+    TrackingService svc(cfg);
+    submit_walk(svc, 1, 0.0, 8.0);  // 81 advertisements, ~20 per batch
+    svc.run_epoch();
+
+    const auto snap = svc.snapshot();
+    ASSERT_EQ(snap.estimates.size(), 1u);
+    const auto& e = snap.estimates[0];
+    EXPECT_GE(e.resets, 1);
+    EXPECT_EQ(snap.stats.sessions_reset, static_cast<std::uint64_t>(e.resets));
+    // The reset forgot the older batches.
+    EXPECT_LE(e.samples_used, 30u);
+}
+
+TEST(ServeLifecycleTest, NanPairingTimeStaysOnAOnePointPoseTrack) {
+    // Pairing an advertisement with a one-point pose track at a NaN time
+    // must take that pose, not run the bracket search past the track's
+    // end. Two ways in: a client whose first pose is at t = NaN (every
+    // later pose is then late and ignored), and one valid pose followed by
+    // an advertisement at t = NaN.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    TrackingService svc(base_config());
+    svc.submit(pose_event(2, 0.0, {0.0, 0.0}));
+    svc.submit(pose_event(1, nan, {0.0, 0.0}));
+    svc.submit(adv_event(1, 0.5, 42, -60.0));
+    svc.submit(adv_event(2, nan, 42, -60.0));
+    svc.run_epoch();
+
+    const auto snap = svc.snapshot();
+    ASSERT_EQ(snap.estimates.size(), 2u);
+    for (const auto& e : snap.estimates) EXPECT_EQ(e.samples_seen, 1u);
 }
 
 }  // namespace

@@ -82,22 +82,6 @@ TEST(TrackingSessionTest, EpochSplitIsInvisible) {
     EXPECT_EQ(one.samples_used(), split.samples_used());
 }
 
-TEST(TrackingSessionTest, SolvePerFlushMatchesDeferredFinalFit) {
-    auto cfg = clean_config();
-    TrackingSession deferred(cfg, dsp::Anf(cfg.pipeline.anf), nullptr);
-    cfg.solve_per_flush = true;
-    TrackingSession eager(cfg, dsp::Anf(cfg.pipeline.anf), nullptr);
-    feed_walk(deferred, {5.0, 2.0}, 8.0, 1.0, 3);
-    feed_walk(eager, {5.0, 2.0}, 8.0, 1.0, 3);
-    deferred.finish_epoch(9.0);
-    eager.finish_epoch(9.0);
-    ASSERT_TRUE(deferred.has_fit());
-    ASSERT_TRUE(eager.has_fit());
-    // Same samples, same final solve — the cadence changes cost, not state.
-    EXPECT_EQ(deferred.fit().location.x, eager.fit().location.x);
-    EXPECT_EQ(deferred.fit().location.y, eager.fit().location.y);
-}
-
 TEST(TrackingSessionTest, PoseLagTracksAnfGroupDelay) {
     auto cfg = clean_config();
     EXPECT_EQ(TrackingSession(cfg, dsp::Anf(cfg.pipeline.anf), nullptr).pose_lag_s(),

@@ -11,7 +11,7 @@ namespace {
 TEST(ScenariosTest, AllNineExist) {
     const auto all = all_scenarios();
     ASSERT_EQ(all.size(), 9u);
-    for (int i = 0; i < 9; ++i) EXPECT_EQ(all[i].index, i + 1);
+    for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(all[i].index, static_cast<int>(i) + 1);
 }
 
 TEST(ScenariosTest, OutOfRangeThrows) {
