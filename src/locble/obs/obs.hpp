@@ -45,6 +45,17 @@
         }                                                                         \
     } while (0)
 
+/// Add `n` to the deterministic counter named by the run-time string
+/// `name` (LOCBLE_COUNT needs a literal: it caches one handle per site).
+/// Every enabled call looks the name up under the registry mutex, so it
+/// belongs at coarse publish points, never on a per-event path.
+#define LOCBLE_COUNT_NAMED(name, n)                                               \
+    do {                                                                          \
+        ::locble::obs::Registry& locble_obs_r = ::locble::obs::Registry::global();\
+        if (locble_obs_r.enabled())                                               \
+            locble_obs_r.counter(name).add(static_cast<std::uint64_t>(n));        \
+    } while (0)
+
 /// Counter whose value depends on scheduling (excluded from bench JSON).
 #define LOCBLE_COUNT_ND(name_literal, n)                                          \
     do {                                                                          \
@@ -128,6 +139,7 @@
 // values only fed to instrumentation) without ever evaluating them.
 #define LOCBLE_SPAN(name_literal) ((void)0)
 #define LOCBLE_COUNT(name_literal, n) ((void)sizeof(n))
+#define LOCBLE_COUNT_NAMED(name, n) ((void)sizeof(name), (void)sizeof(n))
 #define LOCBLE_COUNT_ND(name_literal, n) ((void)sizeof(n))
 #define LOCBLE_GAUGE_MAX_ND(name_literal, v) ((void)sizeof(v))
 #define LOCBLE_HISTOGRAM(name_literal, v, ...) ((void)sizeof(v))

@@ -1,5 +1,5 @@
 // Service checkpoint/restore — the wire-format (docs/WIRE.md) serialization
-// of a quiescent TrackingService: merged stats, the flight-recorder ring and
+// of a quiescent TrackingService: its stats, the flight-recorder ring and
 // every client's queues, pose track and per-beacon sessions. Clients are
 // written in global id order with their shard assignment left implicit
 // (shard_of recomputes it at restore against the restoring service's own
@@ -92,9 +92,9 @@ void fields(S& s, V& v) { v(s.t, s.position); }
 /// shard's and session's public surfaces. Checkpoint/restore semantics —
 /// what is carried, what is recomputed — are documented in docs/WIRE.md.
 struct CheckpointCodec {
-    /// The `meta` section after its format number and config digest. Two
-    /// merged stats views plus the recorder baseline: restore() rebuilds
-    /// per-shard stats from these three alone.
+    /// The `meta` section after its format number and config digest: the
+    /// service's two stats views and the recorder baseline. `epoch` repeats
+    /// the views' `epochs` count.
     struct Meta {
         std::uint64_t epoch{0};
         bool has_horizon{false};
@@ -180,9 +180,10 @@ struct CheckpointCodec {
     };
 
     /// The Writer's inverse, and the one place checkpoint input is
-    /// validated: counts are bounded by the bytes present, enum values,
-    /// sketch parameters, warm grid bands and session segments are
-    /// range-checked, and semantic damage fails `malformed` right here.
+    /// validated: counts are bounded by the bytes present, integers by
+    /// their field's type, enum values, sketch parameters, warm grid bands
+    /// and session segments are range-checked, and semantic damage fails
+    /// `malformed` right here.
     struct Reader {
         wire::ByteReader& r;
         /// The shard that builds restored sessions (set per client).
@@ -196,9 +197,9 @@ struct CheckpointCodec {
 
         void get(bool& v) { v = r.bool8(); }
         void get(double& v) { v = r.f64(); }
-        void get(int& v) { v = static_cast<int>(r.svarint()); }
+        void get(int& v) { v = narrow<int>(r.svarint()); }
         template <std::unsigned_integral U>
-        void get(U& v) { v = static_cast<U>(r.varint()); }
+        void get(U& v) { v = narrow<U>(r.varint()); }
         void get(EventKind& k) { k = checked(EventKind::pose); }
         void get(channel::PropagationClass& c) {
             c = checked(channel::PropagationClass::nlos);
@@ -241,7 +242,7 @@ struct CheckpointCodec {
                 return;
             }
             const double upper = r.f64();
-            const auto resolution = static_cast<std::uint32_t>(r.varint());
+            const auto resolution = narrow<std::uint32_t>(r.varint());
             const std::uint64_t n = r.varint();
             const double max = r.f64();
             if (resolution == 0 || !(upper > 0.0) ||
@@ -323,6 +324,15 @@ struct CheckpointCodec {
                 return 0;
             }
             return static_cast<std::size_t>(n);
+        }
+
+        /// A wire integer as the field's narrower type: a value out of its
+        /// range is damage, never wrapped into range.
+        template <class T, class W>
+        static T narrow(W x) {
+            if (!std::in_range<T>(x))
+                fail(wire::WireStatus::malformed, "integer out of range");
+            return static_cast<T>(x);
         }
 
         template <class E>
@@ -420,10 +430,8 @@ struct CheckpointCodec {
         Writer put{body};
         body.u32(kCkptFormat);
         body.u64(config_digest(svc.cfg_));
-        put(Meta{svc.epoch_, svc.has_horizon_, svc.horizon_, svc.epoch_horizon_,
-                 svc.merged_stats(/*barrier_view=*/true),
-                 svc.merged_stats(/*barrier_view=*/false), svc.last_record_stats_,
-                 fleet.size()});
+        put(Meta{svc.stats_.epochs, svc.has_horizon_, svc.horizon_, svc.epoch_horizon_,
+                 svc.barrier_stats_, svc.stats_, svc.last_record_stats_, fleet.size()});
         log.section("meta", body.data());
 
         body.clear();
@@ -446,8 +454,7 @@ struct CheckpointCodec {
     }
 
     static void restore(TrackingService& svc, std::string_view bytes) {
-        if (svc.epoch_ != 0 || svc.has_horizon_ || svc.in_flight_ ||
-            svc.merged_stats(/*barrier_view=*/false).submitted != 0)
+        if (svc.stats_ != IngestStats{} || svc.has_horizon_ || svc.in_flight_)
             throw std::logic_error(
                 "TrackingService::restore_checkpoint: service is not freshly "
                 "constructed");
@@ -485,6 +492,8 @@ struct CheckpointCodec {
         Meta meta;
         Reader{mr}(meta);
         read_to_end(mr, "meta");
+        if (meta.live.epochs != meta.epoch || meta.barrier.epochs != meta.epoch)
+            fail(wire::WireStatus::malformed, "epoch does not match the stats");
 
         // --- recorder ---
         if (!next_section("recorder"))
@@ -543,18 +552,11 @@ struct CheckpointCodec {
             }
         }
 
-        // Stats reconstruction. merged barrier view must equal `barrier` and
-        // the live view `live`; both are sums over (retired + per-shard)
-        // views, so park the whole barrier history in retired_ingest_ and
-        // the post-swap ingest delta (live - barrier, pure driver-side
-        // counters) in shard 0's live ingest stats. Shard attribution of
-        // stats is unobservable — every consumer sees merged sums — and the
-        // next begin_epoch() folds the delta into its swap capture exactly
-        // as the uninterrupted run would have.
-        svc.retired_ingest_ = meta.barrier;
-        svc.shards_[0]->ingest_stats_ = meta.live - meta.barrier;
+        // Shards hold no counts between epochs, so the stats are the two
+        // views as checkpointed, wherever the clients now hash.
+        svc.stats_ = meta.live;
+        svc.barrier_stats_ = meta.barrier;
         svc.last_record_stats_ = meta.last_record;
-        svc.epoch_ = meta.epoch;
         svc.has_horizon_ = meta.has_horizon;
         svc.horizon_ = meta.horizon;
         svc.epoch_horizon_ = meta.epoch_horizon;

@@ -33,6 +33,16 @@ double nearest_rank(std::vector<double>& v, double q) {
     return v[rank - 1];
 }
 
+/// Publish a ledger increment to the serve.* obs counters, IngestStats'
+/// exported copy: they advance only here, at the epoch swap (driver-side
+/// counts) and the barrier (worker-side counts). A zero increment is not
+/// published, so a counter registers only once it has counted something.
+void publish(const IngestStats& delta) {
+    for (const IngestStatsField& f : kIngestStatsFields)
+        if (f.counter != nullptr && delta.*f.value != 0)
+            LOCBLE_COUNT_NAMED(f.counter, delta.*f.value);
+}
+
 BeaconEstimate make_estimate(ClientId client, BeaconId beacon,
                              const TrackingSession& session) {
     BeaconEstimate e;
@@ -187,10 +197,8 @@ void TrackingService::submit(const Event& e) {
                                                    shards_.size()))];
     // The horizon (the service's event-time clock) advances on the driver
     // thread over *accepted* events only, so batch closing and eviction see
-    // the same clock whatever the shard count. enqueue() reports acceptance
-    // directly: the driver must not read shard stats while an epoch is in
-    // flight (the worker owns half of them).
-    if (shard.enqueue(e)) {
+    // the same clock whatever the shard count.
+    if (shard.enqueue(e, stats_)) {
         horizon_ = has_horizon_ ? std::max(horizon_, e.t) : e.t;
         has_horizon_ = true;
     }
@@ -204,15 +212,19 @@ std::uint64_t TrackingService::begin_epoch() {
     if (in_flight_)
         throw std::logic_error("TrackingService::begin_epoch: epoch in flight");
     LOCBLE_SPAN("serve.epoch.swap");
-    ++epoch_;
+    const std::uint64_t epoch = ++stats_.epochs;
     // Epoch mark before the swap: events the tap saw earlier belong to this
     // epoch, events after it to the next — exactly the swap semantics.
-    if (tap_) tap_->on_epoch(epoch_);
-    LOCBLE_COUNT("serve.epochs", 1);
+    if (tap_) tap_->on_epoch(epoch);
     epoch_horizon_ = horizon_;
     // The swap: from here on the driver may submit freely — new events land
     // in the fresh ingest buffers and belong to the next epoch.
     for (auto& s : shards_) s->begin_epoch(epoch_horizon_);
+    // The barrier view takes every driver-side count up to the swap. Its
+    // worker-side counts already equal the ledger's (no epoch in flight),
+    // so the increment published is the driver's since the last swap.
+    publish(stats_ - barrier_stats_);
+    barrier_stats_ = stats_;
     if (recorder_.enabled()) {
         epoch_t0_ = std::chrono::steady_clock::now();
         std::size_t queued = 0;
@@ -221,9 +233,14 @@ std::uint64_t TrackingService::begin_epoch() {
     }
     if (!pool_) {
         LOCBLE_SPAN("serve.epoch");
-        for (auto& s : shards_) s->process_epoch();
-        finalize_epoch_record();
-        return epoch_;
+        std::exception_ptr failure;
+        try {
+            for (auto& s : shards_) s->process_epoch();
+        } catch (...) {
+            failure = std::current_exception();
+        }
+        close_epoch(failure);
+        return epoch;
     }
     in_flight_ = true;
     next_shard_.store(0, std::memory_order_relaxed);
@@ -243,7 +260,7 @@ std::uint64_t TrackingService::begin_epoch() {
             }
         }));
     }
-    return epoch_;
+    return epoch;
 }
 
 void TrackingService::end_epoch() {
@@ -261,19 +278,30 @@ void TrackingService::end_epoch() {
     }
     inflight_.clear();
     in_flight_ = false;
-    if (first) std::rethrow_exception(first);
+    close_epoch(first);
+}
+
+void TrackingService::close_epoch(std::exception_ptr failure) {
+    // A failed epoch's counts are folded too: the work a worker did before
+    // it threw stays counted.
+    IngestStats worked;
+    for (auto& s : shards_) worked += s->take_epoch_stats();
+    stats_ += worked;
+    barrier_stats_ += worked;
+    publish(worked);
+    if (failure) std::rethrow_exception(failure);
     finalize_epoch_record();
 }
 
 void TrackingService::finalize_epoch_record() {
     if (!recorder_.enabled()) return;
     EpochRecord rec;
-    rec.epoch = epoch_;
+    rec.epoch = stats_.epochs;
     rec.horizon = epoch_horizon_;
-    const IngestStats now = merged_stats(/*barrier_view=*/true);
-    // Both views are monotone, so the exact u64 difference never underflows.
-    rec.delta = now - last_record_stats_;
-    last_record_stats_ = now;
+    // The barrier view is monotone, so the exact u64 difference never
+    // underflows.
+    rec.delta = barrier_stats_ - last_record_stats_;
+    last_record_stats_ = barrier_stats_;
     for (const auto& s : shards_) {
         const Shard::EpochTelemetry& t = s->telemetry();
         rec.shards.push_back({t.events_drained, t.clients_visited,
@@ -293,7 +321,7 @@ std::uint64_t TrackingService::run_epoch() {
     LOCBLE_SPAN("serve.epoch");
     begin_epoch();
     end_epoch();
-    return epoch_;
+    return stats_.epochs;
 }
 
 ServiceSnapshot TrackingService::snapshot(SnapshotMode mode) {
@@ -301,10 +329,10 @@ ServiceSnapshot TrackingService::snapshot(SnapshotMode mode) {
         throw std::logic_error("TrackingService::snapshot: epoch in flight");
     LOCBLE_SPAN("serve.snapshot");
     ServiceSnapshot snap;
-    snap.epoch = epoch_;
+    snap.epoch = stats_.epochs;
     snap.horizon = epoch_horizon_;
     snap.incremental = mode == SnapshotMode::incremental;
-    snap.stats = merged_stats(/*barrier_view=*/true);
+    snap.stats = barrier_stats_;
     for (auto& shard : shards_) {
         snap.sessions_live += shard->live_sessions();
         if (mode == SnapshotMode::full) {
@@ -333,7 +361,7 @@ ServiceSnapshot TrackingService::snapshot(SnapshotMode mode) {
     }
     LOCBLE_COUNT("serve.snapshot.rows",
                  static_cast<std::uint64_t>(snap.estimates.size()));
-    recorder_.note_snapshot_rows(epoch_,
+    recorder_.note_snapshot_rows(stats_.epochs,
                                  static_cast<std::uint64_t>(snap.estimates.size()));
     // Shards are visited in index order, but the global order must not
     // depend on the client -> shard hash: sort by (client, beacon).
@@ -348,14 +376,14 @@ ServiceSnapshot TrackingService::snapshot(SnapshotMode mode) {
 IngestStats TrackingService::stats() const {
     if (in_flight_)
         throw std::logic_error("TrackingService::stats: epoch in flight");
-    return merged_stats(/*barrier_view=*/false);
+    return stats_;
 }
 
 ServiceStatus TrackingService::status() const {
     if (in_flight_)
         throw std::logic_error("TrackingService::status: epoch in flight");
     ServiceStatus st;
-    st.epoch = epoch_;
+    st.epoch = stats_.epochs;
     st.horizon = epoch_horizon_;
     const std::vector<EpochRecord> recs = recorder_.records();
     const std::size_t window = std::min(cfg_.status_window_epochs, recs.size());
@@ -412,15 +440,6 @@ ServiceStatus TrackingService::status() const {
     return st;
 }
 
-IngestStats TrackingService::merged_stats(bool barrier_view) const {
-    IngestStats total = retired_ingest_;
-    total += retired_epoch_;
-    for (const auto& s : shards_)
-        total += barrier_view ? s->barrier_stats() : s->stats();
-    total.epochs = epoch_;
-    return total;
-}
-
 void TrackingService::resize_shards(unsigned shards) {
     if (in_flight_)
         throw std::logic_error(
@@ -437,8 +456,9 @@ void TrackingService::resize_shards(unsigned shards) {
     // The rendezvous hash keeps all clients whose assignment is unchanged
     // in place conceptually; here every client object moves, but its
     // observable state — sessions, buffered events, dirty marks — moves
-    // with it, so the canonical snapshot stream does not notice.
-    for (auto& s : shards_) s->migrate_into(next, retired_ingest_, retired_epoch_);
+    // with it, so the canonical snapshot stream does not notice. The stats
+    // stay where they are: the service's ledger holds every count.
+    for (auto& s : shards_) s->migrate_into(next);
     shards_ = std::move(next);
     threads_ = cfg_.threads == 0 ? n : std::min(cfg_.threads, n);
     pool_.reset();

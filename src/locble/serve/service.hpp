@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <optional>
@@ -243,9 +244,8 @@ public:
     /// while an epoch is in flight.
     ServiceSnapshot snapshot(SnapshotMode mode = SnapshotMode::full);
 
-    /// Live merged ingest/lifecycle accounting (includes events submitted
-    /// since the last swap). Throws std::logic_error while an epoch is in
-    /// flight.
+    /// Live ingest/lifecycle accounting (includes events submitted since
+    /// the last swap). Throws std::logic_error while an epoch is in flight.
     IngestStats stats() const;
 
     /// The epoch flight recorder (empty and disabled when
@@ -275,7 +275,7 @@ public:
     unsigned threads() const { return threads_; }
 
     /// Serialize the warm service state — every client's queues, sessions
-    /// and dirty marks, the merged stats, the flight-recorder ring — into a
+    /// and dirty marks, the stats, the flight-recorder ring — into a
     /// wire-format checkpoint stream (docs/WIRE.md). Driver thread at a
     /// quiescent point, like snapshot(). The `meta` and `client` sections
     /// are independent of the shard/thread count that produced them; the
@@ -299,10 +299,12 @@ public:
 
 private:
     friend struct CheckpointCodec;
-    IngestStats merged_stats(bool barrier_view) const;
-    /// Assemble and push this epoch's flight record (called at the barrier:
-    /// inline at the end of begin_epoch() when there is no pool, otherwise
-    /// from end_epoch() after every worker joined).
+    /// The epoch barrier, once every shard worker has stopped (inline at the
+    /// end of begin_epoch() when there is no pool, otherwise in end_epoch()):
+    /// fold the shards' worker-side counts into the ledger, then rethrow
+    /// `failure` if a worker threw, else record the epoch.
+    void close_epoch(std::exception_ptr failure);
+    /// Assemble and push this epoch's flight record.
     void finalize_epoch_record();
 
     Config cfg_;
@@ -311,7 +313,13 @@ private:
     std::vector<std::unique_ptr<Shard>> shards_;
     std::optional<runtime::ThreadPool> pool_;
     unsigned threads_{1};
-    std::uint64_t epoch_{0};
+    /// The ledger, the one home of every count: the driver-side counts as
+    /// they happen (`epochs` is the index of the newest epoch), the
+    /// worker-side counts as of the last barrier. stats() reports it.
+    IngestStats stats_;
+    /// What snapshots report: the ledger as copied at the last swap, plus
+    /// the worker-side counts of the epoch that swap launched.
+    IngestStats barrier_stats_;
     double horizon_{0.0};
     bool has_horizon_{false};
     /// Horizon captured at the last begin_epoch(): what snapshots report.
@@ -319,13 +327,9 @@ private:
     bool in_flight_{false};
     std::vector<std::future<void>> inflight_;
     std::atomic<std::size_t> next_shard_{0};
-    /// Stats of shards dissolved by resize_shards().
-    IngestStats retired_ingest_;
-    IngestStats retired_epoch_;
     FlightRecorder recorder_;
-    /// Merged barrier stats when the previous record was finalized — the
-    /// baseline per-epoch deltas subtract from (monotone across
-    /// resize_shards thanks to the retired totals).
+    /// Barrier stats when the previous record was finalized — the baseline
+    /// per-epoch deltas subtract from.
     IngestStats last_record_stats_;
     std::chrono::steady_clock::time_point epoch_t0_;  ///< ND wall timing only
 };

@@ -7,34 +7,25 @@
 
 namespace locble::serve {
 
-bool Shard::enqueue(const Event& e) {
-    ++ingest_stats_.submitted;
+bool Shard::enqueue(const Event& e, IngestStats& stats) {
+    ++stats.submitted;
     auto [it, created] = ingest_.try_emplace(e.client);
     IngestQueue& q = it->second;
-    if (created) {
-        ++ingest_stats_.clients_created;
-        LOCBLE_COUNT("serve.clients.created", 1);
-    }
-    if (q.has_event_t && e.t < q.last_event_t) {
-        ++ingest_stats_.late;
-        LOCBLE_COUNT("serve.ingest.late", 1);
-    }
+    if (created) ++stats.clients_created;
+    if (q.has_event_t && e.t < q.last_event_t) ++stats.late;
     if (q.buf.size() >= cfg_.queue_capacity) {
         // Backpressure. The bound is per client, so this decision depends
         // only on the client's own stream — identical whatever the shard
         // count (docs/SERVING.md).
         if (cfg_.overflow == OverflowPolicy::reject) {
-            ++ingest_stats_.rejected;
-            LOCBLE_COUNT("serve.ingest.rejected", 1);
+            ++stats.rejected;
             return false;
         }
         q.buf.pop_front();
-        ++ingest_stats_.dropped;
-        LOCBLE_COUNT("serve.ingest.dropped", 1);
+        ++stats.dropped;
     }
     q.buf.push_back(e);
-    ++ingest_stats_.accepted;
-    LOCBLE_COUNT("serve.ingest.accepted", 1);
+    ++stats.accepted;
     q.last_event_t = q.has_event_t ? std::max(q.last_event_t, e.t) : e.t;
     q.has_event_t = true;
     LOCBLE_GAUGE_MAX_ND("serve.queue.high_water", q.buf.size());
@@ -75,7 +66,6 @@ void Shard::begin_epoch(double horizon) {
               [](const Delivery& a, const Delivery& b) {
                   return a.client < b.client;
               });
-    ingest_stats_at_swap_ = ingest_stats_;
     inbox_events_ = 0;
     for (const Delivery& d : inbox_) inbox_events_ += d.events.size();
 }
@@ -135,9 +125,6 @@ void Shard::process_epoch() {
             epoch_stats_.sessions_evicted += c.sessions.size();
             ++epoch_stats_.clients_evicted;
             live_sessions_ -= c.sessions.size();
-            LOCBLE_COUNT("serve.sessions.evicted",
-                         static_cast<std::uint64_t>(c.sessions.size()));
-            LOCBLE_COUNT("serve.clients.evicted", 1);
             clients_.erase(s);
         }
     }
@@ -187,7 +174,6 @@ void Shard::process_client(ClientId id, ClientState& c,
             if (created) {
                 ++epoch_stats_.sessions_created;
                 ++live_sessions_;
-                LOCBLE_COUNT("serve.sessions.created", 1);
             }
             TrackingSession& s = sit->second;
             if (c.path.empty()) continue;  // no pose yet: nothing to fuse
@@ -196,7 +182,7 @@ void Shard::process_client(ClientId id, ClientState& c,
             // *relative* displacement target - observer with the target at
             // the frame origin — the same convention as the offline
             // pipeline.
-            s.on_adv(e.t, e.rssi_dbm, -obs.x, -obs.y);
+            s.on_adv(e.t, e.rssi_dbm, -obs.x, -obs.y, epoch_stats_);
         }
     }
 
@@ -206,7 +192,7 @@ void Shard::process_client(ClientId id, ClientState& c,
     bool changed = false;
     bool open = false;
     for (auto& [beacon, s] : c.sessions) {
-        s.finish_epoch(horizon);
+        s.finish_epoch(horizon, epoch_stats_);
         if (s.take_epoch_changed()) changed = true;
         if (s.has_open_batch()) open = true;
     }
@@ -235,21 +221,7 @@ void Shard::process_client(ClientId id, ClientState& c,
     }
 }
 
-IngestStats Shard::stats() const {
-    IngestStats total = ingest_stats_;
-    total += epoch_stats_;
-    return total;
-}
-
-IngestStats Shard::barrier_stats() const {
-    IngestStats total = ingest_stats_at_swap_;
-    total += epoch_stats_;
-    return total;
-}
-
-void Shard::migrate_into(std::vector<std::unique_ptr<Shard>>& dst,
-                         IngestStats& retired_ingest,
-                         IngestStats& retired_epoch) {
+void Shard::migrate_into(std::vector<std::unique_ptr<Shard>>& dst) {
     const auto n = static_cast<std::uint32_t>(dst.size());
     for (auto& [id, q] : ingest_)
         dst[shard_of(id, n)]->ingest_.emplace(id, std::move(q));
@@ -257,12 +229,7 @@ void Shard::migrate_into(std::vector<std::unique_ptr<Shard>>& dst,
     while (!clients_.empty()) {
         auto node = clients_.extract(clients_.begin());
         Shard& target = *dst[shard_of(node.key(), n)];
-        ClientState& c = node.mapped();
-        target.live_sessions_ += c.sessions.size();
-        // Sessions keep pumping lifecycle counters into their shard's
-        // stats; re-point them at the new owner (node-based maps never
-        // relocate the sessions themselves).
-        for (auto& [beacon, s] : c.sessions) s.rebind_stats(&target.epoch_stats_);
+        target.live_sessions_ += node.mapped().sessions.size();
         target.clients_.insert(std::move(node));
     }
     live_sessions_ = 0;
@@ -271,11 +238,6 @@ void Shard::migrate_into(std::vector<std::unique_ptr<Shard>>& dst,
     dirty_.clear();
     telem_ = EpochTelemetry{};
     inbox_events_ = 0;
-    retired_ingest += ingest_stats_;
-    retired_epoch += epoch_stats_;
-    ingest_stats_ = IngestStats{};
-    epoch_stats_ = IngestStats{};
-    ingest_stats_at_swap_ = IngestStats{};
 }
 
 void Shard::run_clustering(ClientState& c) {
@@ -299,7 +261,6 @@ void Shard::run_clustering(ClientState& c) {
         const auto cal = calibrator_.calibrate(cands[i], neighbors);
         c.sessions.at(fitted[i]).set_cluster(cal);
         ++epoch_stats_.cluster_runs;
-        LOCBLE_COUNT("serve.cluster.runs", 1);
     }
 }
 

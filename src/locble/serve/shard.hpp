@@ -25,16 +25,16 @@ namespace locble::serve {
 /// Threading contract (docs/SERVING.md): state is split into two disjoint
 /// halves so ingest can overlap epoch execution.
 ///
-///  - *Ingest side* (`ingest_`, `ingest_stats_`) is touched only by the
-///    driver thread, at any time — including while an epoch is in flight.
+///  - *Ingest side* (`ingest_`) is touched only by the driver thread, at any
+///    time — including while an epoch is in flight. Its counts go to the
+///    ledger enqueue() is handed, the service's own.
 ///  - *Worker side* (`clients_`, `epoch_stats_`, `dirty_`) is touched only
 ///    by the one worker thread running `process_epoch()`, and read at
-///    quiescent points (between epochs) for snapshots.
-///  - The handoff (`inbox_`, `epoch_horizon_`, `ingest_stats_at_swap_`) is
-///    written by `begin_epoch()` on the driver thread while no epoch is in
-///    flight, then consumed by the worker; the epoch barrier orders the
-///    two, so nothing is ever touched concurrently and the hot path takes
-///    no locks.
+///    quiescent points (between epochs) for snapshots and the barrier fold.
+///  - The handoff (`inbox_`, `epoch_horizon_`) is written by `begin_epoch()`
+///    on the driver thread while no epoch is in flight, then consumed by
+///    the worker; the epoch barrier orders the two, so nothing is ever
+///    touched concurrently and the hot path takes no locks.
 class Shard {
 public:
     struct Config {
@@ -84,18 +84,17 @@ public:
     Shard& operator=(const Shard&) = delete;
 
     /// Route one event into its client's bounded ingest buffer (creating
-    /// the client on first contact). Driver thread; may overlap a running
-    /// epoch — it only ever touches ingest-side state. Returns whether the
-    /// event was accepted (false only under OverflowPolicy::reject), so the
-    /// caller can advance its horizon without reading worker-side stats.
-    bool enqueue(const Event& e);
+    /// the client on first contact), counting the admission decision in
+    /// `stats`. Driver thread; may overlap a running epoch — it only ever
+    /// touches ingest-side state. Returns whether the event was accepted
+    /// (false only under OverflowPolicy::reject).
+    bool enqueue(const Event& e, IngestStats& stats);
 
     /// The epoch swap (driver thread, no epoch in flight): move every
-    /// client's accumulated buffer into the epoch inbox, decide idle
+    /// client's accumulated buffer into the epoch inbox and decide idle
     /// evictions against `horizon` (the decision is a pure function of the
     /// ingest-side timestamps, so it lands identically whatever the shard
-    /// count), and capture the ingest-side stats for epoch-consistent
-    /// snapshots.
+    /// count).
     void begin_epoch(double horizon);
 
     /// Drain the inbox, drive the tracking sessions, close batches up to
@@ -103,15 +102,11 @@ public:
     /// the swap. Exactly one worker thread per epoch.
     void process_epoch();
 
-    /// Live merged accounting: everything ingested and processed so far.
-    /// Quiescent point required (the worker writes half of it mid-epoch).
-    IngestStats stats() const;
-
-    /// Epoch-consistent accounting: ingest-side counters as captured at the
-    /// last begin_epoch() plus the worker-side counters (final once the
-    /// barrier passed). This is the stats view a snapshot reports, equal to
-    /// stats() whenever ingest never overlapped an epoch.
-    IngestStats barrier_stats() const;
+    /// Hand over the worker-side counts process_epoch() made (including
+    /// those of an epoch a worker exception cut short) and zero them for
+    /// the next epoch. Quiescent point required: the service folds them
+    /// into its ledger at the barrier.
+    IngestStats take_epoch_stats() { return std::exchange(epoch_stats_, IngestStats{}); }
 
     struct ClientState {
         std::vector<motion::TimedPosition> path;  ///< pose track, time-ordered
@@ -170,11 +165,9 @@ public:
     std::size_t inbox_events() const { return inbox_events_; }
 
     /// Move every client — ingest buffers, session state, dirty marks —
-    /// into the shard of `dst` selected by shard_of(client, dst.size()),
-    /// and fold this shard's accumulated stats into the retired totals.
+    /// into the shard of `dst` selected by shard_of(client, dst.size()).
     /// Driver thread, no epoch in flight (TrackingService::resize_shards).
-    void migrate_into(std::vector<std::unique_ptr<Shard>>& dst,
-                      IngestStats& retired_ingest, IngestStats& retired_epoch);
+    void migrate_into(std::vector<std::unique_ptr<Shard>>& dst);
 
 private:
     /// Checkpoint/restore (serve/checkpoint.cpp) serializes the full client
@@ -209,8 +202,7 @@ private:
     /// checkpoint restore alike.
     std::pair<std::map<BeaconId, TrackingSession>::iterator, bool> emplace_session(
         std::map<BeaconId, TrackingSession>& sessions, BeaconId beacon) {
-        return sessions.try_emplace(beacon, cfg_.session, anf_, envaware_,
-                                    &epoch_stats_);
+        return sessions.try_emplace(beacon, cfg_.session, anf_, envaware_);
     }
 
     void process_client(ClientId id, ClientState& c, std::deque<Event>* events,
@@ -233,16 +225,15 @@ private:
     // the collect-then-sort idiom the flow-sensitive `unordered` lint rule
     // codifies (docs/CORRECTNESS.md).
     std::unordered_map<ClientId, IngestQueue> ingest_;
-    IngestStats ingest_stats_;
 
     // --- barrier handoff (written at begin_epoch, read by the worker) ---
     std::vector<Delivery> inbox_;
     double epoch_horizon_{0.0};
-    IngestStats ingest_stats_at_swap_;
     std::size_t inbox_events_{0};
 
     // --- worker side (one worker thread per epoch) ---
     std::map<ClientId, ClientState> clients_;
+    /// This epoch's worker-side counts, until take_epoch_stats().
     IngestStats epoch_stats_;
     std::vector<std::pair<ClientId, BeaconId>> dirty_;
     std::size_t live_sessions_{0};

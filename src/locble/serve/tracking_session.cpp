@@ -5,14 +5,15 @@
 namespace locble::serve {
 
 TrackingSession::TrackingSession(const Config& cfg, const dsp::Anf& anf,
-                                 const core::EnvAware* envaware, IngestStats* stats)
-    : stats_(stats), anf_(anf), loop_(cfg.pipeline, envaware, cfg.max_session_samples) {}
+                                 const core::EnvAware* envaware)
+    : anf_(anf), loop_(cfg.pipeline, envaware, cfg.max_session_samples) {}
 
 double TrackingSession::pose_lag_s() const {
     return loop_.config().use_anf ? anf_.group_delay_s() : 0.0;
 }
 
-void TrackingSession::on_adv(double t, double rssi_dbm, double p, double q) {
+void TrackingSession::on_adv(double t, double rssi_dbm, double p, double q,
+                             IngestStats& stats) {
     core::FusedSample fused;
     fused.t = t;
     fused.p = p;
@@ -20,16 +21,15 @@ void TrackingSession::on_adv(double t, double rssi_dbm, double p, double q) {
     // Causal ANF: one pass per sample, never revisited (the offline
     // pipeline zero-phase filters the whole capture instead).
     fused.rssi = loop_.config().use_anf ? anf_.process(rssi_dbm) : rssi_dbm;
-    on_flush(loop_.add(rssi_dbm, fused, diag_));
+    on_flush(loop_.add(rssi_dbm, fused, diag_), stats);
     ++samples_seen_;
     snap_dirty_ = true;  // samples_seen / last_event_t are snapshot fields
 }
 
-void TrackingSession::finish_epoch(double horizon) {
-    on_flush(loop_.close(horizon, diag_));
+void TrackingSession::finish_epoch(double horizon, IngestStats& stats) {
+    on_flush(loop_.close(horizon, diag_), stats);
     if (!dirty_) return;
-    if (stats_ != nullptr) ++stats_->solves;
-    LOCBLE_COUNT("serve.solves", 1);
+    ++stats.solves;
     if (loop_.solve(fit_, diag_)) {
         has_fit_ = true;
         samples_used_ = loop_.size();
@@ -39,10 +39,9 @@ void TrackingSession::finish_epoch(double horizon) {
     dirty_ = false;
 }
 
-void TrackingSession::on_flush(const core::BatchLoop::Flush& f) {
+void TrackingSession::on_flush(const core::BatchLoop::Flush& f, IngestStats& stats) {
     if (f.samples == 0) return;
-    if (stats_ != nullptr) ++stats_->batches_flushed;
-    LOCBLE_COUNT("serve.batches", 1);
+    ++stats.batches_flushed;
     LOCBLE_HISTOGRAM("serve.batch.samples", f.samples, 2.0, 4.0, 8.0, 16.0, 32.0,
                      64.0);
     if (f.restarted) {
@@ -57,8 +56,7 @@ void TrackingSession::on_flush(const core::BatchLoop::Flush& f) {
         has_cluster_ = false;
         epoch_changed_ = true;
         snap_dirty_ = true;
-        if (stats_ != nullptr) ++stats_->sessions_reset;
-        LOCBLE_COUNT("serve.sessions.reset", 1);
+        ++stats.sessions_reset;
     }
     dirty_ = true;
 }

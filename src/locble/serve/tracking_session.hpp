@@ -45,12 +45,9 @@ public:
     /// delay, which costs far more than the copy, so a shard builds it once
     /// for all its sessions. `envaware` must be a trained model when
     /// cfg.pipeline.use_envaware is set; the session keeps its own copy (the
-    /// regime tracker carries per-session streaming state). When `stats` is
-    /// non-null the session bumps the shard's batches_flushed / solves /
-    /// sessions_reset counters there, so the totals survive the session's
-    /// own eviction.
+    /// regime tracker carries per-session streaming state).
     TrackingSession(const Config& cfg, const dsp::Anf& anf,
-                    const core::EnvAware* envaware, IngestStats* stats = nullptr);
+                    const core::EnvAware* envaware);
 
     TrackingSession(const TrackingSession&) = delete;
     TrackingSession& operator=(const TrackingSession&) = delete;
@@ -58,13 +55,15 @@ public:
     /// Feed one advertisement: raw RSSI plus the relative displacement
     /// (p, q) = target - observer at the pose-pairing time (the caller
     /// already compensated the ANF group delay). Flushes every batch whose
-    /// window closed before `t`.
-    void on_adv(double t, double rssi_dbm, double p, double q);
+    /// window closed before `t`, counting the flushes and resets in `stats`
+    /// (the caller's ledger: a shard passes its epoch's worker counts).
+    void on_adv(double t, double rssi_dbm, double p, double q, IngestStats& stats);
 
     /// Close out the epoch at event-time `horizon`: flush every batch whose
     /// window has passed, then, if a batch closed since the last solve, run
     /// one warm-started incremental solve over everything accumulated.
-    void finish_epoch(double horizon);
+    /// Flushes, resets and the solve are counted in `stats`, as in on_adv().
+    void finish_epoch(double horizon, IngestStats& stats);
 
     /// Pair poses this many seconds before the advertisement timestamp —
     /// the causal ANF chain's group delay (0 when the ANF is disabled).
@@ -118,11 +117,6 @@ public:
         dirty_listed_ = false;
     }
 
-    /// Re-point the shard-stats sink after a shard migration
-    /// (TrackingService::resize_shards); counters already accumulated stay
-    /// with the old shard's totals, which the service retires.
-    void rebind_stats(IngestStats* stats) { stats_ = stats; }
-
 private:
     /// Checkpoint/restore (serve/checkpoint.cpp) visits fields() below.
     friend struct CheckpointCodec;
@@ -147,11 +141,10 @@ private:
         if (s.has_cluster_) v(s.cluster_);
     }
 
-    /// The session's side of a closed batch: shard counters, obs, and the
+    /// The session's side of a closed batch: ledger counters, obs, and the
     /// snapshot and solve bookkeeping.
-    void on_flush(const core::BatchLoop::Flush& f);
+    void on_flush(const core::BatchLoop::Flush& f, IngestStats& stats);
 
-    IngestStats* stats_{nullptr};
     dsp::Anf anf_;
     core::BatchLoop loop_;
 

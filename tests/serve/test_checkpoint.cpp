@@ -352,6 +352,51 @@ TEST(WireCheckpointTest, SessionSegmentBeyondFlushedBatchesIsMalformed) {
                      "segment 1000");
 }
 
+TEST(WireCheckpointTest, SessionSegmentBeyond32BitsIsMalformed) {
+    // zigzag(2^32) = 2^33, varint 80 80 80 80 20: wraps to segment 0 if
+    // narrowed to int instead of range-checked.
+    expect_malformed(with_session_segment(forgery_donor(), "\x80\x80\x80\x80\x20"),
+                     "segment 2^32");
+}
+
+/// Rewrite the `resolution` varint of the first recorded staleness sketch
+/// with `varint`. The sketch writes its configured flag, the f64 upper
+/// bound (120 s by default), then the resolution (240: varint f0 01).
+std::string with_sketch_resolution(std::string_view ckpt, std::string_view varint) {
+    bool patched = false;
+    std::string out = reframe(ckpt, [&](std::string_view name, std::string& body) {
+        if (name != "recorder") return;
+        const double upper = 120.0;
+        const std::string head = "\x01" + std::string(bytes_of(upper)) + "\xf0\x01";
+        const std::size_t at = body.find(head);
+        if (at == std::string::npos) return;
+        body.replace(at + 9, 2, varint);
+        patched = true;
+    });
+    EXPECT_TRUE(patched);
+    return out;
+}
+
+TEST(WireCheckpointTest, SketchResolutionBeyond32BitsIsMalformed) {
+    // 2^32 + 240, varint f0 81 80 80 10: wraps to the valid 240 if narrowed
+    // to u32 instead of range-checked.
+    expect_malformed(with_sketch_resolution(forgery_donor(), "\xf0\x81\x80\x80\x10"),
+                     "resolution 2^32 + 240");
+}
+
+TEST(WireCheckpointTest, MetaEpochOffItsStatsIsMalformed) {
+    // The meta body opens with the u32 format and the u64 config digest;
+    // the fixed u64 epoch follows and must equal the stats' `epochs`
+    // count, 1 in the donor.
+    const std::string forged =
+        reframe(forgery_donor(), [](std::string_view name, std::string& body) {
+            if (name != "meta") return;
+            ASSERT_EQ(body[12], 1);
+            body[12] = 2;
+        });
+    expect_malformed(forged, "epoch 2 with 1 in the stats");
+}
+
 TEST(WireCheckpointTest, TrailingMetaBytesAreMalformed) {
     const std::string forged =
         reframe(forgery_donor(), [](std::string_view name, std::string& body) {

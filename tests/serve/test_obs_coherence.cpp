@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "locble/common/rng.hpp"
+#include "locble/core/envaware.hpp"
 #include "locble/obs/metrics.hpp"
 #include "locble/obs/obs.hpp"
 #include "locble/serve/event.hpp"
@@ -176,6 +179,156 @@ TEST(ServeObsCoherenceTest, MergedTotalsAreShardCountInvariant) {
     // Every IngestStats total is shard-count invariant (stats.hpp), so the
     // whole struct is compared.
     for (std::size_t i = 1; i < runs.size(); ++i) EXPECT_EQ(runs[i], runs[0]);
+}
+
+// --- Schedules beyond the phased loop: the ledger counters advance at the
+// epoch swap (driver-side counts) and the barrier (worker-side counts), so
+// each case ends at a barrier and compares there.
+
+#if LOCBLE_OBS
+void expect_counters_equal(const std::map<std::string, std::uint64_t>& counters,
+                           const IngestStats& s, const std::string& what) {
+    for (const auto& [name, total] : expected_pairs(s)) {
+        const auto it = counters.find(name);
+        EXPECT_EQ(it == counters.end() ? 0u : it->second, total) << name << ", " << what;
+    }
+}
+#endif
+
+/// Submit the events of the 2 s slice ending at `edge` (the run_workload
+/// slicing); returns the next edge.
+double submit_slice(TrackingService& svc, const std::vector<Event>& events,
+                    std::size_t& i, double edge) {
+    while (i < events.size() && events[i].t <= edge) svc.submit(events[i++]);
+    return edge + 2.0;
+}
+
+TEST(ServeObsCoherenceTest, CountersMatchStatsUnderOverlappedIngest) {
+    const auto events = make_workload(991);
+    auto cfg = coherence_config(4, 1 << 12);
+    cfg.threads = 2;
+#if LOCBLE_OBS
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    reg.set_enabled(true);
+#endif
+    TrackingService svc(cfg);
+    std::size_t i = 0;
+    for (double edge = 2.0; i < events.size();) {
+        svc.begin_epoch();  // each slice lands while an epoch is in flight
+        edge = submit_slice(svc, events, i, edge);
+        svc.end_epoch();
+    }
+    svc.run_epoch();
+    const IngestStats s = svc.stats();
+    EXPECT_EQ(s.submitted, static_cast<std::uint64_t>(events.size()));
+    EXPECT_EQ(svc.snapshot().stats, s);
+    EXPECT_GT(s.solves, 0u);
+    EXPECT_GT(s.sessions_evicted, 0u);
+#if LOCBLE_OBS
+    reg.set_enabled(false);
+    expect_counters_equal(obs_counters(), s, "overlapped ingest");
+#endif
+}
+
+TEST(ServeObsCoherenceTest, CountersMatchStatsAcrossGrowThenShrink) {
+    const auto events = make_workload(991);
+#if LOCBLE_OBS
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    reg.set_enabled(true);
+#endif
+    // Resize both with a slice queued and with none, growing 1 -> 8 and
+    // shrinking back to 1.
+    const unsigned plan[] = {2u, 4u, 8u, 3u, 1u};
+    TrackingService svc(coherence_config(1, 1 << 12));
+    std::size_t i = 0, k = 0;
+    for (double edge = 2.0; i < events.size(); ++k) {
+        edge = submit_slice(svc, events, i, edge);
+        if (k % 2 == 0) svc.resize_shards(plan[(k / 2) % std::size(plan)]);
+        svc.run_epoch();
+        if (k % 2 == 1) svc.resize_shards(plan[(k / 2) % std::size(plan)]);
+    }
+    svc.run_epoch();
+    const IngestStats s = svc.stats();
+#if LOCBLE_OBS
+    reg.set_enabled(false);
+    expect_counters_equal(obs_counters(), s, "grow then shrink");
+#endif
+    EXPECT_EQ(s, run_workload(events, coherence_config(1, 1 << 12)));
+}
+
+TEST(ServeObsCoherenceTest, CountersSplitAcrossACheckpointHandoff) {
+    const auto events = make_workload(991);
+#if LOCBLE_OBS
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    reg.set_enabled(true);
+#endif
+    std::size_t i = 0;
+    double edge = 2.0;
+    std::string ckpt;
+    {
+        TrackingService primary(coherence_config(2, 1 << 12));
+        for (int epoch = 0; epoch < 10; ++epoch) {
+            edge = submit_slice(primary, events, i, edge);
+            primary.run_epoch();
+        }
+        edge = submit_slice(primary, events, i, edge);  // queued past the swap
+        ckpt = primary.checkpoint();
+    }
+#if LOCBLE_OBS
+    std::map<std::string, std::uint64_t> counters = obs_counters();
+    reg.reset();
+#endif
+    TrackingService standby(coherence_config(4, 1 << 12));
+    standby.restore_checkpoint(ckpt);
+    standby.run_epoch();
+    while (i < events.size()) {
+        edge = submit_slice(standby, events, i, edge);
+        standby.run_epoch();
+    }
+    standby.run_epoch();
+    const IngestStats s = standby.stats();
+#if LOCBLE_OBS
+    reg.set_enabled(false);
+    // The primary's counters up to the checkpoint plus the standby's own
+    // account for every count exactly once.
+    for (const auto& [name, n] : obs_counters()) counters[name] += n;
+    expect_counters_equal(counters, s, "primary + standby");
+#endif
+    EXPECT_EQ(s, run_workload(events, coherence_config(2, 1 << 12)));
+}
+
+/// A worker exception loses no count: the work the failed epoch did before
+/// the throw (here an idle eviction) is in the ledger and the counters.
+/// The EnvAware model is untrained, so building the first session throws.
+TEST(ServeObsCoherenceTest, WorkerExceptionLosesNoCount) {
+    for (const unsigned shards : {1u, 2u}) {
+        auto cfg = coherence_config(shards, 1 << 12);
+        cfg.threads = shards;  // inline epoch at 1, worker pool at 2
+        cfg.shard.session.pipeline.use_envaware = true;
+#if LOCBLE_OBS
+        obs::Registry& reg = obs::Registry::global();
+        reg.reset();
+        reg.set_enabled(true);
+#endif
+        TrackingService svc(cfg, core::EnvAware{});
+        svc.submit(pose_event(1, 0.0, {0.0, 0.0}));
+        svc.run_epoch();
+        // Past the idle timeout: client 1 is evicted in the epoch where
+        // client 2's first advertisement throws.
+        svc.submit(adv_event(2, 20.0, 7, -60.0));
+        EXPECT_THROW(svc.run_epoch(), std::invalid_argument);
+        const IngestStats s = svc.stats();
+        EXPECT_EQ(s.clients_evicted, 1u) << shards << " shards";
+        EXPECT_EQ(s.accepted, 2u);
+        EXPECT_EQ(s.epochs, 2u);
+#if LOCBLE_OBS
+        reg.set_enabled(false);
+        expect_counters_equal(obs_counters(), s, std::to_string(shards) + " shards");
+#endif
+    }
 }
 
 }  // namespace

@@ -47,15 +47,16 @@ TEST(ServeBackpressureTest, DropOldestCountsEveryEviction) {
     EXPECT_EQ(s.accepted, 10u);
     EXPECT_EQ(s.dropped, 6u);
     EXPECT_EQ(s.rejected, 0u);
+
+    // Graceful degradation: the 4 surviving events still process cleanly.
+    svc.run_epoch();
 #if LOCBLE_OBS
-    // The obs counters are the same truth, injected overflow matches exactly.
+    // The obs counters are the same truth, published at the epoch swap:
+    // injected overflow matches exactly.
     EXPECT_EQ(obs_counter("serve.ingest.dropped"), 6u);
     EXPECT_EQ(obs_counter("serve.ingest.accepted"), 10u);
     reg.set_enabled(false);
 #endif
-
-    // Graceful degradation: the 4 surviving events still process cleanly.
-    svc.run_epoch();
     const auto snap = svc.snapshot();
     ASSERT_EQ(snap.estimates.size(), 1u);
     EXPECT_EQ(snap.estimates[0].client, 1u);

@@ -265,6 +265,22 @@ TEST(ServePipelineTest, ResizingShardsMidRunIsInvisible) {
     EXPECT_EQ(base, stream);
 }
 
+/// A resize between a submission and the next epoch moves the queued
+/// events, not the barrier view: a snapshot taken right after the resize
+/// reports the stats of the last barrier, as one without the resize does.
+TEST(ServePipelineTest, ResizeWithEventsQueuedKeepsTheBarrierStats) {
+    TrackingService fixed(service_config(2, 1));
+    TrackingService resized(service_config(2, 1));
+    for (TrackingService* svc : {&fixed, &resized}) {
+        svc->submit(pose_event(1, 0.0, {0.0, 0.0}));
+        svc->run_epoch();
+        svc->submit(adv_event(1, 0.5, 2, -60.0));
+    }
+    resized.resize_shards(5);
+    EXPECT_EQ(canonical_text(resized.snapshot()), canonical_text(fixed.snapshot()));
+    EXPECT_EQ(resized.stats(), fixed.stats());
+}
+
 /// Driver-side misuse is rejected loudly: everything that reads or
 /// restructures worker-side state throws while an epoch is in flight.
 TEST(ServePipelineTest, InFlightEpochGuardsDriverSideReads) {

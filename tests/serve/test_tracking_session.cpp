@@ -24,9 +24,9 @@ TrackingSession::Config clean_config() {
 
 /// Feed a synthetic stationary-beacon walk: observer moves along +x at
 /// 1 m/s for `seconds`, beacon at `target` (observer frame), log-distance
-/// RSS with optional Gaussian noise.
+/// RSS with optional Gaussian noise. Flushes are counted in `stats`.
 void feed_walk(TrackingSession& s, const locble::Vec2& target, double seconds,
-               double noise_db, std::uint64_t seed) {
+               double noise_db, std::uint64_t seed, IngestStats& stats) {
     locble::Rng rng(seed);
     for (double t = 0.0; t <= seconds; t += 0.1) {
         const locble::Vec2 obs{t * 1.0, 0.0};
@@ -37,14 +37,15 @@ void feed_walk(TrackingSession& s, const locble::Vec2& target, double seconds,
         // FusedSample convention (core/pipeline.cpp): (p, q) is the
         // *negated* observer position; the solver's fit comes out in the
         // observer frame.
-        s.on_adv(t, rssi, -obs.x, -obs.y);
+        s.on_adv(t, rssi, -obs.x, -obs.y, stats);
     }
 }
 
 TEST(TrackingSessionTest, RecoversStationaryBeaconFromStream) {
+    IngestStats stats;
     TrackingSession s(clean_config(), dsp::Anf(), nullptr);
-    feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1);
-    s.finish_epoch(9.0);
+    feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1, stats);
+    s.finish_epoch(9.0, stats);
     ASSERT_TRUE(s.has_fit());
     EXPECT_NEAR(s.fit().location.x, 5.0, 0.5);
     EXPECT_NEAR(std::abs(s.fit().location.y), 2.0, 0.7);
@@ -56,9 +57,10 @@ TEST(TrackingSessionTest, EpochSplitIsInvisible) {
     // Deferred warm-started solves: splitting the same stream across many
     // epochs must land on the exact same fit as one big epoch (the solver
     // session contract: exhaustive warm solve == cold solve).
+    IngestStats stats;
     TrackingSession one(clean_config(), dsp::Anf(), nullptr);
-    feed_walk(one, {4.0, 1.5}, 8.0, 1.0, 7);
-    one.finish_epoch(9.0);
+    feed_walk(one, {4.0, 1.5}, 8.0, 1.0, 7, stats);
+    one.finish_epoch(9.0, stats);
 
     TrackingSession split(clean_config(), dsp::Anf(), nullptr);
     locble::Rng rng(7);
@@ -67,11 +69,11 @@ TEST(TrackingSessionTest, EpochSplitIsInvisible) {
         const double dist = std::max(locble::Vec2::distance({4.0, 1.5}, obs), 0.1);
         const double rssi =
             -59.0 - 20.0 * std::log10(dist) + rng.gaussian(0.0, 1.0);
-        split.on_adv(t, rssi, -obs.x, -obs.y);
+        split.on_adv(t, rssi, -obs.x, -obs.y, stats);
         // An epoch boundary after every single event — worst case.
-        split.finish_epoch(t);
+        split.finish_epoch(t, stats);
     }
-    split.finish_epoch(9.0);
+    split.finish_epoch(9.0, stats);
 
     ASSERT_TRUE(one.has_fit());
     ASSERT_TRUE(split.has_fit());
@@ -95,9 +97,9 @@ TEST(TrackingSessionTest, MaxSessionSamplesBoundsAndResets) {
     auto cfg = clean_config();
     cfg.max_session_samples = 30;
     IngestStats stats;
-    TrackingSession s(cfg, dsp::Anf(cfg.pipeline.anf), nullptr, &stats);
-    feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1);  // 81 samples
-    s.finish_epoch(9.0);
+    TrackingSession s(cfg, dsp::Anf(cfg.pipeline.anf), nullptr);
+    feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1, stats);  // 81 samples
+    s.finish_epoch(9.0, stats);
     EXPECT_GE(s.resets(), 1);
     EXPECT_LE(s.samples_used(), 30u);
     EXPECT_EQ(stats.sessions_reset, static_cast<std::uint64_t>(s.resets()));
@@ -115,13 +117,14 @@ TEST(TrackingSessionTest, EnvAwareRequiredWhenEnabled) {
 }
 
 TEST(TrackingSessionTest, EpochChangeFlagLatchesUntilTaken) {
+    IngestStats stats;
     TrackingSession s(clean_config(), dsp::Anf(), nullptr);
     EXPECT_FALSE(s.take_epoch_changed());
-    feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1);
-    s.finish_epoch(9.0);
+    feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1, stats);
+    s.finish_epoch(9.0, stats);
     EXPECT_TRUE(s.take_epoch_changed());
     EXPECT_FALSE(s.take_epoch_changed());  // consumed
-    s.finish_epoch(10.0);                  // nothing new arrived
+    s.finish_epoch(10.0, stats);           // nothing new arrived
     EXPECT_FALSE(s.take_epoch_changed());
 }
 
