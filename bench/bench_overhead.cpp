@@ -223,6 +223,7 @@ int main(int argc, char** argv) {
     double pipeline_ratio = 1.0;
     for (const auto& stage : stages) {
         const StageTiming t = time_stage(stage.body, reps);
+        runner.add_trials(reps);
         std::printf("%-20s %10d %12.2f %12.2f %8.4f\n", stage.name, t.iters,
                     t.off_us, t.on_us, t.ratio);
         const std::string key = std::string(stage.name);
@@ -241,6 +242,7 @@ int main(int argc, char** argv) {
         rec_off = std::min(rec_off, time_iters([&] { serve_pass(0); }, 1));
         rec_on = std::min(rec_on, time_iters([&] { serve_pass(64); }, 1));
     }
+    runner.add_trials(reps);
     const double rec_ratio = rec_on / rec_off;
     std::printf("%-20s %10d %12.2f %12.2f %8.4f  (recorder off/on, obs off)\n",
                 "serve_recorder", 1, rec_off * 1e6, rec_on * 1e6, rec_ratio);

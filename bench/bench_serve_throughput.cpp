@@ -268,6 +268,7 @@ int main(int argc, char** argv) {
             ratios.push_back(n_us / s_us);
             naive_solves = naive.solves();
         }
+        runner.add_trials(trials);
         const double speedup = median(ratios);
         if (k == "xlarge") xlarge_speedup = speedup;
 

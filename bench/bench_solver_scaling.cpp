@@ -233,6 +233,7 @@ void bench_kernels(bench::Runner& runner, int trials) {
         res_ref_us = std::min(res_ref_us, t_res_ref);
         res_lanes_us = std::min(res_lanes_us, t_res_lanes);
     }
+    runner.add_trials(trials);
 
     const double per = 1e3 / (static_cast<double>(kN) * kReps);  // us -> ns/sample
     std::printf("kernels (n=%zu, W=%zu): gn2 %.2f -> %.2f ns/sample (x%.2f), "
@@ -295,6 +296,7 @@ int main(int argc, char** argv) {
         ModeResult naive, incr, coarse;
         run_point(batches, naive_solver, exhaustive, coarse_solver, trials, naive,
                   incr, coarse);
+        runner.add_trials(trials);
 
         const bool identical = naive.got_fit == incr.got_fit &&
                                (!naive.got_fit || bitwise_equal(naive.fit, incr.fit));
@@ -330,6 +332,7 @@ int main(int argc, char** argv) {
     bench_kernels(runner, trials);
     runner.report().add_scalar("lane_width",
                                static_cast<double>(core::kernels::kLaneWidth));
+    runner.report().add_text("kernel_isa", LOCBLE_KERNEL_ISA);
     runner.report().add_text("largest_point", largest_key);
     std::printf("headline (CI gate): %s.speedup_coarse_warm — the incremental\n"
                 "warm-started production path vs naive cold re-solve\n\n",

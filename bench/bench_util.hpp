@@ -58,6 +58,10 @@ public:
         return runner_.run(trials, seed, std::forward<Fn>(fn));
     }
 
+    /// Count `n` timed repetitions a bench runs in its own loops rather
+    /// than through run(), so the report's `trials` states them too.
+    void add_trials(int n) { trials_run_ += n; }
+
     runtime::BenchReport& report() { return report_; }
 
     /// Stamp run info + wall time, fold the obs snapshot into the report

@@ -169,6 +169,7 @@ int main(int argc, char** argv) {
                 exit_code = 1;
             }
         }
+        runner.add_trials(reps);
         const double mb = static_cast<double>(bytes.size()) / 1e6;
         const double enc_s = median(enc_us) / 1e6, dec_s = median(dec_us) / 1e6;
         rep.add_scalar("codec.events", static_cast<double>(n));

@@ -17,15 +17,20 @@ using KernelMode = LocationSolver::Config::KernelMode;
 constexpr std::size_t kW = kernels::kLaneWidth;
 
 /// Bundled structure-of-arrays view of the packed sample stream plus the
-/// configured kernel mode — what the k == 1 hot paths dispatch on. The
+/// configured kernel mode — what every per-sample pass dispatches on. The
 /// pointers alias SolverWorkspace::soa_* (packed in solve_impl) and are
 /// valid for the same count as the AoS span.
 struct SoaView {
     const double* p;
     const double* q;
     const double* rssi;
+    const int* seg;
     KernelMode mode;
 };
+
+/// Samples per call of a multi-segment element kernel: its outputs live in
+/// stack buffers of this size, folded before the next chunk.
+constexpr std::size_t kSegChunk = 256;
 
 /// Assemble ResidualStats from the kernel outputs (sum / sum-of-squares /
 /// centered second moment) — shared by both kernel modes and the generic
@@ -46,7 +51,9 @@ ResidualStats residual_stats_from_moments(std::size_t count, double sum, double 
 /// caller) plus one cheap pass for the centered second moment — no
 /// temporary vector, no allocation. The single-segment case runs through
 /// the lane kernels (or their scalar-reference twins — bit-identical by
-/// the solver_kernels.hpp contract).
+/// the solver_kernels.hpp contract). With several segments the lane path
+/// computes the residuals in the multi-segment element kernel and folds
+/// them in index order, the same sums as the AoS loop.
 ResidualStats residual_stats_kernel(const FusedSample* samples, std::size_t count,
                                     const locble::Vec2& location, double exponent,
                                     const double* gammas, int k, double* resid_buf,
@@ -70,15 +77,26 @@ ResidualStats residual_stats_kernel(const FusedSample* samples, std::size_t coun
         }
         return residual_stats_from_moments(count, sum, ss, m2);
     }
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto& s = samples[i];
-        const double dx = location.x + s.p;
-        const double dy = location.y + s.q;
-        const double g = gammas[static_cast<std::size_t>(std::min(s.segment, k - 1))];
-        const double r = s.rssi - predict_rssi_db(g, exponent, dx * dx + dy * dy);
-        resid_buf[i] = r;
-        sum += r;
-        ss += r * r;
+    if (soa.mode == KernelMode::lanes) {
+        kernels::residual_seg_lanes<kW>(soa.p, soa.q, soa.rssi, soa.seg, count,
+                                        location.x, location.y, gammas, k, exponent,
+                                        resid_buf);
+        for (std::size_t i = 0; i < count; ++i) {
+            sum += resid_buf[i];
+            ss += resid_buf[i] * resid_buf[i];
+        }
+    } else {
+        for (std::size_t i = 0; i < count; ++i) {
+            const auto& s = samples[i];
+            const double dx = location.x + s.p;
+            const double dy = location.y + s.q;
+            const double g =
+                gammas[static_cast<std::size_t>(std::min(s.segment, k - 1))];
+            const double r = s.rssi - predict_rssi_db(g, exponent, dx * dx + dy * dy);
+            resid_buf[i] = r;
+            sum += r;
+            ss += r * r;
+        }
     }
     const double mean = sum / static_cast<double>(count);
     double m2 = 0.0;
@@ -87,6 +105,61 @@ ResidualStats residual_stats_kernel(const FusedSample* samples, std::size_t coun
         m2 += d * d;
     }
     return residual_stats_from_moments(count, sum, ss, m2);
+}
+
+/// Lane twin of refine_fit_db's multi-segment accumulation loop (upper
+/// triangle of JtJ and Jtr, zeroed by the caller). The element kernel
+/// computes each sample's (jx, jy, r) a chunk at a time, and the fold below
+/// adds them into every sum in index order — the same left-to-right
+/// sequence of additions as the AoS loop, so the sums are bitwise equal.
+/// The entries of the current segment's Gamma column are carried in locals
+/// and written back when the segment changes.
+void accumulate_segments(double* jtj, double* jtr, std::size_t dim, const SoaView& soa,
+                         std::size_t count, double x, double h, const double* gammas,
+                         std::size_t k, double exponent, double c) {
+    double jx[kSegChunk], jy[kSegChunk], r[kSegChunk];
+    double r0 = 0.0, r1 = 0.0, a00 = 0.0, a01 = 0.0, a11 = 0.0;
+    std::size_t g = 2;  // Jtr / JtJ index of the current segment's Gamma
+    double rg = 0.0, a0g = 0.0, a1g = 0.0, agg = 0.0;
+    const int last = static_cast<int>(k) - 1;
+    for (std::size_t i0 = 0; i0 < count; i0 += kSegChunk) {
+        const std::size_t len = std::min(kSegChunk, count - i0);
+        kernels::gn_seg_lanes<kW>(soa.p + i0, soa.q + i0, soa.rssi + i0, soa.seg + i0,
+                                  len, x, h, gammas, last + 1, exponent, c, jx, jy, r);
+        for (std::size_t j = 0; j < len; ++j) {
+            const std::size_t gj =
+                2 + static_cast<std::size_t>(std::min(soa.seg[i0 + j], last));
+            if (gj != g) {
+                jtr[g] = rg;
+                jtj[g] = a0g;
+                jtj[dim + g] = a1g;
+                jtj[g * dim + g] = agg;
+                g = gj;
+                rg = jtr[g];
+                a0g = jtj[g];
+                a1g = jtj[dim + g];
+                agg = jtj[g * dim + g];
+            }
+            r0 += jx[j] * r[j];
+            r1 += jy[j] * r[j];
+            rg += r[j];
+            a00 += jx[j] * jx[j];
+            a01 += jx[j] * jy[j];
+            a0g += jx[j];
+            a11 += jy[j] * jy[j];
+            a1g += jy[j];
+            agg += 1.0;
+        }
+    }
+    jtr[g] = rg;
+    jtj[g] = a0g;
+    jtj[dim + g] = a1g;
+    jtj[g * dim + g] = agg;
+    jtr[0] = r0;
+    jtr[1] = r1;
+    jtj[0] = a00;
+    jtj[1] = a01;
+    jtj[dim + 1] = a11;
 }
 
 /// Gauss-Newton refinement of (x, h, Gamma_1..Gamma_k) at fixed exponent,
@@ -152,28 +225,33 @@ void refine_fit_db(double* jtj, double* jtr, double* delta,
         std::fill_n(jtj, dim * dim, 0.0);
         std::fill_n(jtr, dim, 0.0);
         const double c = -10.0 * exponent / kLog10;  // loop-invariant
-        for (std::size_t i = 0; i < count; ++i) {
-            const auto& s = samples[i];
-            const double dx = x + s.p;
-            const double dy = h + s.q;
-            const double l2 = std::max(dx * dx + dy * dy, kMinDistanceSq);
-            const auto seg = static_cast<std::size_t>(
-                std::min<int>(s.segment, static_cast<int>(k) - 1));
-            const double pred = predict_rssi_db(gammas[seg], exponent, l2);
-            const double r = s.rssi - pred;
-            const double jx = c * dx / l2;
-            const double jy = c * dy / l2;
-            // Fused sparse JtJ/Jtr accumulation (upper triangle; mirrored
-            // once after the pass).
-            jtr[0] += jx * r;
-            jtr[1] += jy * r;
-            jtr[2 + seg] += 1.0 * r;
-            jtj[0 * dim + 0] += jx * jx;
-            jtj[0 * dim + 1] += jx * jy;
-            jtj[0 * dim + (2 + seg)] += jx * 1.0;
-            jtj[1 * dim + 1] += jy * jy;
-            jtj[1 * dim + (2 + seg)] += jy * 1.0;
-            jtj[(2 + seg) * dim + (2 + seg)] += 1.0 * 1.0;
+        if (soa.mode == KernelMode::lanes) {
+            accumulate_segments(jtj, jtr, dim, soa, count, x, h, gammas, k, exponent,
+                                c);
+        } else {
+            for (std::size_t i = 0; i < count; ++i) {
+                const auto& s = samples[i];
+                const double dx = x + s.p;
+                const double dy = h + s.q;
+                const double l2 = std::max(dx * dx + dy * dy, kMinDistanceSq);
+                const auto seg = static_cast<std::size_t>(
+                    std::min<int>(s.segment, static_cast<int>(k) - 1));
+                const double pred = predict_rssi_db(gammas[seg], exponent, l2);
+                const double r = s.rssi - pred;
+                const double jx = c * dx / l2;
+                const double jy = c * dy / l2;
+                // Fused sparse JtJ/Jtr accumulation (upper triangle; mirrored
+                // once after the pass).
+                jtr[0] += jx * r;
+                jtr[1] += jy * r;
+                jtr[2 + seg] += 1.0 * r;
+                jtj[0 * dim + 0] += jx * jx;
+                jtj[0 * dim + 1] += jx * jy;
+                jtj[0 * dim + (2 + seg)] += jx * 1.0;
+                jtj[1 * dim + 1] += jy * jy;
+                jtj[1 * dim + (2 + seg)] += jy * 1.0;
+                jtj[(2 + seg) * dim + (2 + seg)] += 1.0 * 1.0;
+            }
         }
         for (std::size_t a = 0; a < dim; ++a)
             for (std::size_t b = 0; b < a; ++b) jtj[a * dim + b] = jtj[b * dim + a];
@@ -220,13 +298,31 @@ void init_segment_gammas(double* sum, int* cnt, const FusedSample* samples,
     }
     std::fill_n(sum, k, 0.0);
     std::fill_n(cnt, k, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto& s = samples[i];
-        const int seg = std::min(s.segment, k - 1);
-        const double dx = location.x + s.p;
-        const double dy = location.y + s.q;
-        sum[seg] += s.rssi - predict_rssi_db(gamma_seed, exponent, dx * dx + dy * dy);
-        cnt[seg] += 1;
+    if (soa.mode == KernelMode::lanes) {
+        // Residuals under the one trial Gamma (a one-entry Gamma table),
+        // folded per segment in index order like the loop below.
+        double r[kSegChunk];
+        for (std::size_t i0 = 0; i0 < count; i0 += kSegChunk) {
+            const std::size_t len = std::min(kSegChunk, count - i0);
+            kernels::residual_seg_lanes<kW>(soa.p + i0, soa.q + i0, soa.rssi + i0,
+                                            soa.seg + i0, len, location.x,
+                                            location.y, &gamma_seed, 1, exponent, r);
+            for (std::size_t j = 0; j < len; ++j) {
+                const int seg = std::min(soa.seg[i0 + j], k - 1);
+                sum[seg] += r[j];
+                cnt[seg] += 1;
+            }
+        }
+    } else {
+        for (std::size_t i = 0; i < count; ++i) {
+            const auto& s = samples[i];
+            const int seg = std::min(s.segment, k - 1);
+            const double dx = location.x + s.p;
+            const double dy = location.y + s.q;
+            sum[seg] +=
+                s.rssi - predict_rssi_db(gamma_seed, exponent, dx * dx + dy * dy);
+            cnt[seg] += 1;
+        }
     }
     for (int s = 0; s < k; ++s) {
         gammas[s] = gamma_seed;
@@ -246,7 +342,7 @@ ResidualStats residual_stats(const std::vector<FusedSample>& samples,
     // span directly and is bit-identical to the lane kernels the solver's
     // internal scoring uses — so stats computed here EXPECT_EQ-match the
     // solver's reported residual_db.
-    const SoaView soa{nullptr, nullptr, nullptr, KernelMode::scalar_reference};
+    const SoaView soa{nullptr, nullptr, nullptr, nullptr, KernelMode::scalar_reference};
     return residual_stats_kernel(samples.data(), samples.size(), location, exponent,
                                  gammas, 1, resid.data(), soa);
 }
@@ -270,7 +366,7 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
     const double exponent = gp.n;
     const std::size_t uk = static_cast<std::size_t>(k);
     const SoaView soa{ws.soa_p.data(), ws.soa_q.data(), ws.soa_rssi.data(),
-                      cfg_.kernel_mode};
+                      ws.soa_seg.data(), cfg_.kernel_mode};
 
     // Plausibility screen: discard non-physical attempts so a noise-
     // favoured exponent cannot launch the target outside radio range.
@@ -333,22 +429,7 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
         best_stats = st;
         std::copy_n(ws.gam_cur.data(), uk, ws.gam_best.data());
     } else {
-        // --- Catch up this grid point's cached rho powers (the only
-        // exponent-dependent per-sample quantity) on samples added since
-        // the last flush. A sticky failure marks the exponent degenerate.
-        if (!gp.rho_bad && gp.rho_count < count) {
-            ws.ensure_size(gp.rho, count);
-            for (std::size_t i = gp.rho_count; i < count; ++i) {
-                const double r = std::pow(gp.eta, samples[i].rssi);
-                if (!(r > 0.0) || !std::isfinite(r)) {
-                    gp.rho_bad = true;
-                    break;
-                }
-                gp.rho[i] = r;
-                gp.rho_scale = std::max(gp.rho_scale, r);
-                gp.rho_count = i + 1;
-            }
-        }
+        // A sticky rho failure marks the exponent degenerate.
         if (gp.rho_bad) return false;
 
         // --- Linear elliptical seed (paper Eq. 3) on all samples with a
@@ -363,8 +444,12 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
         // aggregate at solve time. Plain LS (ablation) keeps the paper's
         // raw Eq. 3 rows, uniformly scaled by 1/rho_scale — which factors
         // out of the sums, so the same raw folds serve both modes.
+        //
+        // rho_i = eta^RSSI_i (the only exponent-dependent per-sample
+        // quantity) is computed inside the fold; only the once-per-session
+        // refold, when the walk first gains lateral spread, computes a
+        // sample's rho twice, and rho_scale's running max is unmoved by it.
         const std::size_t m = lateral_ok ? 4 : 3;
-        const double* rho = gp.rho.data();
         if (gp.ls_count == 0 || gp.ls_lateral != lateral_ok) {
             std::fill_n(gp.ls_ata, 16, 0.0);
             std::fill_n(gp.ls_atb, 4, 0.0);
@@ -374,7 +459,13 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
         }
         for (std::size_t i = gp.ls_count; i < count; ++i) {
             const auto& s = samples[i];
-            const double u = cfg_.use_wls ? 1.0 / rho[i] : 1.0;
+            const double rho = std::pow(gp.eta, s.rssi);
+            if (!(rho > 0.0) || !std::isfinite(rho)) {
+                gp.rho_bad = true;
+                return false;
+            }
+            gp.rho_scale = std::max(gp.rho_scale, rho);
+            const double u = cfg_.use_wls ? 1.0 / rho : 1.0;
             double row[4];
             if (lateral_ok) {
                 row[0] = (s.p * s.p + s.q * s.q) * u;
@@ -386,7 +477,7 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
                 row[1] = s.p * u;
                 row[2] = u;
             }
-            const double t = cfg_.use_wls ? 1.0 : rho[i];
+            const double t = cfg_.use_wls ? 1.0 : rho;
             for (std::size_t j = 0; j < m; ++j) {
                 gp.ls_max[j] = std::max(gp.ls_max[j], std::abs(row[j]));
                 gp.ls_atb[j] += row[j] * t;
@@ -485,7 +576,6 @@ void SolverWorkspace::rebuild_grid(double n_min, double n_max, double step) {
         gp.n = n;
         gp.eta = std::pow(10.0, -1.0 / (5.0 * n));
         gp.rho_scale = 0.0;
-        gp.rho_count = 0;
         gp.rho_bad = false;
         gp.ls_count = 0;
         gp.has_fit = false;
@@ -555,8 +645,8 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
     }
 
     // (Re)build the exponent grid when the hint-narrowed band changed; the
-    // per-point incremental state (rho caches, warm fits) survives as long
-    // as the grid does.
+    // per-point incremental state (normal-equation folds, warm fits)
+    // survives as long as the grid does.
     if (!ws.grid_valid || ws.grid_n_min != n_min || ws.grid_n_max != n_max ||
         ws.grid_step != cfg_.exponent_step) {
         ws.rebuild_grid(n_min, n_max, cfg_.exponent_step);
@@ -704,7 +794,8 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
         const ResidualStats stats = residual_stats_kernel(
             samples, count, out.location, out.exponent, ws.best_gammas.data(), k,
             ws.resid.data(), SoaView{ws.soa_p.data(), ws.soa_q.data(),
-                                     ws.soa_rssi.data(), cfg_.kernel_mode});
+                                     ws.soa_rssi.data(), ws.soa_seg.data(),
+                                     cfg_.kernel_mode});
         out.residual_db = stats.rms_db;
         out.confidence = stats.confidence;
     }

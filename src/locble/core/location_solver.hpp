@@ -93,10 +93,10 @@ class SolverWorkspace {
 public:
     SolverWorkspace() = default;
 
-    /// Forget all incremental state (cached rho powers, warm fits, sample
-    /// aggregates). Buffer capacity is retained — including each grid
-    /// point's rho cache, which the next solve resets in place — so
-    /// subsequent solves stay allocation-free.
+    /// Forget all incremental state (normal-equation folds, warm fits,
+    /// sample aggregates). Buffer capacity is retained — including the grid,
+    /// which the next solve rebuilds in place — so subsequent solves stay
+    /// allocation-free.
     void invalidate() {
         grid_valid = false;
         agg_count = 0;
@@ -111,7 +111,7 @@ public:
 
     /// The exponent grid's warm-start state as one field list — the one
     /// piece of incremental solver state that is *not* rebuildable from the
-    /// sample stream (rho caches and normal-equation sums are re-folded
+    /// sample stream (the normal-equation sums and rho scales are re-folded
     /// bit-identically from the samples; the coarse_to_fine GN seeds are
     /// history). Service checkpointing (docs/WIRE.md) visits it in place:
     /// a writer visits a const workspace, a reader a workspace whose
@@ -166,14 +166,14 @@ private:
     struct GridPoint {
         double n{0.0};            ///< exponent value of this grid point
         double eta{0.0};          ///< 10^(-1/(5n))
-        double rho_scale{0.0};    ///< running max of rho (conditioning)
-        std::size_t rho_count{0}; ///< samples folded into `rho` so far
+        double rho_scale{0.0};    ///< running max of rho_i = eta^rssi_i (conditioning)
         bool rho_bad{false};      ///< sticky: a rho was nonfinite or <= 0
-        std::vector<double> rho;  ///< cached rho_i = eta^rssi_i powers
         // Incremental linear-seed state: raw (unscaled) normal-equation
-        // sums of the Eq. 3 design rows, folded append-only; conditioning
-        // scales are applied to the m x m aggregate at solve time, so each
-        // flush pays O(new samples) + O(m^3) instead of O(all samples).
+        // sums of the Eq. 3 design rows, folded append-only with each
+        // sample's rho computed in the fold (no per-sample cache);
+        // conditioning scales are applied to the m x m aggregate at solve
+        // time, so each flush pays O(new samples) + O(m^3) instead of
+        // O(all samples).
         std::size_t ls_count{0};  ///< samples folded into the sums
         bool ls_lateral{false};   ///< row shape (m = 4 vs 3) the sums use
         double ls_ata[16]{};      ///< upper-triangle raw A^T A sums
@@ -225,9 +225,9 @@ private:
 
     // Structure-of-arrays mirror of the sample stream, packed append-only
     // alongside the aggregate fold (valid for the first agg_count entries).
-    // The lane kernels (solver_kernels.hpp) read these contiguous arrays;
-    // the AoS FusedSample span remains the source of truth for the generic
-    // multi-segment paths and the scalar-reference kernel mode.
+    // The lane kernels (solver_kernels.hpp) read these contiguous arrays,
+    // soa_seg in the multi-segment (k > 1) passes; the AoS FusedSample span
+    // remains the source of truth for the scalar-reference kernel mode.
     std::vector<double> soa_p, soa_q, soa_rssi;
     std::vector<int> soa_seg;
 
@@ -263,8 +263,9 @@ private:
 ///
 /// Hot-path design (docs/PERFORMANCE.md): all kernels run allocation-free
 /// on a SolverWorkspace, and a Session makes the per-batch re-solve of the
-/// pipeline incremental — rho powers and sample aggregates are folded in
-/// once per new sample per grid point instead of rebuilt from scratch.
+/// pipeline incremental — the linear seed's normal equations and the sample
+/// aggregates are folded in once per new sample per grid point instead of
+/// rebuilt from scratch.
 class LocationSolver {
 public:
     /// Exponent grid traversal strategy (Eq. 5).
@@ -334,8 +335,8 @@ public:
     /// Incremental warm-started regression over an append-only sample
     /// stream — the pipeline's per-batch re-solve. Each solve() folds only
     /// the samples added since the previous solve into the per-exponent
-    /// state (rho powers, aggregates) and, in coarse_to_fine mode, seeds
-    /// Gauss-Newton from the previous flush's fit per grid point.
+    /// state (normal-equation sums, aggregates) and, in coarse_to_fine mode,
+    /// seeds Gauss-Newton from the previous flush's fit per grid point.
     ///
     /// Contract: in SearchMode::exhaustive a Session solve is bit-identical
     /// to a cold-start solve over the same accumulated samples; in

@@ -1,58 +1,255 @@
 #include "locble/core/solver_kernels.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "locble/core/location_solver.hpp"
 #include "locble/core/location_solver3.hpp"
 
-// This is the only translation unit compiled with the optional SIMD flags
-// (-mavx2 when the LOCBLE_KERNEL_SIMD probe passes, plus -fno-trapping-math
-// so GCC if-converts the det_log10 selects — see src/locble/core/
-// CMakeLists.txt). By the lane contract documented in solver_kernels.hpp
-// the flags are performance-only: every kernel performs the same per-lane
-// addition sequences and the same fixed-order tree reduction whatever code
-// the compiler emits, so results are bit-identical across ISAs and W.
+// This is the only translation unit compiled with the optional ISA flags
+// (-mavx512f or -mavx2, whichever the LOCBLE_KERNEL_SIMD probe found, plus
+// -fno-trapping-math — see src/locble/core/CMakeLists.txt). By the lane
+// contract documented in solver_kernels.hpp the flags are performance-only:
+// every kernel performs the same per-lane addition sequences and the same
+// fixed-order tree reduction whatever code the compiler emits, so results
+// are bit-identical across ISAs and W.
+//
+// The lane block. Every kernel runs on one idiom: the 8 logical lanes of
+// an element block are kAccLanes / W register blocks of W doubles (GCC/
+// Clang vector extensions), and each accumulator is an array of those
+// blocks indexed by a compile-time block number, so it lives in registers.
+// The n % 8 tail runs through the same block code: its inputs are copied
+// into zeroed blocks, and a select keeps every inactive lane's accumulator
+// bits unchanged. The element math is written once as templates over
+// double (the AoS `*_ref` twins) and the block type (the lane kernels).
+//
+// -Wpsabi rule: no vector type is passed or returned by value across a
+// function boundary. Helpers take and write blocks by reference and are
+// force-inlined, so the warning stays quiet under -Werror at every W and
+// ISA without a suppression.
 //
 // Reduction discipline (kernel-reduce lint rule, allow() pragmas ignored
-// here): partial sums live in fixed double[kAccLanes] blocks indexed by
+// here): partial sums live in fixed kAccLanes-lane blocks indexed by
 // `i % kAccLanes` and are only ever combined by reduce_lanes().
+
+#define LOCBLE_BLOCK_INLINE __attribute__((always_inline))
 
 namespace locble::core::kernels {
 
 namespace {
 
-/// One element's GN contribution: jacobian entries and residual at sample
-/// displacement (sp, sq) against candidate (x, h, gamma, exponent).
-inline void gn2_element(double sp, double sq, double srssi, double x, double h,
-                        double gamma, double exponent, double c, double& jx,
-                        double& jy, double& r) {
-    const double dx = x + sp;
-    const double dy = h + sq;
-    const double l2 = std::max(dx * dx + dy * dy, kMinDistanceSq);
-    const double pred = gamma - 5.0 * exponent * det_log10(l2);
-    const double inv = c / l2;
+// --- the lane block ----------------------------------------------------------
+
+/// The vector types of a W-wide register block: V holds W doubles, M a
+/// lane mask (-1 active, 0 inactive), U the bit pattern of a V.
+template <std::size_t W>
+struct Lanes;
+
+#define LOCBLE_LANES(W_)                                                        \
+    template <>                                                                 \
+    struct Lanes<W_> {                                                          \
+        typedef double V __attribute__((vector_size(W_ * sizeof(double))));     \
+        typedef std::int64_t M __attribute__((vector_size(W_ * sizeof(double)))); \
+        typedef std::uint64_t U __attribute__((vector_size(W_ * sizeof(double)))); \
+    };
+LOCBLE_LANES(1)
+LOCBLE_LANES(2)
+LOCBLE_LANES(4)
+LOCBLE_LANES(8)
+#undef LOCBLE_LANES
+
+/// One register block: W lanes starting at element e, kAccLanes / W such
+/// blocks per 8-element block. Masked marks the n % 8 tail, where only
+/// `count` of the W elements exist: load() copies just those (the kernels
+/// never read past n) and zeroes the other lanes, store() writes just
+/// those, and add() leaves an inactive lane's accumulator bits unchanged.
+template <std::size_t W, bool Masked>
+struct Block {
+    using V = typename Lanes<W>::V;
+    using M = typename Lanes<W>::M;
+
+    std::size_t e;      ///< first element of the block
+    std::size_t count;  ///< elements present: W, or fewer in the tail
+    M active{};         ///< lane j < count (tail only)
+
+    LOCBLE_BLOCK_INLINE void load(V& v, const double* a) const {
+        if constexpr (Masked) {
+            v = V{};
+            std::memcpy(&v, a + e, count * sizeof(double));
+        } else {
+            std::memcpy(&v, a + e, sizeof v);
+        }
+    }
+
+    /// Gamma of each lane's segment, gammas[min(seg, k - 1)].
+    LOCBLE_BLOCK_INLINE void load_gammas(V& g, const int* seg, const double* gammas,
+                                         int k) const {
+        g = V{};
+        for (std::size_t j = 0; j < (Masked ? count : W); ++j)
+            g[j] = gammas[static_cast<std::size_t>(std::min(seg[e + j], k - 1))];
+    }
+
+    LOCBLE_BLOCK_INLINE void store(double* a, const V& v) const {
+        std::memcpy(a + e, &v, (Masked ? count : W) * sizeof(double));
+    }
+
+    /// acc += x on the active lanes.
+    LOCBLE_BLOCK_INLINE void add(V& acc, const V& x) const {
+        if constexpr (Masked)
+            acc = active ? acc + x : acc;
+        else
+            acc += x;
+    }
+};
+
+template <class F, std::size_t... B>
+LOCBLE_BLOCK_INLINE inline void for_blocks(F& f, std::index_sequence<B...>) {
+    (f(std::integral_constant<std::size_t, B>{}), ...);
+}
+
+/// Drive one kernel over n elements: `step(blk, b)` runs register block b
+/// (a compile-time constant, so `acc[b]` names a register) of every
+/// element block; the n % 8 tail runs the same step on Masked blocks, for
+/// the register blocks it reaches.
+template <std::size_t W, class Step>
+LOCBLE_BLOCK_INLINE inline void sweep(std::size_t n, Step&& step) {
+    constexpr auto blocks = std::make_index_sequence<kAccLanes / W>{};
+    std::size_t i = 0;
+    for (; i + kAccLanes <= n; i += kAccLanes) {
+        auto full = [&](auto b) LOCBLE_BLOCK_INLINE {
+            const Block<W, false> blk{i + b * W, W};
+            step(blk, b);
+        };
+        for_blocks(full, blocks);
+    }
+    if (i == n) return;
+    const std::size_t tail = n - i;
+    auto partial = [&](auto b) LOCBLE_BLOCK_INLINE {
+        if (b * W >= tail) return;
+        Block<W, true> blk{i + b * W, std::min(tail - b * W, W)};
+        typename Lanes<W>::M lane{};
+        for (std::size_t j = 0; j < W; ++j) lane[j] = static_cast<std::int64_t>(j);
+        blk.active = lane < static_cast<std::int64_t>(blk.count);
+        step(blk, b);
+    };
+    for_blocks(partial, blocks);
+}
+
+/// reduce_lanes() over one accumulator's 8 logical lanes (register block b
+/// holds lanes b*W .. b*W + W - 1).
+template <class V, std::size_t N>
+LOCBLE_BLOCK_INLINE inline double reduce_blocks(const V (&acc)[N]) {
+    double lanes[kAccLanes];
+    static_assert(sizeof lanes == sizeof acc);
+    std::memcpy(lanes, acc, sizeof lanes);
+    return reduce_lanes(lanes);
+}
+
+// --- element math: T is double (U = std::uint64_t) or a block ----------------
+
+/// Squared distance under the 0.1 m floor: std::max(l2, kMinDistanceSq)
+/// spelled as its select, so NaN stays NaN on both paths.
+template <class T>
+LOCBLE_BLOCK_INLINE inline void floored_l2(const T& dx, const T& dy, T& l2) {
+    l2 = dx * dx + dy * dy;
+    l2 = l2 < kMinDistanceSq ? kMinDistanceSq : l2;
+}
+
+/// One sample's k == 1 GN terms: jacobian entries and dB residual at
+/// sample displacement (sp, sq) against candidate (x, h, gamma, exponent).
+template <class U, class T>
+LOCBLE_BLOCK_INLINE inline void gn2_element(const T& sp, const T& sq, const T& srssi,
+                                            double x, double h, double gamma,
+                                            double exponent, double c, T& jx, T& jy,
+                                            T& r) {
+    const T dx = x + sp;
+    const T dy = h + sq;
+    T l2, lg;
+    floored_l2(dx, dy, l2);
+    det_log10_into<U>(l2, lg);
+    const T pred = gamma - 5.0 * exponent * lg;
+    const T inv = c / l2;
     jx = inv * dx;
     jy = inv * dy;
     r = srssi - pred;
 }
 
-inline double residual2_element(double sp, double sq, double srssi, double x,
-                                double h, double gamma, double exponent) {
-    const double dx = x + sp;
-    const double dy = h + sq;
-    const double l2 = std::max(dx * dx + dy * dy, kMinDistanceSq);
-    return srssi - (gamma - 5.0 * exponent * det_log10(l2));
+/// One sample's dB residual. G is double (one Gamma for every sample) or,
+/// in residual_seg_lanes, the block of each lane's segment Gamma.
+template <class U, class T, class G>
+LOCBLE_BLOCK_INLINE inline void residual2_element(const T& sp, const T& sq,
+                                                  const T& srssi, double x, double h,
+                                                  const G& gamma, double exponent,
+                                                  T& r) {
+    const T dx = x + sp;
+    const T dy = h + sq;
+    T l2, lg;
+    floored_l2(dx, dy, l2);
+    det_log10_into<U>(l2, lg);
+    r = srssi - (gamma - 5.0 * exponent * lg);
 }
 
-inline double residual3_element(double sp, double sq, double sr, double srssi,
-                                double x, double h, double z, double gamma,
-                                double exponent) {
-    const double dx = x + sp;
-    const double dy = h + sq;
-    const double dz = z + sr;
-    const double l2 = std::max(dx * dx + dy * dy + dz * dz, kMinDistanceSq);
-    return srssi - (gamma - 5.0 * exponent * det_log10(l2));
+/// One sample's multi-segment GN terms, in the AoS loop's own spelling:
+/// `c * dx / l2`, and predict_rssi_db's re-floor of l2 is a no-op.
+template <class U, class T>
+LOCBLE_BLOCK_INLINE inline void gn_seg_element(const T& sp, const T& sq, const T& srssi,
+                                               const T& g, double x, double h,
+                                               double exponent, double c, T& jx,
+                                               T& jy, T& r) {
+    const T dx = x + sp;
+    const T dy = h + sq;
+    T l2, lg;
+    floored_l2(dx, dy, l2);
+    det_log10_into<U>(l2, lg);
+    r = srssi - (g - 5.0 * exponent * lg);
+    jx = c * dx / l2;
+    jy = c * dy / l2;
 }
+
+/// Shared element math of the 3-D GN row. Z selects the released-z jacobian
+/// (jx, jy, jz, 1) versus the frozen-z row (jx, jy, 1); dz always enters
+/// the distance.
+template <bool Z, class U, class T>
+LOCBLE_BLOCK_INLINE inline void gn3_element(const T& sp, const T& sq, const T& sr,
+                                            const T& srssi, double x, double h,
+                                            double z, double gamma, double exponent,
+                                            double c, T& jx, T& jy, T& jz, T& r) {
+    const T dx = x + sp;
+    const T dy = h + sq;
+    const T dz = z + sr;
+    T l2 = dx * dx + dy * dy + dz * dz;
+    l2 = l2 < kMinDistanceSq ? kMinDistanceSq : l2;
+    T lg;
+    det_log10_into<U>(l2, lg);
+    const T pred = gamma - 5.0 * exponent * lg;
+    const T inv = c / l2;
+    jx = inv * dx;
+    jy = inv * dy;
+    if constexpr (Z)
+        jz = inv * dz;
+    else
+        jz = T{};
+    r = srssi - pred;
+}
+
+template <class U, class T>
+LOCBLE_BLOCK_INLINE inline void residual3_element(const T& sp, const T& sq, const T& sr,
+                                                  const T& srssi, double x, double h,
+                                                  double z, double gamma,
+                                                  double exponent, T& r) {
+    const T dx = x + sp;
+    const T dy = h + sq;
+    const T dz = z + sr;
+    T l2 = dx * dx + dy * dy + dz * dz;
+    l2 = l2 < kMinDistanceSq ? kMinDistanceSq : l2;
+    T lg;
+    det_log10_into<U>(l2, lg);
+    r = srssi - (gamma - 5.0 * exponent * lg);
+}
+
+using Bits = std::uint64_t;  // U of the scalar twins
 
 }  // namespace
 
@@ -62,54 +259,35 @@ template <std::size_t W>
 void gn2_lanes(const double* __restrict p, const double* __restrict q,
                const double* __restrict rssi, std::size_t n, double x, double h,
                double gamma, double exponent, double c, GnSums2& out) {
-    static_assert(kAccLanes % W == 0);
-    double A00[kAccLanes] = {}, A01[kAccLanes] = {}, A02[kAccLanes] = {},
-           A11[kAccLanes] = {}, A12[kAccLanes] = {}, R0[kAccLanes] = {},
-           R1[kAccLanes] = {}, R2[kAccLanes] = {};
-    std::size_t i = 0;
-    for (; i + kAccLanes <= n; i += kAccLanes) {
-        double jxv[kAccLanes], jyv[kAccLanes], rv[kAccLanes];
-        for (std::size_t b = 0; b < kAccLanes; b += W) {
-            for (std::size_t j = 0; j < W; ++j) {
-                const std::size_t e = i + b + j;
-                gn2_element(p[e], q[e], rssi[e], x, h, gamma, exponent, c,
-                            jxv[b + j], jyv[b + j], rv[b + j]);
-            }
-            for (std::size_t j = 0; j < W; ++j) {
-                const std::size_t lane = b + j;
-                R0[lane] += jxv[lane] * rv[lane];
-                R1[lane] += jyv[lane] * rv[lane];
-                R2[lane] += rv[lane];
-                A00[lane] += jxv[lane] * jxv[lane];
-                A01[lane] += jxv[lane] * jyv[lane];
-                A02[lane] += jxv[lane];
-                A11[lane] += jyv[lane] * jyv[lane];
-                A12[lane] += jyv[lane];
-            }
-        }
-    }
-    for (std::size_t j = 0; i + j < n; ++j) {
-        const std::size_t e = i + j;
-        double jx, jy, r;
-        gn2_element(p[e], q[e], rssi[e], x, h, gamma, exponent, c, jx, jy, r);
-        R0[j] += jx * r;
-        R1[j] += jy * r;
-        R2[j] += r;
-        A00[j] += jx * jx;
-        A01[j] += jx * jy;
-        A02[j] += jx;
-        A11[j] += jy * jy;
-        A12[j] += jy;
-    }
-    out.a00 = reduce_lanes(A00);
-    out.a01 = reduce_lanes(A01);
-    out.a02 = reduce_lanes(A02);
-    out.a11 = reduce_lanes(A11);
-    out.a12 = reduce_lanes(A12);
+    using V = typename Lanes<W>::V;
+    using U = typename Lanes<W>::U;
+    V A00[kAccLanes / W] = {}, A01[kAccLanes / W] = {}, A02[kAccLanes / W] = {},
+      A11[kAccLanes / W] = {}, A12[kAccLanes / W] = {}, R0[kAccLanes / W] = {},
+      R1[kAccLanes / W] = {}, R2[kAccLanes / W] = {};
+    sweep<W>(n, [&](const auto& blk, auto b) LOCBLE_BLOCK_INLINE {
+        V sp, sq, sr, jx, jy, r;
+        blk.load(sp, p);
+        blk.load(sq, q);
+        blk.load(sr, rssi);
+        gn2_element<U>(sp, sq, sr, x, h, gamma, exponent, c, jx, jy, r);
+        blk.add(R0[b], jx * r);
+        blk.add(R1[b], jy * r);
+        blk.add(R2[b], r);
+        blk.add(A00[b], jx * jx);
+        blk.add(A01[b], jx * jy);
+        blk.add(A02[b], jx);
+        blk.add(A11[b], jy * jy);
+        blk.add(A12[b], jy);
+    });
+    out.a00 = reduce_blocks(A00);
+    out.a01 = reduce_blocks(A01);
+    out.a02 = reduce_blocks(A02);
+    out.a11 = reduce_blocks(A11);
+    out.a12 = reduce_blocks(A12);
     out.a22 = static_cast<double>(n);  // sum of exact 1.0s, any order
-    out.r0 = reduce_lanes(R0);
-    out.r1 = reduce_lanes(R1);
-    out.r2 = reduce_lanes(R2);
+    out.r0 = reduce_blocks(R0);
+    out.r1 = reduce_blocks(R1);
+    out.r2 = reduce_blocks(R2);
 }
 
 void gn2_ref(const FusedSample* s, std::size_t n, double x, double h,
@@ -120,8 +298,8 @@ void gn2_ref(const FusedSample* s, std::size_t n, double x, double h,
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t lane = i % kAccLanes;
         double jx, jy, r;
-        gn2_element(s[i].p, s[i].q, s[i].rssi, x, h, gamma, exponent, c, jx, jy,
-                    r);
+        gn2_element<Bits>(s[i].p, s[i].q, s[i].rssi, x, h, gamma, exponent, c, jx,
+                          jy, r);
         R0[lane] += jx * r;
         R1[lane] += jy * r;
         R2[lane] += r;
@@ -149,31 +327,21 @@ void residual2_lanes(const double* __restrict p, const double* __restrict q,
                      const double* __restrict rssi, std::size_t n, double x,
                      double h, double gamma, double exponent,
                      double* __restrict resid, double& sum, double& ss) {
-    static_assert(kAccLanes % W == 0);
-    double S[kAccLanes] = {}, SS[kAccLanes] = {};
-    std::size_t i = 0;
-    for (; i + kAccLanes <= n; i += kAccLanes) {
-        for (std::size_t b = 0; b < kAccLanes; b += W) {
-            for (std::size_t j = 0; j < W; ++j) {
-                const std::size_t e = i + b + j;
-                const double r =
-                    residual2_element(p[e], q[e], rssi[e], x, h, gamma, exponent);
-                resid[e] = r;
-                S[b + j] += r;
-                SS[b + j] += r * r;
-            }
-        }
-    }
-    for (std::size_t j = 0; i + j < n; ++j) {
-        const std::size_t e = i + j;
-        const double r =
-            residual2_element(p[e], q[e], rssi[e], x, h, gamma, exponent);
-        resid[e] = r;
-        S[j] += r;
-        SS[j] += r * r;
-    }
-    sum = reduce_lanes(S);
-    ss = reduce_lanes(SS);
+    using V = typename Lanes<W>::V;
+    using U = typename Lanes<W>::U;
+    V S[kAccLanes / W] = {}, SS[kAccLanes / W] = {};
+    sweep<W>(n, [&](const auto& blk, auto b) LOCBLE_BLOCK_INLINE {
+        V sp, sq, sr, r;
+        blk.load(sp, p);
+        blk.load(sq, q);
+        blk.load(sr, rssi);
+        residual2_element<U>(sp, sq, sr, x, h, gamma, exponent, r);
+        blk.store(resid, r);
+        blk.add(S[b], r);
+        blk.add(SS[b], r * r);
+    });
+    sum = reduce_blocks(S);
+    ss = reduce_blocks(SS);
 }
 
 void residual2_ref(const FusedSample* s, std::size_t n, double x, double h,
@@ -182,8 +350,8 @@ void residual2_ref(const FusedSample* s, std::size_t n, double x, double h,
     double S[kAccLanes] = {}, SS[kAccLanes] = {};
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t lane = i % kAccLanes;
-        const double r =
-            residual2_element(s[i].p, s[i].q, s[i].rssi, x, h, gamma, exponent);
+        double r;
+        residual2_element<Bits>(s[i].p, s[i].q, s[i].rssi, x, h, gamma, exponent, r);
         resid[i] = r;
         S[lane] += r;
         SS[lane] += r * r;
@@ -197,22 +365,15 @@ void residual2_ref(const FusedSample* s, std::size_t n, double x, double h,
 template <std::size_t W>
 double centered_m2_lanes(const double* __restrict resid, std::size_t n,
                          double mean) {
-    static_assert(kAccLanes % W == 0);
-    double M2[kAccLanes] = {};
-    std::size_t i = 0;
-    for (; i + kAccLanes <= n; i += kAccLanes) {
-        for (std::size_t b = 0; b < kAccLanes; b += W) {
-            for (std::size_t j = 0; j < W; ++j) {
-                const double d = resid[i + b + j] - mean;
-                M2[b + j] += d * d;
-            }
-        }
-    }
-    for (std::size_t j = 0; i + j < n; ++j) {
-        const double d = resid[i + j] - mean;
-        M2[j] += d * d;
-    }
-    return reduce_lanes(M2);
+    using V = typename Lanes<W>::V;
+    V M2[kAccLanes / W] = {};
+    sweep<W>(n, [&](const auto& blk, auto b) LOCBLE_BLOCK_INLINE {
+        V r;
+        blk.load(r, resid);
+        const V d = r - mean;
+        blk.add(M2[b], d * d);
+    });
+    return reduce_blocks(M2);
 }
 
 double centered_m2_ref(const double* resid, std::size_t n, double mean) {
@@ -230,134 +391,127 @@ template <std::size_t W>
 double seed_sum_lanes(const double* __restrict p, const double* __restrict q,
                       const double* __restrict rssi, std::size_t n, double x,
                       double h, double gamma, double exponent) {
-    static_assert(kAccLanes % W == 0);
-    double S[kAccLanes] = {};
-    std::size_t i = 0;
-    for (; i + kAccLanes <= n; i += kAccLanes) {
-        for (std::size_t b = 0; b < kAccLanes; b += W) {
-            for (std::size_t j = 0; j < W; ++j) {
-                const std::size_t e = i + b + j;
-                S[b + j] +=
-                    residual2_element(p[e], q[e], rssi[e], x, h, gamma, exponent);
-            }
-        }
-    }
-    for (std::size_t j = 0; i + j < n; ++j) {
-        const std::size_t e = i + j;
-        S[j] += residual2_element(p[e], q[e], rssi[e], x, h, gamma, exponent);
-    }
-    return reduce_lanes(S);
+    using V = typename Lanes<W>::V;
+    using U = typename Lanes<W>::U;
+    V S[kAccLanes / W] = {};
+    sweep<W>(n, [&](const auto& blk, auto b) LOCBLE_BLOCK_INLINE {
+        V sp, sq, sr, r;
+        blk.load(sp, p);
+        blk.load(sq, q);
+        blk.load(sr, rssi);
+        residual2_element<U>(sp, sq, sr, x, h, gamma, exponent, r);
+        blk.add(S[b], r);
+    });
+    return reduce_blocks(S);
 }
 
 double seed_sum_ref(const FusedSample* s, std::size_t n, double x, double h,
                     double gamma, double exponent) {
     double S[kAccLanes] = {};
-    for (std::size_t i = 0; i < n; ++i)
-        S[i % kAccLanes] +=
-            residual2_element(s[i].p, s[i].q, s[i].rssi, x, h, gamma, exponent);
+    for (std::size_t i = 0; i < n; ++i) {
+        double r;
+        residual2_element<Bits>(s[i].p, s[i].q, s[i].rssi, x, h, gamma, exponent, r);
+        S[i % kAccLanes] += r;
+    }
     return reduce_lanes(S);
+}
+
+// --- 2-D multi-segment element kernels --------------------------------------
+
+template <std::size_t W>
+void gn_seg_lanes(const double* __restrict p, const double* __restrict q,
+                  const double* __restrict rssi, const int* __restrict seg,
+                  std::size_t n, double x, double h, const double* __restrict gammas,
+                  int k, double exponent, double c, double* __restrict jx,
+                  double* __restrict jy, double* __restrict r) {
+    using V = typename Lanes<W>::V;
+    using U = typename Lanes<W>::U;
+    sweep<W>(n, [&](const auto& blk, auto) LOCBLE_BLOCK_INLINE {
+        V sp, sq, sr, g, vjx, vjy, vr;
+        blk.load(sp, p);
+        blk.load(sq, q);
+        blk.load(sr, rssi);
+        blk.load_gammas(g, seg, gammas, k);
+        gn_seg_element<U>(sp, sq, sr, g, x, h, exponent, c, vjx, vjy, vr);
+        blk.store(jx, vjx);
+        blk.store(jy, vjy);
+        blk.store(r, vr);
+    });
+}
+
+template <std::size_t W>
+void residual_seg_lanes(const double* __restrict p, const double* __restrict q,
+                        const double* __restrict rssi, const int* __restrict seg,
+                        std::size_t n, double x, double h,
+                        const double* __restrict gammas, int k, double exponent,
+                        double* __restrict r) {
+    using V = typename Lanes<W>::V;
+    using U = typename Lanes<W>::U;
+    sweep<W>(n, [&](const auto& blk, auto) LOCBLE_BLOCK_INLINE {
+        V sp, sq, sr, g, vr;
+        blk.load(sp, p);
+        blk.load(sq, q);
+        blk.load(sr, rssi);
+        blk.load_gammas(g, seg, gammas, k);
+        residual2_element<U>(sp, sq, sr, x, h, g, exponent, vr);
+        blk.store(r, vr);
+    });
 }
 
 // --- 3-D Gauss-Newton accumulation ------------------------------------------
 
 namespace {
 
-/// Shared element math of the 3-D GN row. Z selects the released-z jacobian
-/// (jx, jy, jz, 1) versus the frozen-z row (jx, jy, 1); dz always enters
-/// the distance.
-template <bool Z>
-inline void gn3_element(double sp, double sq, double sr, double srssi, double x,
-                        double h, double z, double gamma, double exponent,
-                        double c, double& jx, double& jy, double& jz,
-                        double& r) {
-    const double dx = x + sp;
-    const double dy = h + sq;
-    const double dz = z + sr;
-    const double l2 = std::max(dx * dx + dy * dy + dz * dz, kMinDistanceSq);
-    const double pred = gamma - 5.0 * exponent * det_log10(l2);
-    const double inv = c / l2;
-    jx = inv * dx;
-    jy = inv * dy;
-    jz = Z ? inv * dz : 0.0;
-    r = srssi - pred;
-}
-
 template <std::size_t W, bool Z>
 void gn3_lanes_impl(const double* __restrict p, const double* __restrict q,
                     const double* __restrict rr, const double* __restrict rssi,
                     std::size_t n, double x, double h, double z, double gamma,
                     double exponent, double c, GnSums3& out) {
-    static_assert(kAccLanes % W == 0);
-    double Axx[kAccLanes] = {}, Axy[kAccLanes] = {}, Axz[kAccLanes] = {},
-           Ax[kAccLanes] = {}, Ayy[kAccLanes] = {}, Ayz[kAccLanes] = {},
-           Ay[kAccLanes] = {}, Azz[kAccLanes] = {}, Az[kAccLanes] = {},
-           Rx[kAccLanes] = {}, Ry[kAccLanes] = {}, Rz[kAccLanes] = {},
-           Rg[kAccLanes] = {};
-    std::size_t i = 0;
-    for (; i + kAccLanes <= n; i += kAccLanes) {
-        double jxv[kAccLanes], jyv[kAccLanes], jzv[kAccLanes], rv[kAccLanes];
-        for (std::size_t b = 0; b < kAccLanes; b += W) {
-            for (std::size_t j = 0; j < W; ++j) {
-                const std::size_t e = i + b + j;
-                gn3_element<Z>(p[e], q[e], rr[e], rssi[e], x, h, z, gamma,
-                               exponent, c, jxv[b + j], jyv[b + j], jzv[b + j],
-                               rv[b + j]);
-            }
-            for (std::size_t j = 0; j < W; ++j) {
-                const std::size_t lane = b + j;
-                Rx[lane] += jxv[lane] * rv[lane];
-                Ry[lane] += jyv[lane] * rv[lane];
-                Rg[lane] += rv[lane];
-                Axx[lane] += jxv[lane] * jxv[lane];
-                Axy[lane] += jxv[lane] * jyv[lane];
-                Ax[lane] += jxv[lane];
-                Ayy[lane] += jyv[lane] * jyv[lane];
-                Ay[lane] += jyv[lane];
-                if constexpr (Z) {
-                    Rz[lane] += jzv[lane] * rv[lane];
-                    Axz[lane] += jxv[lane] * jzv[lane];
-                    Ayz[lane] += jyv[lane] * jzv[lane];
-                    Azz[lane] += jzv[lane] * jzv[lane];
-                    Az[lane] += jzv[lane];
-                }
-            }
-        }
-    }
-    for (std::size_t j = 0; i + j < n; ++j) {
-        const std::size_t e = i + j;
-        double jx, jy, jz, r;
-        gn3_element<Z>(p[e], q[e], rr[e], rssi[e], x, h, z, gamma, exponent, c,
-                       jx, jy, jz, r);
-        Rx[j] += jx * r;
-        Ry[j] += jy * r;
-        Rg[j] += r;
-        Axx[j] += jx * jx;
-        Axy[j] += jx * jy;
-        Ax[j] += jx;
-        Ayy[j] += jy * jy;
-        Ay[j] += jy;
+    using V = typename Lanes<W>::V;
+    using U = typename Lanes<W>::U;
+    V Axx[kAccLanes / W] = {}, Axy[kAccLanes / W] = {}, Axz[kAccLanes / W] = {},
+      Ax[kAccLanes / W] = {}, Ayy[kAccLanes / W] = {}, Ayz[kAccLanes / W] = {},
+      Ay[kAccLanes / W] = {}, Azz[kAccLanes / W] = {}, Az[kAccLanes / W] = {},
+      Rx[kAccLanes / W] = {}, Ry[kAccLanes / W] = {}, Rz[kAccLanes / W] = {},
+      Rg[kAccLanes / W] = {};
+    sweep<W>(n, [&](const auto& blk, auto b) LOCBLE_BLOCK_INLINE {
+        V sp, sq, sr, srssi, jx, jy, jz, r;
+        blk.load(sp, p);
+        blk.load(sq, q);
+        blk.load(sr, rr);
+        blk.load(srssi, rssi);
+        gn3_element<Z, U>(sp, sq, sr, srssi, x, h, z, gamma, exponent, c,
+                                      jx, jy, jz, r);
+        blk.add(Rx[b], jx * r);
+        blk.add(Ry[b], jy * r);
+        blk.add(Rg[b], r);
+        blk.add(Axx[b], jx * jx);
+        blk.add(Axy[b], jx * jy);
+        blk.add(Ax[b], jx);
+        blk.add(Ayy[b], jy * jy);
+        blk.add(Ay[b], jy);
         if constexpr (Z) {
-            Rz[j] += jz * r;
-            Axz[j] += jx * jz;
-            Ayz[j] += jy * jz;
-            Azz[j] += jz * jz;
-            Az[j] += jz;
+            blk.add(Rz[b], jz * r);
+            blk.add(Axz[b], jx * jz);
+            blk.add(Ayz[b], jy * jz);
+            blk.add(Azz[b], jz * jz);
+            blk.add(Az[b], jz);
         }
-    }
-    out.a_xx = reduce_lanes(Axx);
-    out.a_xy = reduce_lanes(Axy);
-    out.a_xz = reduce_lanes(Axz);
-    out.a_x = reduce_lanes(Ax);
-    out.a_yy = reduce_lanes(Ayy);
-    out.a_yz = reduce_lanes(Ayz);
-    out.a_y = reduce_lanes(Ay);
-    out.a_zz = reduce_lanes(Azz);
-    out.a_z = reduce_lanes(Az);
+    });
+    out.a_xx = reduce_blocks(Axx);
+    out.a_xy = reduce_blocks(Axy);
+    out.a_xz = reduce_blocks(Axz);
+    out.a_x = reduce_blocks(Ax);
+    out.a_yy = reduce_blocks(Ayy);
+    out.a_yz = reduce_blocks(Ayz);
+    out.a_y = reduce_blocks(Ay);
+    out.a_zz = reduce_blocks(Azz);
+    out.a_z = reduce_blocks(Az);
     out.n = static_cast<double>(n);
-    out.r_x = reduce_lanes(Rx);
-    out.r_y = reduce_lanes(Ry);
-    out.r_z = reduce_lanes(Rz);
-    out.r_g = reduce_lanes(Rg);
+    out.r_x = reduce_blocks(Rx);
+    out.r_y = reduce_blocks(Ry);
+    out.r_z = reduce_blocks(Rz);
+    out.r_g = reduce_blocks(Rg);
 }
 
 }  // namespace
@@ -387,11 +541,11 @@ void gn3_ref(const FusedSample3* s, std::size_t n, double x, double h, double z,
         const std::size_t lane = i % kAccLanes;
         double jx, jy, jz, r;
         if (solve_z)
-            gn3_element<true>(s[i].p, s[i].q, s[i].r, s[i].rssi, x, h, z, gamma,
-                              exponent, c, jx, jy, jz, r);
+            gn3_element<true, Bits>(s[i].p, s[i].q, s[i].r, s[i].rssi, x, h, z,
+                                    gamma, exponent, c, jx, jy, jz, r);
         else
-            gn3_element<false>(s[i].p, s[i].q, s[i].r, s[i].rssi, x, h, z,
-                               gamma, exponent, c, jx, jy, jz, r);
+            gn3_element<false, Bits>(s[i].p, s[i].q, s[i].r, s[i].rssi, x, h, z,
+                                     gamma, exponent, c, jx, jy, jz, r);
         Rx[lane] += jx * r;
         Ry[lane] += jy * r;
         Rg[lane] += r;
@@ -432,31 +586,23 @@ void residual3_lanes(const double* __restrict p, const double* __restrict q,
                      std::size_t n, double x, double h, double z, double gamma,
                      double exponent, double* __restrict resid, double& sum,
                      double& ss) {
-    static_assert(kAccLanes % W == 0);
-    double S[kAccLanes] = {}, SS[kAccLanes] = {};
-    std::size_t i = 0;
-    for (; i + kAccLanes <= n; i += kAccLanes) {
-        for (std::size_t b = 0; b < kAccLanes; b += W) {
-            for (std::size_t j = 0; j < W; ++j) {
-                const std::size_t e = i + b + j;
-                const double rv = residual3_element(p[e], q[e], r[e], rssi[e], x,
-                                                    h, z, gamma, exponent);
-                resid[e] = rv;
-                S[b + j] += rv;
-                SS[b + j] += rv * rv;
-            }
-        }
-    }
-    for (std::size_t j = 0; i + j < n; ++j) {
-        const std::size_t e = i + j;
-        const double rv =
-            residual3_element(p[e], q[e], r[e], rssi[e], x, h, z, gamma, exponent);
-        resid[e] = rv;
-        S[j] += rv;
-        SS[j] += rv * rv;
-    }
-    sum = reduce_lanes(S);
-    ss = reduce_lanes(SS);
+    using V = typename Lanes<W>::V;
+    using U = typename Lanes<W>::U;
+    V S[kAccLanes / W] = {}, SS[kAccLanes / W] = {};
+    sweep<W>(n, [&](const auto& blk, auto b) LOCBLE_BLOCK_INLINE {
+        V sp, sq, sr, srssi, rv;
+        blk.load(sp, p);
+        blk.load(sq, q);
+        blk.load(sr, r);
+        blk.load(srssi, rssi);
+        residual3_element<U>(sp, sq, sr, srssi, x, h, z, gamma, exponent,
+                                         rv);
+        blk.store(resid, rv);
+        blk.add(S[b], rv);
+        blk.add(SS[b], rv * rv);
+    });
+    sum = reduce_blocks(S);
+    ss = reduce_blocks(SS);
 }
 
 void residual3_ref(const FusedSample3* s, std::size_t n, double x, double h,
@@ -465,8 +611,9 @@ void residual3_ref(const FusedSample3* s, std::size_t n, double x, double h,
     double S[kAccLanes] = {}, SS[kAccLanes] = {};
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t lane = i % kAccLanes;
-        const double rv = residual3_element(s[i].p, s[i].q, s[i].r, s[i].rssi, x,
-                                            h, z, gamma, exponent);
+        double rv;
+        residual3_element<Bits>(s[i].p, s[i].q, s[i].r, s[i].rssi, x, h, z, gamma,
+                                exponent, rv);
         resid[i] = rv;
         S[lane] += rv;
         SS[lane] += rv * rv;
@@ -488,6 +635,14 @@ void residual3_ref(const FusedSample3* s, std::size_t n, double x, double h,
     template double seed_sum_lanes<W>(const double*, const double*,              \
                                       const double*, std::size_t, double,        \
                                       double, double, double);                   \
+    template void gn_seg_lanes<W>(const double*, const double*, const double*,   \
+                                  const int*, std::size_t, double, double,       \
+                                  const double*, int, double, double, double*,   \
+                                  double*, double*);                             \
+    template void residual_seg_lanes<W>(const double*, const double*,            \
+                                        const double*, const int*, std::size_t,  \
+                                        double, double, const double*, int,      \
+                                        double, double*);                        \
     template void gn3_lanes<W>(const double*, const double*, const double*,      \
                                const double*, std::size_t, double, double,       \
                                double, double, double, double, bool, GnSums3&);  \

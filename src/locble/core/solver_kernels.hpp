@@ -1,33 +1,37 @@
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 /// SIMD structure-of-arrays solver kernels with a lane-width determinism
 /// contract (docs/PERFORMANCE.md "Lane kernels and the determinism
 /// contract").
 ///
-/// The solver's two hot inner loops — the Gauss-Newton normal-equation
-/// accumulation and the residual/score pass — are data-parallel sweeps over
-/// contiguous sample arrays. This header declares them as *lane kernels*:
-/// every per-element contribution is routed to one of kAccLanes == 8
-/// logical partial accumulators by its element index (`lane = i % 8`), and
-/// the eight partials are combined with one fixed-order tree reduction.
-/// The template parameter W only controls *physical* sub-blocking of the
-/// 8-wide accumulator block, so for any W in {1, 2, 4, 8} — and for any
-/// instruction set the compiler targets (scalar, SSE, AVX, NEON) — the
-/// per-lane addition sequences are identical and the results bit-exact.
-/// This is the same determinism idiom as the obs bucket-sum merge.
+/// The solver's per-sample passes — the Gauss-Newton normal-equation
+/// accumulation, the residual/score pass and the per-segment Gamma seed —
+/// are data-parallel sweeps over contiguous sample arrays. This header
+/// declares them as *lane kernels*: every per-element contribution is
+/// routed to one of kAccLanes == 8 logical partial accumulators by its
+/// element index (`lane = i % 8`), and the eight partials are combined with
+/// one fixed-order tree reduction. The template parameter W only controls
+/// the *physical* width of the register block the 8 logical lanes are
+/// split into, so for any W in {1, 2, 4, 8} — and for any instruction set
+/// the compiler targets (scalar, SSE2, AVX2, AVX-512, NEON) — the per-lane
+/// addition sequences are identical and the results bit-exact. This is the
+/// same determinism idiom as the obs bucket-sum merge. The multi-segment
+/// element kernels (k > 1) reduce nothing: they write per-sample terms that
+/// the solver folds in index order, which is trivially width-invariant.
 ///
 /// The kernels are *defined* in solver_kernels.cpp (the only TU compiled
-/// with the optional AVX2 flags — see LOCBLE_KERNEL_SIMD in the top-level
-/// CMakeLists.txt) and explicitly instantiated for W in {1, 2, 4, 8};
-/// callers pick the build-selected width via kLaneWidth. Each lane kernel
-/// has an AoS scalar-reference twin (`*_ref`) that performs the same
-/// canonical 8-lane accumulation over FusedSample structs: the bench's
-/// naive baseline, the cross-mode identity gate, and the anchor of the
-/// W-sweep property tests (tests/core/test_solver_kernels.cpp).
+/// with the optional ISA flags the LOCBLE_KERNEL_SIMD probe picks — see the
+/// top-level CMakeLists.txt) and explicitly instantiated for W in
+/// {1, 2, 4, 8}; callers pick the build-selected width via kLaneWidth. Each
+/// reducing lane kernel has an AoS scalar-reference twin (`*_ref`) that
+/// performs the same canonical 8-lane accumulation over FusedSample
+/// structs: the bench's naive baseline, the cross-mode identity gate, and
+/// the anchor of the W-sweep property tests
+/// (tests/core/test_solver_kernels.cpp).
 ///
 /// Determinism rules for this file and solver_kernels.cpp (enforced by the
 /// `kernel-reduce` lint rule, which ignores allow() pragmas here): no
@@ -46,9 +50,11 @@ namespace kernels {
 /// forever at 8: changing it changes every lane kernel's results.
 inline constexpr std::size_t kAccLanes = 8;
 
-/// Physical sub-block width the library's hot paths run with. Build-time
-/// selectable (-DLOCBLE_LANE_WIDTH=1|2|4|8, default 8); by the contract
-/// above the choice is performance-only, never observable in results.
+/// Physical register-block width the library's hot paths run with.
+/// Build-time selectable (-DLOCBLE_LANE_WIDTH=1|2|4|8); CMake defaults it to
+/// the register width of the ISA its probe picked (8 for AVX-512F, 4 for
+/// AVX2, 2 otherwise). By the contract above the choice is performance-only,
+/// never observable in results.
 #ifndef LOCBLE_LANE_WIDTH
 #define LOCBLE_LANE_WIDTH 8
 #endif
@@ -66,32 +72,41 @@ inline double reduce_lanes(const double (&acc)[kAccLanes]) {
 
 /// Deterministic base-10 logarithm for the kernel hot loops: bit-identical
 /// on every ISA (plain +,-,*,/ in a fixed order; FMA contraction is off
-/// tree-wide via -ffp-contract=off) and branchless, so the surrounding
-/// sample loops vectorize. Domain: finite normal x > 0 — every caller
-/// clamps its argument to >= kMinDistanceSq first. Max relative error vs
-/// glibc log10 is ~9e-16 over the solver's distance range (property-tested
-/// in tests/core/test_solver_kernels.cpp).
-inline double det_log10(double x) {
+/// tree-wide via -ffp-contract=off) and branchless, so it runs elementwise
+/// on a lane block. T is double (with U = std::uint64_t) or a W-wide vector
+/// of doubles (with U the matching vector of uint64), and every lane of a
+/// vector result equals det_log10 of that lane: the one definition serves
+/// the scalar call sites and the lane kernels alike. The result goes through
+/// `out`, and the bit casts through memcpy, so no vector type is passed or
+/// returned by value (the -Wpsabi rule of solver_kernels.cpp). Domain:
+/// finite normal x > 0 — every caller clamps its argument to
+/// >= kMinDistanceSq first. Max relative error vs glibc log10 is ~9e-16
+/// over the solver's distance range (property-tested in
+/// tests/core/test_solver_kernels.cpp).
+template <class U, class T>
+[[gnu::always_inline]] inline void det_log10_into(const T& x, T& out) {
     // Decompose x = 2^e * m with m in [1, 2): the exponent field becomes a
     // double via the 2^52 magic-number trick (integer or + fp subtract —
     // vectorizes without an int64->double conversion), the mantissa via
     // bit masking.
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
-    const std::uint64_t expfield = bits >> 52;  // in [1, 2046] for normal x > 0
-    double e = std::bit_cast<double>(expfield | 0x4330000000000000ULL) -
-               (4503599627370496.0 + 1023.0);  // 2^52 + exponent bias
-    double m = std::bit_cast<double>((bits & 0xfffffffffffffULL) |
-                                     0x3ff0000000000000ULL);
+    U bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    const U expfield = bits >> 52;  // in [1, 2046] for normal x > 0
+    const U ebits = expfield | 0x4330000000000000ULL;
+    const U mbits = (bits & 0xfffffffffffffULL) | 0x3ff0000000000000ULL;
+    T e, m;
+    std::memcpy(&e, &ebits, sizeof e);
+    std::memcpy(&m, &mbits, sizeof m);
+    e = e - (4503599627370496.0 + 1023.0);  // 2^52 + exponent bias
     // Normalize m to [sqrt(1/2), sqrt(2)) with if-converted selects.
-    const bool big = m > 1.4142135623730951;
+    const auto big = m > 1.4142135623730951;
     e = big ? e + 1.0 : e;
     m = big ? m * 0.5 : m;
     // atanh series: ln(m) = 2t (1 + u/3 + u^2/5 + ... + u^8/17) with
     // t = (m-1)/(m+1), u = t^2; |t| < 0.1716 keeps 9 terms past 1 ulp.
-    const double t = (m - 1.0) / (m + 1.0);
-    const double u = t * t;
-    double poly = 1.0 / 17.0;
-    poly = poly * u + 1.0 / 15.0;
+    const T t = (m - 1.0) / (m + 1.0);
+    const T u = t * t;
+    T poly = (1.0 / 17.0) * u + 1.0 / 15.0;
     poly = poly * u + 1.0 / 13.0;
     poly = poly * u + 1.0 / 11.0;
     poly = poly * u + 1.0 / 9.0;
@@ -99,10 +114,16 @@ inline double det_log10(double x) {
     poly = poly * u + 1.0 / 5.0;
     poly = poly * u + 1.0 / 3.0;
     poly = poly * u + 1.0;
-    const double ln_m = 2.0 * t * poly;
+    const T ln_m = 2.0 * t * poly;
     constexpr double kLog10E = 0.43429448190325182;  // log10(e)
     constexpr double kLog102 = 0.30102999566398120;  // log10(2)
-    return e * kLog102 + ln_m * kLog10E;
+    out = e * kLog102 + ln_m * kLog10E;
+}
+
+inline double det_log10(double x) {
+    double out;
+    det_log10_into<std::uint64_t>(x, out);
+    return out;
 }
 
 /// Normal-equation sums of one 2-D Gauss-Newton iteration at fixed
@@ -167,6 +188,33 @@ double seed_sum_lanes(const double* p, const double* q, const double* rssi,
 double seed_sum_ref(const FusedSample* s, std::size_t n, double x, double h,
                     double gamma, double exponent);
 
+// --- 2-D multi-segment element kernels (LocationSolver, k > 1) -------------
+
+/// SoA element kernel for one Gauss-Newton iteration with one Gamma per
+/// environment segment. For each i < n, with s = min(seg[i], k - 1),
+/// dx = x + p[i], dy = h + q[i] and l2 = max(dx^2 + dy^2, kMinDistanceSq):
+///
+///   r[i]  = rssi[i] - predict_rssi_db(gammas[s], exponent, l2)
+///   jx[i] = c * dx / l2        jy[i] = c * dy / l2
+///
+/// — the exact expressions of the solver's AoS multi-segment loop (not the
+/// k == 1 kernel's `(c / l2) * dx`), so a caller that folds these outputs
+/// in index order reproduces that loop's sums bit for bit. Nothing is
+/// reduced here, so every W gives identical outputs.
+template <std::size_t W>
+void gn_seg_lanes(const double* p, const double* q, const double* rssi,
+                  const int* seg, std::size_t n, double x, double h,
+                  const double* gammas, int k, double exponent, double c,
+                  double* jx, double* jy, double* r);
+
+/// The residual column of gn_seg_lanes alone: r[i] as above. With k == 1
+/// every sample reads gammas[0] (the trial Gamma of the segment seed).
+template <std::size_t W>
+void residual_seg_lanes(const double* p, const double* q, const double* rssi,
+                        const int* seg, std::size_t n, double x, double h,
+                        const double* gammas, int k, double exponent,
+                        double* r);
+
 // --- 3-D kernels (LocationSolver3) ------------------------------------------
 
 template <std::size_t W>
@@ -203,6 +251,13 @@ void residual3_ref(const FusedSample3* s, std::size_t n, double x, double h,
     extern template double seed_sum_lanes<W>(const double*, const double*,       \
                                              const double*, std::size_t, double, \
                                              double, double, double);            \
+    extern template void gn_seg_lanes<W>(                                        \
+        const double*, const double*, const double*, const int*, std::size_t,    \
+        double, double, const double*, int, double, double, double*, double*,    \
+        double*);                                                                \
+    extern template void residual_seg_lanes<W>(                                  \
+        const double*, const double*, const double*, const int*, std::size_t,    \
+        double, double, const double*, int, double, double*);                    \
     extern template void gn3_lanes<W>(const double*, const double*,              \
                                       const double*, const double*,              \
                                       std::size_t, double, double, double,       \

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "locble/common/rng.hpp"
@@ -306,6 +309,187 @@ TEST(LaneContractTest, Kernels3DBitIdenticalAcrossWidths) {
     }
 }
 
+/// Bitwise equality, except that any NaN equals any NaN.
+bool same_bits(double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+           (std::isnan(a) && std::isnan(b));
+}
+
+// Multi-segment element kernels (k > 1): every output against the solver
+// AoS loop's scalar expressions, at every width.
+
+struct ProblemSeg {
+    std::vector<double> p, q, rssi;
+    std::vector<int> seg;
+    double gammas[3];
+    double x, h, exponent, c;
+
+    ProblemSeg(std::size_t n, std::uint64_t seed) {
+        locble::Rng rng(seed);
+        const auto aos = random_samples(n, seed ^ 0x5bd1e995ULL);
+        for (const auto& s : aos) {
+            p.push_back(s.p);
+            q.push_back(s.q);
+            rssi.push_back(s.rssi);
+            // Ids up to k + 1 with k == 3, so some hit the min(seg, k - 1)
+            // clamp.
+            seg.push_back(static_cast<int>(rng.uniform(0.0, 4.999)));
+        }
+        for (double& g : gammas) g = rng.uniform(-80.0, -40.0);
+        x = rng.uniform(-10.0, 10.0);
+        h = rng.uniform(-10.0, 10.0);
+        exponent = rng.uniform(1.5, 4.0);
+        c = -10.0 * exponent / kLn10;
+    }
+};
+
+template <std::size_t W>
+void check_width_seg(const ProblemSeg& pr) {
+    const std::size_t n = pr.p.size();
+    SCOPED_TRACE(::testing::Message() << "W=" << W << " n=" << n);
+    constexpr double kSentinel = -1234.5;
+    // Outputs carry one spare block past n: a tail block must not write it.
+    std::vector<double> jx(n + 8, kSentinel), jy(n + 8, kSentinel),
+        r(n + 8, kSentinel), r_only(n + 8, kSentinel), r_seed(n + 8, kSentinel);
+    const int k = 3;
+    kernels::gn_seg_lanes<W>(pr.p.data(), pr.q.data(), pr.rssi.data(),
+                             pr.seg.data(), n, pr.x, pr.h, pr.gammas, k,
+                             pr.exponent, pr.c, jx.data(), jy.data(), r.data());
+    kernels::residual_seg_lanes<W>(pr.p.data(), pr.q.data(), pr.rssi.data(),
+                                   pr.seg.data(), n, pr.x, pr.h, pr.gammas, k,
+                                   pr.exponent, r_only.data());
+    // The segment seed's form: a one-entry Gamma table.
+    kernels::residual_seg_lanes<W>(pr.p.data(), pr.q.data(), pr.rssi.data(),
+                                   pr.seg.data(), n, pr.x, pr.h, pr.gammas, 1,
+                                   pr.exponent, r_seed.data());
+    for (std::size_t i = 0; i < n; ++i) {
+        const double dx = pr.x + pr.p[i];
+        const double dy = pr.h + pr.q[i];
+        const double l2 = std::max(dx * dx + dy * dy, kMinDistanceSq);
+        const double g = pr.gammas[std::min(pr.seg[i], k - 1)];
+        const double want_r = pr.rssi[i] - predict_rssi_db(g, pr.exponent, l2);
+        EXPECT_TRUE(same_bits(r[i], want_r)) << i;
+        EXPECT_TRUE(same_bits(jx[i], pr.c * dx / l2)) << i;
+        EXPECT_TRUE(same_bits(jy[i], pr.c * dy / l2)) << i;
+        EXPECT_TRUE(same_bits(r_only[i], want_r)) << i;
+        const double want_seed =
+            pr.rssi[i] - predict_rssi_db(pr.gammas[0], pr.exponent,
+                                         dx * dx + dy * dy);
+        EXPECT_TRUE(same_bits(r_seed[i], want_seed)) << i;
+    }
+    for (std::size_t i = n; i < n + 8; ++i) {
+        EXPECT_EQ(jx[i], kSentinel) << i;
+        EXPECT_EQ(jy[i], kSentinel) << i;
+        EXPECT_EQ(r[i], kSentinel) << i;
+        EXPECT_EQ(r_only[i], kSentinel) << i;
+        EXPECT_EQ(r_seed[i], kSentinel) << i;
+    }
+}
+
+TEST(LaneContractTest, MultiSegmentKernelsMatchScalarExpressionsAcrossWidths) {
+    std::vector<std::size_t> counts;
+    for (std::size_t n = 1; n <= 17; ++n) counts.push_back(n);
+    counts.push_back(64);
+    counts.push_back(257);
+    std::uint64_t seed = 500;
+    for (std::size_t n : counts) {
+        const ProblemSeg pr(n, seed++);
+        check_width_seg<1>(pr);
+        check_width_seg<2>(pr);
+        check_width_seg<4>(pr);
+        check_width_seg<8>(pr);
+    }
+}
+
+// Non-finite input in the n % 8 tail: the lane kernels must give the
+// reference's values (NaN equal to NaN) however p, q or rssi is poisoned,
+// and memory past n — poisoned too — must never reach an accumulator.
+
+void expect_same_2d(const Problem2& pr, std::size_t n, GnSums2 got,
+                    const std::vector<double>& resid_got, double sum_got,
+                    double ss_got, double m2_got, double seed_got) {
+    GnSums2 ref{};
+    kernels::gn2_ref(pr.aos.data(), n, pr.x, pr.h, pr.gamma, pr.exponent, pr.c,
+                     ref);
+    EXPECT_TRUE(same_bits(got.a00, ref.a00));
+    EXPECT_TRUE(same_bits(got.a01, ref.a01));
+    EXPECT_TRUE(same_bits(got.a02, ref.a02));
+    EXPECT_TRUE(same_bits(got.a11, ref.a11));
+    EXPECT_TRUE(same_bits(got.a12, ref.a12));
+    EXPECT_TRUE(same_bits(got.a22, ref.a22));
+    EXPECT_TRUE(same_bits(got.r0, ref.r0));
+    EXPECT_TRUE(same_bits(got.r1, ref.r1));
+    EXPECT_TRUE(same_bits(got.r2, ref.r2));
+    std::vector<double> resid_ref(n);
+    double sum_ref = 0.0, ss_ref = 0.0;
+    kernels::residual2_ref(pr.aos.data(), n, pr.x, pr.h, pr.gamma, pr.exponent,
+                           resid_ref.data(), sum_ref, ss_ref);
+    EXPECT_TRUE(same_bits(sum_got, sum_ref));
+    EXPECT_TRUE(same_bits(ss_got, ss_ref));
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_TRUE(same_bits(resid_got[i], resid_ref[i])) << i;
+    EXPECT_TRUE(same_bits(m2_got, kernels::centered_m2_ref(resid_ref.data(), n, 0.5)));
+    EXPECT_TRUE(same_bits(seed_got, kernels::seed_sum_ref(pr.aos.data(), n, pr.x,
+                                                          pr.h, pr.gamma,
+                                                          pr.exponent)));
+}
+
+template <std::size_t W>
+void check_nonfinite_tail(const Problem2& pr, std::size_t n) {
+    SCOPED_TRACE(::testing::Message() << "W=" << W << " n=" << n);
+    GnSums2 got{};
+    kernels::gn2_lanes<W>(pr.p.data(), pr.q.data(), pr.rssi.data(), n, pr.x,
+                          pr.h, pr.gamma, pr.exponent, pr.c, got);
+    std::vector<double> resid(n);
+    double sum = 0.0, ss = 0.0;
+    kernels::residual2_lanes<W>(pr.p.data(), pr.q.data(), pr.rssi.data(), n,
+                                pr.x, pr.h, pr.gamma, pr.exponent, resid.data(),
+                                sum, ss);
+    const double m2 = kernels::centered_m2_lanes<W>(resid.data(), n, 0.5);
+    const double seed = kernels::seed_sum_lanes<W>(
+        pr.p.data(), pr.q.data(), pr.rssi.data(), n, pr.x, pr.h, pr.gamma,
+        pr.exponent);
+    expect_same_2d(pr, n, got, resid, sum, ss, m2, seed);
+}
+
+TEST(LaneContractTest, NonFiniteTailsMatchReferenceAndSpareInactiveLanes) {
+    const double kPoison[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+    std::uint64_t seed = 700;
+    for (const std::size_t n : {1u, 3u, 5u, 7u, 9u, 12u, 15u, 23u}) {
+        for (const double v : kPoison) {
+            for (int field = 0; field < 3; ++field) {
+                SCOPED_TRACE(::testing::Message()
+                             << "poison " << v << " in field " << field);
+                // The arrays hold one spare block past n, poisoned in every
+                // field: the kernels see n elements and must match the
+                // reference over those n exactly.
+                Problem2 pr(n + kernels::kAccLanes, seed++);
+                for (std::size_t i = n; i < pr.aos.size(); ++i) {
+                    pr.p[i] = pr.q[i] = pr.rssi[i] = v;
+                    pr.aos[i].p = pr.aos[i].q = pr.aos[i].rssi = v;
+                }
+                check_nonfinite_tail<1>(pr, n);
+                check_nonfinite_tail<2>(pr, n);
+                check_nonfinite_tail<4>(pr, n);
+                check_nonfinite_tail<8>(pr, n);
+                // Now poison the last active element too (a tail lane).
+                double* col = field == 0 ? pr.p.data()
+                              : field == 1 ? pr.q.data()
+                                           : pr.rssi.data();
+                col[n - 1] = v;
+                auto& s = pr.aos[n - 1];
+                (field == 0 ? s.p : field == 1 ? s.q : s.rssi) = v;
+                check_nonfinite_tail<1>(pr, n);
+                check_nonfinite_tail<2>(pr, n);
+                check_nonfinite_tail<4>(pr, n);
+                check_nonfinite_tail<8>(pr, n);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end identity: whole solves agree bitwise across kernel modes.
 
@@ -358,6 +542,64 @@ TEST(KernelModeTest, ColdSolveBitIdenticalAcrossModes) {
         ASSERT_TRUE(fit_lanes.has_value());
         ASSERT_TRUE(fit_ref.has_value());
         expect_fits_identical(*fit_lanes, *fit_ref);
+    }
+}
+
+/// The L-walk cut into `segments` Gamma segments with nondecreasing ids, as
+/// core::BatchLoop assigns them, each segment a few dB weaker (a blockage).
+std::vector<FusedSample> noisy_segmented_walk(std::uint64_t seed, int segments) {
+    auto out = noisy_l_shape(seed);
+    const std::size_t n = out.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        const int seg = static_cast<int>(i * static_cast<std::size_t>(segments) / n);
+        out[i].segment = seg;
+        out[i].rssi -= 4.0 * seg;
+    }
+    return out;
+}
+
+TEST(KernelModeTest, MultiSegmentBitIdenticalAcrossModes) {
+    // k > 1 runs the multi-segment element kernels and their in-order fold
+    // in lanes mode and the AoS loops in scalar_reference: cold solves and
+    // every Session flush (segments appear between flushes) must agree.
+    for (int segments : {2, 3, 4}) {
+        for (auto search : {LocationSolver::SearchMode::exhaustive,
+                            LocationSolver::SearchMode::coarse_to_fine}) {
+            SCOPED_TRACE(::testing::Message()
+                         << segments << " segments, search mode "
+                         << static_cast<int>(search));
+            const auto samples =
+                noisy_segmented_walk(60 + static_cast<std::uint64_t>(segments),
+                                     segments);
+            LocationSolver::Config lanes_cfg;
+            lanes_cfg.search_mode = search;
+            lanes_cfg.kernel_mode = KernelMode::lanes;
+            LocationSolver::Config ref_cfg = lanes_cfg;
+            ref_cfg.kernel_mode = KernelMode::scalar_reference;
+            const LocationSolver lanes(lanes_cfg), ref(ref_cfg);
+
+            const auto cold_lanes = lanes.solve(samples);
+            const auto cold_ref = ref.solve(samples);
+            ASSERT_TRUE(cold_lanes.has_value());
+            ASSERT_TRUE(cold_ref.has_value());
+            ASSERT_EQ(cold_lanes->segment_gammas.size(),
+                      static_cast<std::size_t>(segments));
+            expect_fits_identical(*cold_lanes, *cold_ref);
+
+            LocationSolver::Session s_lanes(lanes), s_ref(ref);
+            const std::size_t cuts[] = {11, 27, samples.size()};
+            std::size_t pos = 0;
+            for (std::size_t cut : cuts) {
+                for (; pos < cut; ++pos) {
+                    s_lanes.add(samples[pos]);
+                    s_ref.add(samples[pos]);
+                }
+                const auto warm_lanes = s_lanes.solve();
+                const auto warm_ref = s_ref.solve();
+                ASSERT_EQ(warm_lanes.has_value(), warm_ref.has_value()) << cut;
+                if (warm_lanes) expect_fits_identical(*warm_lanes, *warm_ref);
+            }
+        }
     }
 }
 
