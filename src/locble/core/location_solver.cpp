@@ -32,20 +32,6 @@ struct SoaView {
 /// stack buffers of this size, folded before the next chunk.
 constexpr std::size_t kSegChunk = 256;
 
-/// Assemble ResidualStats from the kernel outputs (sum / sum-of-squares /
-/// centered second moment) — shared by both kernel modes and the generic
-/// multi-segment path.
-ResidualStats residual_stats_from_moments(std::size_t count, double sum, double ss,
-                                          double m2) {
-    ResidualStats out;
-    out.mean_db = sum / static_cast<double>(count);
-    out.stddev_db = std::sqrt(m2 / static_cast<double>(count));
-    out.rms_db = std::sqrt(ss / static_cast<double>(count));
-    const double sigma = std::max(out.stddev_db, 1e-6);
-    out.confidence = std::exp(-(out.mean_db * out.mean_db) / (2.0 * sigma * sigma));
-    return out;
-}
-
 /// Residual statistics with per-segment gammas. One prediction pass over
 /// the samples (residuals parked in `resid_buf`, sized >= count by the
 /// caller) plus one cheap pass for the centered second moment — no
@@ -332,6 +318,17 @@ void init_segment_gammas(double* sum, int* cnt, const FusedSample* samples,
 }
 
 }  // namespace
+
+ResidualStats residual_stats_from_moments(std::size_t count, double sum, double ss,
+                                          double m2) {
+    ResidualStats out;
+    out.mean_db = sum / static_cast<double>(count);
+    out.stddev_db = std::sqrt(m2 / static_cast<double>(count));
+    out.rms_db = std::sqrt(ss / static_cast<double>(count));
+    const double sigma = std::max(out.stddev_db, 1e-6);
+    out.confidence = std::exp(-(out.mean_db * out.mean_db) / (2.0 * sigma * sigma));
+    return out;
+}
 
 ResidualStats residual_stats(const std::vector<FusedSample>& samples,
                              const locble::Vec2& location, double exponent,

@@ -111,45 +111,24 @@ void refine3(const FusedSample3* samples, const Soa3& soa, std::size_t count,
     gamma = g;
 }
 
-ResidualStats stats_from_moments(std::size_t count, double sum, double ss,
-                                 double m2) {
-    ResidualStats out;
-    out.mean_db = sum / static_cast<double>(count);
-    out.stddev_db = std::sqrt(m2 / static_cast<double>(count));
-    out.rms_db = std::sqrt(ss / static_cast<double>(count));
-    const double sigma = std::max(out.stddev_db, 1e-6);
-    out.confidence = std::exp(-(out.mean_db * out.mean_db) / (2.0 * sigma * sigma));
-    return out;
-}
-
-/// Internal scoring twin of the public residual_stats3, running on the SoA
-/// pack in the configured kernel mode. Bit-identical to the public AoS
-/// scalar-reference path by the lane contract.
-ResidualStats residual_stats3_soa(const Soa3& soa, std::size_t count,
-                                  KernelMode mode, const locble::Vec3& location,
-                                  double exponent, double gamma_dbm,
-                                  std::vector<double>& resid) {
+/// The solver's scoring in the configured kernel mode: the lane kernels
+/// over the SoA pack, or in scalar_reference mode the public AoS reference
+/// residual_stats3. Bit-identical either way by the lane contract.
+ResidualStats score3(const std::vector<FusedSample3>& samples, const Soa3& soa,
+                     KernelMode mode, const locble::Vec3& location, double exponent,
+                     double gamma_dbm, std::vector<double>& resid) {
+    if (mode == KernelMode::scalar_reference)
+        return residual_stats3(samples, location, exponent, gamma_dbm);
+    const std::size_t count = samples.size();
     if (count == 0) return {};
     resid.resize(count);
     double sum = 0.0, ss = 0.0;
-    if (mode == KernelMode::lanes) {
-        kernels::residual3_lanes<kW>(soa.p.data(), soa.q.data(), soa.r.data(),
-                                     soa.rssi.data(), count, location.x, location.y,
-                                     location.z, gamma_dbm, exponent, resid.data(),
-                                     sum, ss);
-        const double m2 = kernels::centered_m2_lanes<kW>(
-            resid.data(), count, sum / static_cast<double>(count));
-        return stats_from_moments(count, sum, ss, m2);
-    }
-    // scalar_reference mode still reads the SoA arrays here (no AoS span in
-    // scope); the per-element math and lane order are identical either way.
-    kernels::residual3_lanes<1>(soa.p.data(), soa.q.data(), soa.r.data(),
-                                soa.rssi.data(), count, location.x, location.y,
-                                location.z, gamma_dbm, exponent, resid.data(), sum,
-                                ss);
-    const double m2 = kernels::centered_m2_lanes<1>(
-        resid.data(), count, sum / static_cast<double>(count));
-    return stats_from_moments(count, sum, ss, m2);
+    kernels::residual3_lanes<kW>(soa.p.data(), soa.q.data(), soa.r.data(),
+                                 soa.rssi.data(), count, location.x, location.y,
+                                 location.z, gamma_dbm, exponent, resid.data(), sum, ss);
+    const double m2 = kernels::centered_m2_lanes<kW>(resid.data(), count,
+                                                     sum / static_cast<double>(count));
+    return residual_stats_from_moments(count, sum, ss, m2);
 }
 
 }  // namespace
@@ -164,7 +143,7 @@ ResidualStats residual_stats3(const std::vector<FusedSample3>& samples,
                            location.z, gamma_dbm, exponent, resid.data(), sum, ss);
     const double m2 = kernels::centered_m2_ref(
         resid.data(), samples.size(), sum / static_cast<double>(samples.size()));
-    return stats_from_moments(samples.size(), sum, ss, m2);
+    return residual_stats_from_moments(samples.size(), sum, ss, m2);
 }
 
 std::optional<LocationFit3> LocationSolver3::solve(
@@ -210,8 +189,8 @@ std::optional<LocationFit3> LocationSolver3::solve(
         double g = std::clamp(seed->gamma_dbm, gamma_min, gamma_max);
         refine3(samples.data(), soa, samples.size(), mode, seed->exponent, loc, g,
                 solve_z, gamma_min, gamma_max);
-        const ResidualStats st = residual_stats3_soa(soa, samples.size(), mode, loc,
-                                                     seed->exponent, g, resid);
+        const ResidualStats st =
+            score3(samples, soa, mode, loc, seed->exponent, g, resid);
         if (st.rms_db < best_rms) {
             best_rms = st.rms_db;
             fit.location = loc;

@@ -154,12 +154,19 @@ public:
     /// The loop's complete stream state as one field list, for any visitor
     /// (like SolverWorkspace::warm_grid_fields, this module knows nothing
     /// of the wire format). `env_` and `session_` are visited whole; the
-    /// visitor reaches their state through their own accessors.
+    /// visitor reaches their state through their own accessors. The list
+    /// binds every member, so a new one fails to compile until it is
+    /// listed or left out here with its reason.
     template <class Self, class Visitor>
     static void fields(Self& s, Visitor& v) {
-        v(s.env_, s.session_, s.started_, s.batch_end_, s.last_t_, s.batch_raw_,
-          s.batch_fused_, s.segment_, s.restarts_, s.resets_, s.regime_, s.band_min_,
-          s.band_max_, s.saw_blocked_, s.prev_batch_mean_, s.have_prev_batch_);
+        // cfg_, max_samples_ and solver_ are left out: they are construction
+        // arguments, rebuilt from the same config on restore.
+        auto& [cfg_, max_samples_, solver_, env_, session_, started_, batch_end_, last_t_,
+               batch_raw_, batch_fused_, segment_, restarts_, resets_, regime_, band_min_,
+               band_max_, saw_blocked_, prev_batch_mean_, have_prev_batch_] = s;
+        v(env_, session_, started_, batch_end_, last_t_, batch_raw_, batch_fused_,
+          segment_, restarts_, resets_, regime_, band_min_, band_max_, saw_blocked_,
+          prev_batch_mean_, have_prev_batch_);
     }
 
 private:

@@ -60,31 +60,97 @@ concept Of = std::same_as<std::remove_const_t<S>, T>;
 // beside their only serializer so those modules stay unaware of the wire
 // format. serve structs carry their own lists (`T::fields`), and so does the
 // solver workspace's private warm grid (SolverWorkspace::warm_grid_fields).
+// Every list opens by binding all of its struct's members, so a member
+// added without a decision here fails to compile.
 template <Of<locble::Vec2> S, class V>
-void fields(S& s, V& v) { v(s.x, s.y); }
+void fields(S& s, V& v) {
+    auto& [x, y] = s;
+    v(x, y);
+}
 template <Of<core::FusedSample> S, class V>
-void fields(S& s, V& v) { v(s.t, s.p, s.q, s.rssi, s.segment); }
+void fields(S& s, V& v) {
+    auto& [t, p, q, rssi, segment] = s;
+    v(t, p, q, rssi, segment);
+}
 template <Of<core::LocationFit> S, class V>
 void fields(S& s, V& v) {
-    v(s.location, s.exponent, s.gamma_dbm, s.segment_gammas, s.residual_db,
-      s.confidence, s.ambiguous);
+    auto& [location, exponent, gamma_dbm, segment_gammas, residual_db, confidence,
+           ambiguous] = s;
+    v(location, exponent, gamma_dbm, segment_gammas, residual_db, confidence, ambiguous);
 }
 template <Of<core::LocateResult::Diagnostics> S, class V>
 void fields(S& s, V& v) {
-    v(s.solver_calls, s.solver_candidates, s.solver_failures, s.solver_multistarts,
-      s.solver_warm_starts, s.convergence_failures, s.envaware_windows,
-      s.batch_samples);
+    auto& [solver_calls, solver_candidates, solver_failures, solver_multistarts,
+           solver_warm_starts, convergence_failures, envaware_windows, batch_samples] = s;
+    v(solver_calls, solver_candidates, solver_failures, solver_multistarts,
+      solver_warm_starts, convergence_failures, envaware_windows, batch_samples);
 }
 template <Of<core::ClusterCalibration> S, class V>
-void fields(S& s, V& v) { v(s.calibrated, s.combined_confidence, s.members, s.rejected); }
+void fields(S& s, V& v) {
+    auto& [calibrated, combined_confidence, members, rejected] = s;
+    v(calibrated, combined_confidence, members, rejected);
+}
 template <Of<core::EnvAware::StreamState> S, class V>
-void fields(S& s, V& v) { v(s.regime, s.pending, s.pending_count); }
+void fields(S& s, V& v) {
+    auto& [regime, pending, pending_count] = s;
+    v(regime, pending, pending_count);
+}
 template <Of<dsp::Anf::State> S, class V>
-void fields(S& s, V& v) { v(s.sections, s.akf, s.primed, s.last_bf); }
+void fields(S& s, V& v) {
+    auto& [sections, akf, primed, last_bf] = s;
+    v(sections, akf, primed, last_bf);
+}
 template <Of<dsp::AdaptiveKalman::State> S, class V>
-void fields(S& s, V& v) { v(s.x, s.p, s.initialized, s.bias); }
+void fields(S& s, V& v) {
+    auto& [x, p, initialized, bias] = s;
+    v(x, p, initialized, bias);
+}
 template <Of<motion::TimedPosition> S, class V>
-void fields(S& s, V& v) { v(s.t, s.position); }
+void fields(S& s, V& v) {
+    auto& [t, position] = s;
+    v(t, position);
+}
+
+// Config lists, visited only by the Writer that config_digest runs: every
+// field a session's results depend on, in digest byte order.
+template <Of<dsp::AdaptiveKalman::Config> S, class V>
+void fields(S& s, V& v) {
+    auto& [q, r_filtered, r_raw, bias_alpha, adapt_gain] = s;
+    v(q, r_filtered, r_raw, bias_alpha, adapt_gain);
+}
+template <Of<dsp::Anf::Config> S, class V>
+void fields(S& s, V& v) {
+    auto& [butterworth_order, cutoff_hz, sample_rate_hz, akf] = s;
+    v(butterworth_order, cutoff_hz, sample_rate_hz, akf);
+}
+template <Of<core::LocationSolver::Config> S, class V>
+void fields(S& s, V& v) {
+    // kernel_mode is left out: both modes fit bit-identically (lane contract).
+    auto& [exponent_min, exponent_max, exponent_step, min_samples, min_lateral_spread,
+           max_range_m, gamma_min_dbm, gamma_max_dbm, use_wls, use_gn_refinement,
+           use_model_averaging, search_mode, kernel_mode] = s;
+    v(exponent_min, exponent_max, exponent_step, min_samples, min_lateral_spread,
+      max_range_m, gamma_min_dbm, gamma_max_dbm, use_wls, use_gn_refinement,
+      use_model_averaging, search_mode);
+}
+template <Of<core::LocBle::Config> S, class V>
+void fields(S& s, V& v) {
+    auto& [anf, solver, batch_seconds, use_anf, use_envaware, gamma_prior_dbm,
+           gamma_prior_below_db, gamma_prior_above_db, use_regime_bands,
+           restart_on_change] = s;
+    v(anf, solver, batch_seconds, use_anf, use_envaware, gamma_prior_dbm,
+      gamma_prior_below_db, gamma_prior_above_db, use_regime_bands, restart_on_change);
+}
+template <Of<core::SegmentedDtwMatcher::Config> S, class V>
+void fields(S& s, V& v) {
+    auto& [segment_length, warp_window, threshold] = s;
+    v(segment_length, warp_window, threshold);
+}
+template <Of<core::ClusteringCalibrator::Config> S, class V>
+void fields(S& s, V& v) {
+    auto& [dtw, smooth_half_window, diff_stride, max_candidate_distance_m] = s;
+    v(dtw, smooth_half_window, diff_stride, max_candidate_distance_m);
+}
 
 }  // namespace
 
@@ -105,9 +171,10 @@ struct CheckpointCodec {
 
         template <class Self, class Visitor>
         static void fields(Self& s, Visitor& v) {
-            v.fixed_u64(s.epoch);
-            v(s.has_horizon, s.horizon, s.epoch_horizon, s.barrier, s.live,
-              s.last_record, s.clients);
+            auto& [epoch, has_horizon, horizon, epoch_horizon, barrier, live, last_record,
+                   clients] = s;
+            v.fixed_u64(epoch);
+            v(has_horizon, horizon, epoch_horizon, barrier, live, last_record, clients);
         }
     };
 
@@ -344,73 +411,16 @@ struct CheckpointCodec {
         }
     };
 
-    /// Digest of every *result-affecting* config field. shards/threads are
-    /// excluded on purpose (results are invariant to them by the serve
-    /// determinism contract), as is the solver kernel mode (bit-identical by
-    /// the lane determinism contract). A trained EnvAware model is outside
-    /// the digest: the caller must supply the same model, as documented on
+    /// Digest of every *result-affecting* config field: the Writer run over
+    /// the config field lists, hashed. The lists leave out shards/threads
+    /// (results are invariant to them by the serve determinism contract)
+    /// and the solver kernel mode (bit-identical by the lane determinism
+    /// contract). A trained EnvAware model is outside the digest: the
+    /// caller must supply the same model, as documented on
     /// restore_checkpoint().
     static std::uint64_t config_digest(const TrackingService::Config& cfg) {
         wire::ByteWriter w;
-        const Shard::Config& sh = cfg.shard;
-        w.varint(sh.queue_capacity);
-        w.u8(static_cast<std::uint8_t>(sh.overflow));
-        w.f64(sh.idle_timeout_s);
-        w.f64(sh.pose_history_s);
-        w.bool8(sh.enable_clustering);
-        w.varint(sh.clustering.dtw.segment_length);
-        w.varint(sh.clustering.dtw.warp_window);
-        w.f64(sh.clustering.dtw.threshold);
-        w.varint(sh.clustering.smooth_half_window);
-        w.varint(sh.clustering.diff_stride);
-        w.f64(sh.clustering.max_candidate_distance_m);
-        w.f64(sh.staleness_max_s);
-        w.varint(sh.staleness_resolution);
-        const TrackingSession::Config& se = sh.session;
-        // Slots of two removed session knobs (reset on environment change,
-        // solve per flush), kept `false` so every config digests as before.
-        w.bool8(false);
-        w.bool8(false);
-        w.varint(se.max_session_samples);
-        const core::LocBle::Config& p = se.pipeline;
-        w.svarint(p.anf.butterworth_order);
-        w.f64(p.anf.cutoff_hz);
-        w.f64(p.anf.sample_rate_hz);
-        w.f64(p.anf.akf.q);
-        w.f64(p.anf.akf.r_filtered);
-        w.f64(p.anf.akf.r_raw);
-        w.f64(p.anf.akf.bias_alpha);
-        w.f64(p.anf.akf.adapt_gain);
-        w.f64(p.solver.exponent_min);
-        w.f64(p.solver.exponent_max);
-        w.f64(p.solver.exponent_step);
-        w.varint(p.solver.min_samples);
-        w.f64(p.solver.min_lateral_spread);
-        w.f64(p.solver.max_range_m);
-        w.f64(p.solver.gamma_min_dbm);
-        w.f64(p.solver.gamma_max_dbm);
-        w.bool8(p.solver.use_wls);
-        w.bool8(p.solver.use_gn_refinement);
-        w.bool8(p.solver.use_model_averaging);
-        w.u8(static_cast<std::uint8_t>(p.solver.search_mode));
-        w.f64(p.batch_seconds);
-        w.bool8(p.use_anf);
-        w.bool8(p.use_envaware);
-        w.bool8(p.gamma_prior_dbm.has_value());
-        w.f64(p.gamma_prior_dbm.value_or(0.0));
-        w.f64(p.gamma_prior_below_db);
-        w.f64(p.gamma_prior_above_db);
-        w.bool8(p.use_regime_bands);
-        w.bool8(p.restart_on_change);
-        // Status/recorder config shapes status_json(), which the restore
-        // identity contract covers too.
-        w.varint(cfg.flight_recorder_epochs);
-        w.varint(cfg.status_window_epochs);
-        w.f64(cfg.status.degraded_drop_rate);
-        w.f64(cfg.status.overloaded_drop_rate);
-        w.f64(cfg.status.degraded_staleness_p99_s);
-        w.f64(cfg.status.overloaded_staleness_p99_s);
-        w.f64(cfg.status.degraded_no_fix_rate);
+        Writer{w}(cfg);
         return fnv1a(w.data());
     }
 

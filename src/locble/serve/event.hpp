@@ -40,7 +40,8 @@ struct Event {
     /// ingest queues hold the POD verbatim, so every field is written flat.
     template <class Self, class Visitor>
     static void fields(Self& s, Visitor& v) {
-        v(s.client, s.t, s.kind, s.beacon, s.rssi_dbm, s.position);
+        auto& [client, t, kind, beacon, rssi_dbm, position] = s;
+        v(client, t, kind, beacon, rssi_dbm, position);
     }
 };
 

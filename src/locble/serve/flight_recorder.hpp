@@ -25,8 +25,9 @@ struct ShardEpochRecord {
     /// Field list in checkpoint byte order (serve/checkpoint.cpp).
     template <class Self, class Visitor>
     static void fields(Self& s, Visitor& v) {
-        v(s.events_drained, s.clients_visited, s.sessions_live, s.sessions_no_fit,
-          s.wall_us);
+        auto& [events_drained, clients_visited, sessions_live, sessions_no_fit, wall_us] =
+            s;
+        v(events_drained, clients_visited, sessions_live, sessions_no_fit, wall_us);
     }
 };
 
@@ -58,9 +59,11 @@ struct EpochRecord {
     /// is a fixed-width u64 there, every other counter a varint.
     template <class Self, class Visitor>
     static void fields(Self& s, Visitor& v) {
-        v.fixed_u64(s.epoch);
-        v(s.horizon, s.delta, s.snapshot_rows, s.sessions_live, s.sessions_no_fit,
-          s.staleness_s, s.wall_epoch_us, s.shards);
+        auto& [epoch, horizon, delta, snapshot_rows, sessions_live, sessions_no_fit,
+               staleness_s, wall_epoch_us, shards] = s;
+        v.fixed_u64(epoch);
+        v(horizon, delta, snapshot_rows, sessions_live, sessions_no_fit, staleness_s,
+          wall_epoch_us, shards);
     }
 };
 

@@ -161,10 +161,6 @@ TrackingService::TrackingService(const Config& cfg,
                                  std::optional<core::EnvAware> envaware)
     : cfg_(cfg), envaware_(std::move(envaware)) {
     const unsigned nshards = cfg_.shards == 0 ? 1u : cfg_.shards;
-    // Shard telemetry exists to feed the recorder; deriving the flag here
-    // (rather than exposing it) keeps the two from disagreeing — including
-    // across resize_shards(), which rebuilds shards from this same config.
-    cfg_.shard.telemetry = cfg_.flight_recorder_epochs > 0;
     recorder_ = FlightRecorder(cfg_.flight_recorder_epochs);
     if (cfg_.shard.session.pipeline.use_envaware && !envaware_)
         throw std::invalid_argument(
@@ -173,7 +169,7 @@ TrackingService::TrackingService(const Config& cfg,
     const core::EnvAware* env = envaware_ ? &*envaware_ : nullptr;
     shards_.reserve(nshards);
     for (unsigned i = 0; i < nshards; ++i)
-        shards_.push_back(std::make_unique<Shard>(cfg_.shard, env));
+        shards_.push_back(std::make_unique<Shard>(cfg_.shard, env, recorder_.enabled()));
     threads_ = cfg_.threads == 0 ? nshards : std::min(cfg_.threads, nshards);
     // One pool for the service lifetime; with a single worker begin_epoch()
     // runs the whole epoch inline, so threads == 1 needs no pool at all.
@@ -304,10 +300,9 @@ void TrackingService::finalize_epoch_record() {
     last_record_stats_ = barrier_stats_;
     for (const auto& s : shards_) {
         const Shard::EpochTelemetry& t = s->telemetry();
-        rec.shards.push_back({t.events_drained, t.clients_visited,
-                              t.sessions_live, t.sessions_no_fit, t.wall_us});
-        rec.sessions_live += t.sessions_live;
-        rec.sessions_no_fit += t.sessions_no_fit;
+        rec.shards.push_back(t.record);
+        rec.sessions_live += t.record.sessions_live;
+        rec.sessions_no_fit += t.record.sessions_no_fit;
         rec.staleness_s.merge(t.staleness_s);
     }
     rec.wall_epoch_us = std::chrono::duration<double, std::micro>(
@@ -452,7 +447,7 @@ void TrackingService::resize_shards(unsigned shards) {
     std::vector<std::unique_ptr<Shard>> next;
     next.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-        next.push_back(std::make_unique<Shard>(cfg_.shard, env));
+        next.push_back(std::make_unique<Shard>(cfg_.shard, env, recorder_.enabled()));
     // The rendezvous hash keeps all clients whose assignment is unchanged
     // in place conceptually; here every client object moves, but its
     // observable state — sessions, buffered events, dirty marks — moves

@@ -92,6 +92,15 @@ struct StatusThresholds {
     /// warm-up by nature, so only an extreme value (default 90%) degrades —
     /// a service that cannot converge is unhealthy even with empty queues.
     double degraded_no_fix_rate{0.90};
+
+    /// Field list in config-digest byte order (serve/checkpoint.cpp).
+    template <class Self, class Visitor>
+    static void fields(Self& s, Visitor& v) {
+        auto& [degraded_drop_rate, overloaded_drop_rate, degraded_staleness_p99_s,
+               overloaded_staleness_p99_s, degraded_no_fix_rate] = s;
+        v(degraded_drop_rate, overloaded_drop_rate, degraded_staleness_p99_s,
+          overloaded_staleness_p99_s, degraded_no_fix_rate);
+    }
 };
 
 /// Rolling-window health report assembled from the flight recorder. Every
@@ -176,14 +185,25 @@ public:
         unsigned threads{1};
         Shard::Config shard{};
         /// Flight-recorder capacity in epochs; 0 disables recording *and*
-        /// the per-shard telemetry walk (shard.telemetry is derived from
-        /// this, not set directly). The recorder is service API of record,
-        /// like IngestStats: it works under LOCBLE_OBS=OFF.
+        /// the per-shard telemetry walk. The recorder is service API of
+        /// record, like IngestStats: it works under LOCBLE_OBS=OFF.
         std::size_t flight_recorder_epochs{64};
         /// Epochs the status() rates and staleness quantiles roll over
         /// (capped by what the recorder holds).
         std::size_t status_window_epochs{16};
         StatusThresholds status{};
+
+        /// The config digest a checkpoint carries (serve/checkpoint.cpp) is
+        /// this list, written and hashed. The status and recorder fields
+        /// shape status_json(), which the restore identity contract covers.
+        template <class Self, class Visitor>
+        static void fields(Self& s, Visitor& v) {
+            // shards and threads are left out: results are invariant to them
+            // by the serve determinism contract.
+            auto& [shards, threads, shard, flight_recorder_epochs, status_window_epochs,
+                   status] = s;
+            v(shard, flight_recorder_epochs, status_window_epochs, status);
+        }
     };
 
     /// Observer of the ingest stream, the record hook behind the wire

@@ -79,9 +79,8 @@ void Shard::process_epoch() {
     // record) and off — clock reads included — when the recorder is
     // disabled. The wall clock here is the steady clock, measured only;
     // nothing event-time ever depends on it.
-    const bool telemetry = cfg_.telemetry;
     std::chrono::steady_clock::time_point t0;
-    if (telemetry) {
+    if (telemetry_) {
         telem_ = EpochTelemetry{};
         telem_.staleness_s =
             obs::QuantileSketch(cfg_.staleness_max_s, cfg_.staleness_resolution);
@@ -106,7 +105,7 @@ void Shard::process_epoch() {
                 ++it;
                 continue;
             }
-            if (telemetry) ++telem_.clients_visited;
+            if (telemetry_) ++telem_.record.clients_visited;
             process_client(id, it->second, nullptr, horizon);
             ++it;
             continue;
@@ -115,9 +114,9 @@ void Shard::process_epoch() {
         Delivery& del = inbox_[d++];
         auto s = resident ? it : clients_.try_emplace(id).first;
         if (resident) ++it;
-        if (telemetry) {
-            ++telem_.clients_visited;
-            telem_.events_drained += del.events.size();
+        if (telemetry_) {
+            ++telem_.record.clients_visited;
+            telem_.record.events_drained += del.events.size();
         }
         process_client(id, s->second, &del.events, horizon);
         if (del.evict) {
@@ -129,7 +128,7 @@ void Shard::process_epoch() {
         }
     }
 
-    if (telemetry) {
+    if (telemetry_) {
         // Staleness of every live session at the barrier: horizon minus the
         // last event folded into the session — pure event time, so the
         // merged sketch (bucket-sum across shards) is byte-identical for
@@ -139,14 +138,14 @@ void Shard::process_epoch() {
             for (auto& [beacon, sess] : c.sessions) {
                 const double stale = std::max(0.0, horizon - sess.last_event_t());
                 telem_.staleness_s.record(stale);
-                if (!sess.has_fit()) ++telem_.sessions_no_fit;
+                if (!sess.has_fit()) ++telem_.record.sessions_no_fit;
                 LOCBLE_QUANTILE("serve.staleness_s", stale, 120.0, 240u);
             }
         }
-        telem_.sessions_live = live_sessions_;
-        telem_.wall_us = std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
+        telem_.record.sessions_live = live_sessions_;
+        telem_.record.wall_us = std::chrono::duration<double, std::micro>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count();
     }
 }
 

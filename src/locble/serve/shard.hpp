@@ -13,6 +13,7 @@
 #include "locble/motion/dead_reckoning.hpp"
 #include "locble/obs/quantile.hpp"
 #include "locble/serve/event.hpp"
+#include "locble/serve/flight_recorder.hpp"
 #include "locble/serve/stats.hpp"
 #include "locble/serve/tracking_session.hpp"
 
@@ -60,25 +61,31 @@ public:
         /// changed).
         bool enable_clustering{false};
         core::ClusteringCalibrator::Config clustering{};
-        /// Collect per-epoch telemetry for the service flight recorder:
-        /// event counts, a session-staleness quantile sketch, and the
-        /// (wall-clock, ND) shard epoch duration. TrackingService sets this
-        /// from its flight_recorder_epochs; when false, process_epoch()
-        /// reads no clock and walks no sessions beyond its normal work.
-        bool telemetry{false};
         /// Staleness sketch domain (0, max_s] split into `resolution`
         /// uniform buckets; sessions staler than the bound saturate the
         /// reported quantiles at it. Defaults give 0.5 s resolution out to
         /// two idle-eviction timeouts.
         double staleness_max_s{120.0};
         std::uint32_t staleness_resolution{240};
+
+        /// Field list in config-digest byte order (serve/checkpoint.cpp),
+        /// where `session` comes last.
+        template <class Self, class Visitor>
+        static void fields(Self& s, Visitor& v) {
+            auto& [session, queue_capacity, overflow, idle_timeout_s, pose_history_s,
+                   enable_clustering, clustering, staleness_max_s, staleness_resolution] = s;
+            v(queue_capacity, overflow, idle_timeout_s, pose_history_s, enable_clustering,
+              clustering, staleness_max_s, staleness_resolution, session);
+        }
     };
 
     /// `envaware` may be null when the session config does not use it; it
-    /// must outlive the shard.
-    Shard(const Config& cfg, const core::EnvAware* envaware)
-        : cfg_(cfg), envaware_(envaware), anf_(cfg.session.pipeline.anf),
-          calibrator_(cfg.clustering) {}
+    /// must outlive the shard. `telemetry` collects the per-epoch flight
+    /// recorder telemetry (EpochTelemetry); when false, process_epoch()
+    /// reads no clock and walks no sessions beyond its normal work.
+    Shard(const Config& cfg, const core::EnvAware* envaware, bool telemetry)
+        : cfg_(cfg), envaware_(envaware), telemetry_(telemetry),
+          anf_(cfg.session.pipeline.anf), calibrator_(cfg.clustering) {}
 
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
@@ -120,7 +127,8 @@ public:
         /// `open_batches` precedes `sessions`.
         template <class Self, class Visitor>
         static void fields(Self& s, Visitor& v) {
-            v(s.path, s.path_cursor, s.open_batches, s.sessions);
+            auto& [path, path_cursor, sessions, open_batches] = s;
+            v(path, path_cursor, open_batches, sessions);
         }
     };
 
@@ -143,19 +151,17 @@ public:
     std::size_t live_sessions() const { return live_sessions_; }
 
     /// Per-epoch telemetry for the service flight recorder, rebuilt by each
-    /// process_epoch() when Config::telemetry is set. Worker-side state:
-    /// read at quiescent points only (the service reads it at the barrier).
+    /// process_epoch() when the shard was built with telemetry on.
+    /// Worker-side state: read at quiescent points only (the service reads
+    /// it at the barrier).
     struct EpochTelemetry {
-        std::uint64_t events_drained{0};
-        std::uint64_t clients_visited{0};
-        std::uint64_t sessions_live{0};
-        std::uint64_t sessions_no_fit{0};
+        /// The shard's row of the epoch's flight record.
+        ShardEpochRecord record;
         /// Staleness (horizon - last event fed to the session, seconds) of
         /// every live session at epoch end — the deterministic,
         /// event-time-only definition. The sketch's max() is the exact
         /// per-shard maximum (merge by max, order-invariant).
         obs::QuantileSketch staleness_s;
-        double wall_us{0.0};  ///< wall-clock process_epoch duration (ND)
     };
     const EpochTelemetry& telemetry() const { return telem_; }
 
@@ -186,7 +192,8 @@ private:
         /// Field list in checkpoint byte order (serve/checkpoint.cpp).
         template <class Self, class Visitor>
         static void fields(Self& s, Visitor& v) {
-            v(s.buf, s.last_event_t, s.has_event_t);
+            auto& [buf, last_event_t, has_event_t] = s;
+            v(buf, last_event_t, has_event_t);
         }
     };
 
@@ -212,6 +219,7 @@ private:
 
     Config cfg_;
     const core::EnvAware* envaware_;
+    const bool telemetry_;
     /// The sessions' ANF, built once: its design is a pure function of the
     /// config, and every new session starts from a copy.
     dsp::Anf anf_;

@@ -38,6 +38,16 @@ public:
         /// many samples is reset (counted in `resets`) before the next
         /// batch is added — bounds per-session memory on endless streams.
         std::size_t max_session_samples{0};
+
+        /// Field list in config-digest byte order (serve/checkpoint.cpp).
+        /// Two removed knobs (reset on environment change, solve per flush)
+        /// keep their slots as a constant, so every config digests as before.
+        template <class Self, class Visitor>
+        static void fields(Self& s, Visitor& v) {
+            constexpr bool removed_knob = false;
+            auto& [pipeline, max_session_samples] = s;
+            v(removed_knob, removed_knob, max_session_samples, pipeline);
+        }
     };
 
     /// `anf` is a fresh ANF built from cfg.pipeline.anf; the session copies
@@ -134,11 +144,12 @@ private:
     /// — travels.
     template <class Self, class Visitor>
     static void fields(Self& s, Visitor& v) {
-        v(s.anf_, s.loop_, s.dirty_, s.epoch_changed_, s.snap_dirty_, s.dirty_listed_,
-          s.has_fit_);
-        if (s.has_fit_) v(s.fit_);
-        v(s.samples_used_, s.samples_seen_, s.diag_, s.has_cluster_);
-        if (s.has_cluster_) v(s.cluster_);
+        auto& [anf_, loop_, dirty_, epoch_changed_, snap_dirty_, dirty_listed_, has_fit_,
+               fit_, samples_used_, samples_seen_, diag_, has_cluster_, cluster_] = s;
+        v(anf_, loop_, dirty_, epoch_changed_, snap_dirty_, dirty_listed_, has_fit_);
+        if (has_fit_) v(fit_);
+        v(samples_used_, samples_seen_, diag_, has_cluster_);
+        if (has_cluster_) v(cluster_);
     }
 
     /// The session's side of a closed batch: ledger counters, obs, and the

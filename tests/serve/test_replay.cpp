@@ -17,6 +17,7 @@
 
 #include "locble/serve/event.hpp"
 #include "locble/serve/service.hpp"
+#include "locble/sim/harness.hpp"
 #include "locble/sim/multi_client.hpp"
 #include "locble/sim/workload_log.hpp"
 #include "locble/wire/codec.hpp"
@@ -265,6 +266,60 @@ TEST(WireCheckpointTest, MidLogRestoreWithExhaustiveSearch) {
                 core::LocationSolver::SearchMode::exhaustive;
         },
         13);
+}
+
+/// The config digest leaves the solver kernel mode out, because both modes
+/// fit bit-identically: a checkpoint a scalar_reference service takes
+/// restores into a lanes service, which continues exactly as an
+/// uninterrupted lanes run. Long L-walks in scenario 9 with EnvAware on
+/// make multi-segment sessions and coarse_to_fine warm grids travel.
+TEST(WireCheckpointTest, RestoreAcrossKernelModes) {
+    using KernelMode = core::LocationSolver::Config::KernelMode;
+    sim::WorkloadLogConfig lcfg;
+    lcfg.workload = workload_config(6, 3);
+    lcfg.workload.scenario_index = 9;
+    lcfg.workload.measurement.lshape = {12.0, 10.0, 1.5707963267948966};
+    lcfg.epoch_s = 2.0;
+    lcfg.seed = 3;
+    const sim::WorkloadLog log = sim::make_workload_log(lcfg);
+    ASSERT_GT(log.epochs, 4u);
+    const core::EnvAware& env = sim::shared_envaware();
+    const auto make_cfg = [](unsigned shards, KernelMode mode) {
+        TrackingService::Config cfg = service_config(shards, 1);
+        cfg.shard.session.pipeline.use_envaware = true;
+        cfg.shard.session.pipeline.solver.kernel_mode = mode;
+        return cfg;
+    };
+
+    TrackingService ref(make_cfg(2, KernelMode::lanes), env);
+    ReplayDriver ref_driver(ref, log.bytes);
+    std::string ref_stream;
+    while (ref_driver.step_epoch()) ref_stream += observe(ref);
+
+    const std::uint64_t half = log.epochs / 2;
+    TrackingService first(make_cfg(1, KernelMode::scalar_reference), env);
+    ReplayDriver first_driver(first, log.bytes);
+    std::string stream;
+    for (std::uint64_t i = 0; i < half; ++i) {
+        ASSERT_TRUE(first_driver.step_epoch());
+        stream += observe(first);
+    }
+    // Some session has already opened a second Gamma segment.
+    EXPECT_NE(stream.find(" restarts=1 "), std::string::npos);
+    const std::string ckpt = first.checkpoint();
+
+    TrackingService resumed(make_cfg(3, KernelMode::lanes), env);
+    resumed.restore_checkpoint(ckpt);
+    EXPECT_EQ(resumed.checkpoint(), ckpt);
+
+    ReplayDriver rest(resumed, log.bytes);
+    ASSERT_EQ(rest.skip_epochs(half), half);
+    while (rest.step_epoch()) stream += observe(resumed);
+
+    EXPECT_EQ(stream, ref_stream);
+    EXPECT_EQ(canonical_text(resumed.snapshot(SnapshotMode::full)),
+              canonical_text(ref.snapshot(SnapshotMode::full)));
+    EXPECT_EQ(deterministic_status(resumed), deterministic_status(ref));
 }
 
 /// Restore immediately reproduces the checkpointed service's observable
