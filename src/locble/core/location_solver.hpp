@@ -436,7 +436,7 @@ ResidualStats residual_stats(const std::vector<FusedSample>& samples,
 
 /// Assemble ResidualStats from `count` residuals' sum, sum of squares and
 /// centered second moment — the kernel outputs every scoring path of the
-/// 2-D and 3-D solvers produces, in either kernel mode.
+/// solver produces, in either kernel mode.
 ResidualStats residual_stats_from_moments(std::size_t count, double sum, double ss,
                                           double m2);
 

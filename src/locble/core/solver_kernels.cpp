@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "locble/core/location_solver.hpp"
-#include "locble/core/location_solver3.hpp"
 
 // This is the only translation unit compiled with the optional ISA flags
 // (-mavx512f or -mavx2, whichever the LOCBLE_KERNEL_SIMD probe found, plus
@@ -206,47 +205,6 @@ LOCBLE_BLOCK_INLINE inline void gn_seg_element(const T& sp, const T& sq, const T
     r = srssi - (g - 5.0 * exponent * lg);
     jx = c * dx / l2;
     jy = c * dy / l2;
-}
-
-/// Shared element math of the 3-D GN row. Z selects the released-z jacobian
-/// (jx, jy, jz, 1) versus the frozen-z row (jx, jy, 1); dz always enters
-/// the distance.
-template <bool Z, class U, class T>
-LOCBLE_BLOCK_INLINE inline void gn3_element(const T& sp, const T& sq, const T& sr,
-                                            const T& srssi, double x, double h,
-                                            double z, double gamma, double exponent,
-                                            double c, T& jx, T& jy, T& jz, T& r) {
-    const T dx = x + sp;
-    const T dy = h + sq;
-    const T dz = z + sr;
-    T l2 = dx * dx + dy * dy + dz * dz;
-    l2 = l2 < kMinDistanceSq ? kMinDistanceSq : l2;
-    T lg;
-    det_log10_into<U>(l2, lg);
-    const T pred = gamma - 5.0 * exponent * lg;
-    const T inv = c / l2;
-    jx = inv * dx;
-    jy = inv * dy;
-    if constexpr (Z)
-        jz = inv * dz;
-    else
-        jz = T{};
-    r = srssi - pred;
-}
-
-template <class U, class T>
-LOCBLE_BLOCK_INLINE inline void residual3_element(const T& sp, const T& sq, const T& sr,
-                                                  const T& srssi, double x, double h,
-                                                  double z, double gamma,
-                                                  double exponent, T& r) {
-    const T dx = x + sp;
-    const T dy = h + sq;
-    const T dz = z + sr;
-    T l2 = dx * dx + dy * dy + dz * dz;
-    l2 = l2 < kMinDistanceSq ? kMinDistanceSq : l2;
-    T lg;
-    det_log10_into<U>(l2, lg);
-    r = srssi - (gamma - 5.0 * exponent * lg);
 }
 
 using Bits = std::uint64_t;  // U of the scalar twins
@@ -458,170 +416,6 @@ void residual_seg_lanes(const double* __restrict p, const double* __restrict q,
     });
 }
 
-// --- 3-D Gauss-Newton accumulation ------------------------------------------
-
-namespace {
-
-template <std::size_t W, bool Z>
-void gn3_lanes_impl(const double* __restrict p, const double* __restrict q,
-                    const double* __restrict rr, const double* __restrict rssi,
-                    std::size_t n, double x, double h, double z, double gamma,
-                    double exponent, double c, GnSums3& out) {
-    using V = typename Lanes<W>::V;
-    using U = typename Lanes<W>::U;
-    V Axx[kAccLanes / W] = {}, Axy[kAccLanes / W] = {}, Axz[kAccLanes / W] = {},
-      Ax[kAccLanes / W] = {}, Ayy[kAccLanes / W] = {}, Ayz[kAccLanes / W] = {},
-      Ay[kAccLanes / W] = {}, Azz[kAccLanes / W] = {}, Az[kAccLanes / W] = {},
-      Rx[kAccLanes / W] = {}, Ry[kAccLanes / W] = {}, Rz[kAccLanes / W] = {},
-      Rg[kAccLanes / W] = {};
-    sweep<W>(n, [&](const auto& blk, auto b) LOCBLE_BLOCK_INLINE {
-        V sp, sq, sr, srssi, jx, jy, jz, r;
-        blk.load(sp, p);
-        blk.load(sq, q);
-        blk.load(sr, rr);
-        blk.load(srssi, rssi);
-        gn3_element<Z, U>(sp, sq, sr, srssi, x, h, z, gamma, exponent, c,
-                                      jx, jy, jz, r);
-        blk.add(Rx[b], jx * r);
-        blk.add(Ry[b], jy * r);
-        blk.add(Rg[b], r);
-        blk.add(Axx[b], jx * jx);
-        blk.add(Axy[b], jx * jy);
-        blk.add(Ax[b], jx);
-        blk.add(Ayy[b], jy * jy);
-        blk.add(Ay[b], jy);
-        if constexpr (Z) {
-            blk.add(Rz[b], jz * r);
-            blk.add(Axz[b], jx * jz);
-            blk.add(Ayz[b], jy * jz);
-            blk.add(Azz[b], jz * jz);
-            blk.add(Az[b], jz);
-        }
-    });
-    out.a_xx = reduce_blocks(Axx);
-    out.a_xy = reduce_blocks(Axy);
-    out.a_xz = reduce_blocks(Axz);
-    out.a_x = reduce_blocks(Ax);
-    out.a_yy = reduce_blocks(Ayy);
-    out.a_yz = reduce_blocks(Ayz);
-    out.a_y = reduce_blocks(Ay);
-    out.a_zz = reduce_blocks(Azz);
-    out.a_z = reduce_blocks(Az);
-    out.n = static_cast<double>(n);
-    out.r_x = reduce_blocks(Rx);
-    out.r_y = reduce_blocks(Ry);
-    out.r_z = reduce_blocks(Rz);
-    out.r_g = reduce_blocks(Rg);
-}
-
-}  // namespace
-
-template <std::size_t W>
-void gn3_lanes(const double* p, const double* q, const double* r,
-               const double* rssi, std::size_t n, double x, double h, double z,
-               double gamma, double exponent, double c, bool solve_z,
-               GnSums3& out) {
-    if (solve_z)
-        gn3_lanes_impl<W, true>(p, q, r, rssi, n, x, h, z, gamma, exponent, c,
-                                out);
-    else
-        gn3_lanes_impl<W, false>(p, q, r, rssi, n, x, h, z, gamma, exponent, c,
-                                 out);
-}
-
-void gn3_ref(const FusedSample3* s, std::size_t n, double x, double h, double z,
-             double gamma, double exponent, double c, bool solve_z,
-             GnSums3& out) {
-    double Axx[kAccLanes] = {}, Axy[kAccLanes] = {}, Axz[kAccLanes] = {},
-           Ax[kAccLanes] = {}, Ayy[kAccLanes] = {}, Ayz[kAccLanes] = {},
-           Ay[kAccLanes] = {}, Azz[kAccLanes] = {}, Az[kAccLanes] = {},
-           Rx[kAccLanes] = {}, Ry[kAccLanes] = {}, Rz[kAccLanes] = {},
-           Rg[kAccLanes] = {};
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t lane = i % kAccLanes;
-        double jx, jy, jz, r;
-        if (solve_z)
-            gn3_element<true, Bits>(s[i].p, s[i].q, s[i].r, s[i].rssi, x, h, z,
-                                    gamma, exponent, c, jx, jy, jz, r);
-        else
-            gn3_element<false, Bits>(s[i].p, s[i].q, s[i].r, s[i].rssi, x, h, z,
-                                     gamma, exponent, c, jx, jy, jz, r);
-        Rx[lane] += jx * r;
-        Ry[lane] += jy * r;
-        Rg[lane] += r;
-        Axx[lane] += jx * jx;
-        Axy[lane] += jx * jy;
-        Ax[lane] += jx;
-        Ayy[lane] += jy * jy;
-        Ay[lane] += jy;
-        if (solve_z) {
-            Rz[lane] += jz * r;
-            Axz[lane] += jx * jz;
-            Ayz[lane] += jy * jz;
-            Azz[lane] += jz * jz;
-            Az[lane] += jz;
-        }
-    }
-    out.a_xx = reduce_lanes(Axx);
-    out.a_xy = reduce_lanes(Axy);
-    out.a_xz = reduce_lanes(Axz);
-    out.a_x = reduce_lanes(Ax);
-    out.a_yy = reduce_lanes(Ayy);
-    out.a_yz = reduce_lanes(Ayz);
-    out.a_y = reduce_lanes(Ay);
-    out.a_zz = reduce_lanes(Azz);
-    out.a_z = reduce_lanes(Az);
-    out.n = static_cast<double>(n);
-    out.r_x = reduce_lanes(Rx);
-    out.r_y = reduce_lanes(Ry);
-    out.r_z = reduce_lanes(Rz);
-    out.r_g = reduce_lanes(Rg);
-}
-
-// --- 3-D residual pass -------------------------------------------------------
-
-template <std::size_t W>
-void residual3_lanes(const double* __restrict p, const double* __restrict q,
-                     const double* __restrict r, const double* __restrict rssi,
-                     std::size_t n, double x, double h, double z, double gamma,
-                     double exponent, double* __restrict resid, double& sum,
-                     double& ss) {
-    using V = typename Lanes<W>::V;
-    using U = typename Lanes<W>::U;
-    V S[kAccLanes / W] = {}, SS[kAccLanes / W] = {};
-    sweep<W>(n, [&](const auto& blk, auto b) LOCBLE_BLOCK_INLINE {
-        V sp, sq, sr, srssi, rv;
-        blk.load(sp, p);
-        blk.load(sq, q);
-        blk.load(sr, r);
-        blk.load(srssi, rssi);
-        residual3_element<U>(sp, sq, sr, srssi, x, h, z, gamma, exponent,
-                                         rv);
-        blk.store(resid, rv);
-        blk.add(S[b], rv);
-        blk.add(SS[b], rv * rv);
-    });
-    sum = reduce_blocks(S);
-    ss = reduce_blocks(SS);
-}
-
-void residual3_ref(const FusedSample3* s, std::size_t n, double x, double h,
-                   double z, double gamma, double exponent, double* resid,
-                   double& sum, double& ss) {
-    double S[kAccLanes] = {}, SS[kAccLanes] = {};
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t lane = i % kAccLanes;
-        double rv;
-        residual3_element<Bits>(s[i].p, s[i].q, s[i].r, s[i].rssi, x, h, z, gamma,
-                                exponent, rv);
-        resid[i] = rv;
-        S[lane] += rv;
-        SS[lane] += rv * rv;
-    }
-    sum = reduce_lanes(S);
-    ss = reduce_lanes(SS);
-}
-
 // --- explicit instantiations (the full contract sweep) ----------------------
 
 #define LOCBLE_KERNELS_INSTANTIATE(W)                                            \
@@ -642,14 +436,7 @@ void residual3_ref(const FusedSample3* s, std::size_t n, double x, double h,
     template void residual_seg_lanes<W>(const double*, const double*,            \
                                         const double*, const int*, std::size_t,  \
                                         double, double, const double*, int,      \
-                                        double, double*);                        \
-    template void gn3_lanes<W>(const double*, const double*, const double*,      \
-                               const double*, std::size_t, double, double,       \
-                               double, double, double, double, bool, GnSums3&);  \
-    template void residual3_lanes<W>(                                            \
-        const double*, const double*, const double*, const double*,              \
-        std::size_t, double, double, double, double, double, double*, double&,   \
-        double&);
+                                        double, double*);
 
 LOCBLE_KERNELS_INSTANTIATE(1)
 LOCBLE_KERNELS_INSTANTIATE(2)

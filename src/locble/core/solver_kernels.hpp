@@ -42,7 +42,6 @@
 namespace locble::core {
 
 struct FusedSample;
-struct FusedSample3;
 
 namespace kernels {
 
@@ -134,16 +133,6 @@ struct GnSums2 {
     double r0, r1, r2;
 };
 
-/// Normal-equation sums of one 3-D Gauss-Newton iteration. When the walk
-/// carries no vertical excitation (solve_z == false) the z row is frozen:
-/// the *_z sums stay exactly 0.0 and the caller assembles a 3x3 system.
-struct GnSums3 {
-    double a_xx, a_xy, a_xz, a_x;
-    double a_yy, a_yz, a_y;
-    double a_zz, a_z, n;
-    double r_x, r_y, r_z, r_g;
-};
-
 // --- 2-D kernels (LocationSolver k == 1 hot paths) --------------------------
 
 /// SoA lane kernel: GN accumulation over (p[i], q[i], rssi[i]) at candidate
@@ -215,27 +204,6 @@ void residual_seg_lanes(const double* p, const double* q, const double* rssi,
                         const double* gammas, int k, double exponent,
                         double* r);
 
-// --- 3-D kernels (LocationSolver3) ------------------------------------------
-
-template <std::size_t W>
-void gn3_lanes(const double* p, const double* q, const double* r,
-               const double* rssi, std::size_t n, double x, double h, double z,
-               double gamma, double exponent, double c, bool solve_z,
-               GnSums3& out);
-
-void gn3_ref(const FusedSample3* s, std::size_t n, double x, double h, double z,
-             double gamma, double exponent, double c, bool solve_z, GnSums3& out);
-
-template <std::size_t W>
-void residual3_lanes(const double* p, const double* q, const double* r,
-                     const double* rssi, std::size_t n, double x, double h,
-                     double z, double gamma, double exponent, double* resid,
-                     double& sum, double& ss);
-
-void residual3_ref(const FusedSample3* s, std::size_t n, double x, double h,
-                   double z, double gamma, double exponent, double* resid,
-                   double& sum, double& ss);
-
 // The lane kernels are instantiated once, in solver_kernels.cpp, for every
 // contract width — the library hot path links kLaneWidth, the W-sweep
 // property tests link all four.
@@ -257,15 +225,7 @@ void residual3_ref(const FusedSample3* s, std::size_t n, double x, double h,
         double*);                                                                \
     extern template void residual_seg_lanes<W>(                                  \
         const double*, const double*, const double*, const int*, std::size_t,    \
-        double, double, const double*, int, double, double*);                    \
-    extern template void gn3_lanes<W>(const double*, const double*,              \
-                                      const double*, const double*,              \
-                                      std::size_t, double, double, double,       \
-                                      double, double, double, bool, GnSums3&);   \
-    extern template void residual3_lanes<W>(                                     \
-        const double*, const double*, const double*, const double*,              \
-        std::size_t, double, double, double, double, double, double*, double&,   \
-        double&);
+        double, double, const double*, int, double, double*);
 
 LOCBLE_KERNELS_EXTERN(1)
 LOCBLE_KERNELS_EXTERN(2)

@@ -1,28 +1,8 @@
 #include "locble/dsp/moving_average.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace locble::dsp {
-
-MovingAverage::MovingAverage(std::size_t window) : window_(window) {
-    if (window == 0) throw std::invalid_argument("MovingAverage: window must be > 0");
-}
-
-double MovingAverage::process(double x) {
-    buf_.push_back(x);
-    sum_ += x;
-    if (buf_.size() > window_) {
-        sum_ -= buf_.front();
-        buf_.pop_front();
-    }
-    return sum_ / static_cast<double>(buf_.size());
-}
-
-void MovingAverage::reset() {
-    buf_.clear();
-    sum_ = 0.0;
-}
 
 std::vector<double> centered_moving_average(const std::vector<double>& input,
                                             std::size_t half_window) {

@@ -1,33 +1,14 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 namespace locble::dsp {
 
-/// Causal moving-average filter over the last `window` samples.
-/// LocBLE's step counter smooths accelerometer data with this before peak
-/// voting (Sec. 5.2.1).
-class MovingAverage {
-public:
-    explicit MovingAverage(std::size_t window);
-
-    /// Push one sample; returns the mean of the samples seen so far,
-    /// bounded by the window size.
-    double process(double x);
-
-    void reset();
-    std::size_t window() const { return window_; }
-
-private:
-    std::size_t window_;
-    std::deque<double> buf_;
-    double sum_{0.0};
-};
-
 /// Offline centered moving average (half window each side, shrinking at the
 /// edges). Preserves signal alignment, so peaks stay where they are.
+/// LocBLE's step counter smooths accelerometer data with this before peak
+/// voting (Sec. 5.2.1); the turn detector and RSS clustering use it too.
 std::vector<double> centered_moving_average(const std::vector<double>& input,
                                             std::size_t half_window);
 

@@ -80,15 +80,13 @@ inline std::uint64_t shard_weight_mix(std::uint64_t z) {
 /// the client belongs to the argmax shard (lowest index wins ties). Pure
 /// function of (client, shards), so the assignment never depends on arrival
 /// order, map occupancy or thread count — one of the legs the serve
-/// determinism contract stands on.
+/// determinism contract stands on. Restore recomputes it against the
+/// restoring service's shard count, which is how a checkpoint re-shards.
 ///
-/// Unlike the previous `hash % shards` reduction this is a *consistent*
-/// hash: growing from n to n+1 shards leaves a client either where it was
-/// or moves it to the new shard n (the old shards' weights are unchanged,
-/// only the new index can win), so shrinking by one moves only the removed
-/// shard's clients. TrackingService::resize_shards relies on this to
-/// migrate ~1/n of the fleet instead of all of it when the shard count
-/// changes between epochs.
+/// Results never depend on which map this is, but per-shard load does: a
+/// different map would move the shard imbalance, and with it the epoch
+/// timings, of every recorded serve workload. So the map stays until
+/// client-granular epoch scheduling makes shards (and it) unnecessary.
 inline std::uint32_t shard_of(ClientId client, std::uint32_t shards) {
     if (shards <= 1) return 0;
     std::uint32_t best = 0;

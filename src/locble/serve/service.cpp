@@ -435,29 +435,4 @@ ServiceStatus TrackingService::status() const {
     return st;
 }
 
-void TrackingService::resize_shards(unsigned shards) {
-    if (in_flight_)
-        throw std::logic_error(
-            "TrackingService::resize_shards: epoch in flight");
-    const unsigned n = shards == 0 ? 1u : shards;
-    if (n == shards_.size()) return;
-    LOCBLE_SPAN("serve.resize");
-    LOCBLE_COUNT("serve.resizes", 1);
-    const core::EnvAware* env = envaware_ ? &*envaware_ : nullptr;
-    std::vector<std::unique_ptr<Shard>> next;
-    next.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        next.push_back(std::make_unique<Shard>(cfg_.shard, env, recorder_.enabled()));
-    // The rendezvous hash keeps all clients whose assignment is unchanged
-    // in place conceptually; here every client object moves, but its
-    // observable state — sessions, buffered events, dirty marks — moves
-    // with it, so the canonical snapshot stream does not notice. The stats
-    // stay where they are: the service's ledger holds every count.
-    for (auto& s : shards_) s->migrate_into(next);
-    shards_ = std::move(next);
-    threads_ = cfg_.threads == 0 ? n : std::min(cfg_.threads, n);
-    pool_.reset();
-    if (threads_ > 1) pool_.emplace(threads_);
-}
-
 }  // namespace locble::serve

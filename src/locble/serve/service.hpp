@@ -145,9 +145,9 @@ std::string status_json(const ServiceStatus& status);
 /// Sharded multi-client tracking service with a pipelined epoch loop (the
 /// serve tentpole, reworked for ingest/epoch overlap in PR 6).
 ///
-/// Sessions are sharded by a consistent (rendezvous) hash of the client id
-/// (shard_of); a shard owns its clients exclusively, so the epoch hot path
-/// takes no locks. The driver thread runs either the classic phased loop
+/// Sessions are sharded by a rendezvous hash of the client id (shard_of);
+/// a shard owns its clients exclusively, so the epoch hot path takes no
+/// locks. The driver thread runs either the classic phased loop
 ///
 ///   submit(events...);   // ingest: route into double-buffered queues
 ///   run_epoch();         // swap + drain every shard, barrier at the end
@@ -166,12 +166,13 @@ std::string status_json(const ServiceStatus& status);
 /// tests/serve/test_service_pipeline.cpp). Under that contract the service
 /// stays deterministic end to end: estimates, stats, canonical snapshots
 /// and deterministic obs metrics are bit-identical for any (shards,
-/// threads) combination — and across resize_shards() calls between epochs
-/// (docs/SERVING.md spells out why).
+/// threads) combination (docs/SERVING.md spells out why). The shard count
+/// is fixed for a service's life; to change it, restore a checkpoint into
+/// a service built with the new count.
 ///
-/// All driver-side entry points (submit, begin/end_epoch, snapshot, stats,
-/// resize_shards) must be called from one thread; only shard processing is
-/// concurrent.
+/// All driver-side entry points (submit, begin/end/run_epoch, snapshot,
+/// stats, status, checkpoint, restore_checkpoint, set_ingest_tap) must be
+/// called from one thread; only shard processing is concurrent.
 class TrackingService {
 public:
     struct Config {
@@ -282,14 +283,6 @@ public:
     /// Newest accepted event timestamp service-wide: the event-time clock
     /// that batch closing and idle eviction run on.
     double horizon() const { return horizon_; }
-
-    /// Change the shard count between epochs. Thanks to the consistent
-    /// rendezvous assignment only ~1/n of the fleet migrates; results are
-    /// unchanged — the canonical snapshot stream continues exactly as if
-    /// the service had run at the new shard count from the start of time
-    /// (modulo nothing: the contract is bit-identity, property-tested).
-    /// Throws std::logic_error while an epoch is in flight.
-    void resize_shards(unsigned shards);
 
     unsigned shards() const { return static_cast<unsigned>(shards_.size()); }
     unsigned threads() const { return threads_; }

@@ -220,25 +220,6 @@ void Shard::process_client(ClientId id, ClientState& c,
     }
 }
 
-void Shard::migrate_into(std::vector<std::unique_ptr<Shard>>& dst) {
-    const auto n = static_cast<std::uint32_t>(dst.size());
-    for (auto& [id, q] : ingest_)
-        dst[shard_of(id, n)]->ingest_.emplace(id, std::move(q));
-    ingest_.clear();
-    while (!clients_.empty()) {
-        auto node = clients_.extract(clients_.begin());
-        Shard& target = *dst[shard_of(node.key(), n)];
-        target.live_sessions_ += node.mapped().sessions.size();
-        target.clients_.insert(std::move(node));
-    }
-    live_sessions_ = 0;
-    for (const auto& key : dirty_)
-        dst[shard_of(key.first, n)]->dirty_.push_back(key);
-    dirty_.clear();
-    telem_ = EpochTelemetry{};
-    inbox_events_ = 0;
-}
-
 void Shard::run_clustering(ClientState& c) {
     std::vector<BeaconId> fitted;
     fitted.reserve(c.sessions.size());

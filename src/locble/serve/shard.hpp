@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -169,11 +168,6 @@ public:
     /// thread; valid from the swap until the next one (the service reads it
     /// right after swapping to emit the queue-depth trace counter).
     std::size_t inbox_events() const { return inbox_events_; }
-
-    /// Move every client — ingest buffers, session state, dirty marks —
-    /// into the shard of `dst` selected by shard_of(client, dst.size()).
-    /// Driver thread, no epoch in flight (TrackingService::resize_shards).
-    void migrate_into(std::vector<std::unique_ptr<Shard>>& dst);
 
 private:
     /// Checkpoint/restore (serve/checkpoint.cpp) serializes the full client

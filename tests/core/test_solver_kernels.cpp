@@ -10,7 +10,6 @@
 
 #include "locble/common/rng.hpp"
 #include "locble/core/location_solver.hpp"
-#include "locble/core/location_solver3.hpp"
 
 // Property tests of the lane-width determinism contract
 // (solver_kernels.hpp): the SoA pack mirrors the AoS stream exactly, every
@@ -22,7 +21,6 @@ namespace locble::core {
 namespace {
 
 using kernels::GnSums2;
-using kernels::GnSums3;
 using KernelMode = LocationSolver::Config::KernelMode;
 
 constexpr double kLn10 = 2.302585092994046;
@@ -219,93 +217,6 @@ TEST(LaneContractTest, Kernels2DBitIdenticalAcrossWidths) {
         check_width_2d<2>(pr);
         check_width_2d<4>(pr);
         check_width_2d<8>(pr);
-    }
-}
-
-struct Problem3 {
-    std::vector<FusedSample3> aos;
-    std::vector<double> p, q, r, rssi;
-    double x, h, z, gamma, exponent, c;
-
-    Problem3(std::size_t n, std::uint64_t seed) {
-        locble::Rng rng(seed);
-        aos.resize(n);
-        p.resize(n);
-        q.resize(n);
-        r.resize(n);
-        rssi.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            aos[i].p = p[i] = rng.uniform(-15.0, 15.0);
-            aos[i].q = q[i] = rng.uniform(-15.0, 15.0);
-            aos[i].r = r[i] = rng.uniform(-3.0, 3.0);
-            aos[i].rssi = rssi[i] = rng.uniform(-90.0, -40.0);
-        }
-        x = rng.uniform(-10.0, 10.0);
-        h = rng.uniform(-10.0, 10.0);
-        z = rng.uniform(-2.0, 2.0);
-        gamma = rng.uniform(-80.0, -40.0);
-        exponent = rng.uniform(1.5, 4.0);
-        c = -10.0 * exponent / kLn10;
-    }
-};
-
-template <std::size_t W>
-void check_width_3d(const Problem3& pr) {
-    const std::size_t n = pr.aos.size();
-    SCOPED_TRACE(::testing::Message() << "W=" << W << " n=" << n);
-
-    for (bool solve_z : {true, false}) {
-        GnSums3 ref{}, got{};
-        kernels::gn3_ref(pr.aos.data(), n, pr.x, pr.h, pr.z, pr.gamma,
-                         pr.exponent, pr.c, solve_z, ref);
-        kernels::gn3_lanes<W>(pr.p.data(), pr.q.data(), pr.r.data(),
-                              pr.rssi.data(), n, pr.x, pr.h, pr.z, pr.gamma,
-                              pr.exponent, pr.c, solve_z, got);
-        EXPECT_EQ(got.a_xx, ref.a_xx);
-        EXPECT_EQ(got.a_xy, ref.a_xy);
-        EXPECT_EQ(got.a_xz, ref.a_xz);
-        EXPECT_EQ(got.a_x, ref.a_x);
-        EXPECT_EQ(got.a_yy, ref.a_yy);
-        EXPECT_EQ(got.a_yz, ref.a_yz);
-        EXPECT_EQ(got.a_y, ref.a_y);
-        EXPECT_EQ(got.a_zz, ref.a_zz);
-        EXPECT_EQ(got.a_z, ref.a_z);
-        EXPECT_EQ(got.n, ref.n);
-        EXPECT_EQ(got.r_x, ref.r_x);
-        EXPECT_EQ(got.r_y, ref.r_y);
-        EXPECT_EQ(got.r_z, ref.r_z);
-        EXPECT_EQ(got.r_g, ref.r_g);
-        EXPECT_EQ(got.n, static_cast<double>(n));
-        if (!solve_z) {
-            EXPECT_EQ(got.a_xz, 0.0);
-            EXPECT_EQ(got.a_yz, 0.0);
-            EXPECT_EQ(got.a_zz, 0.0);
-            EXPECT_EQ(got.a_z, 0.0);
-            EXPECT_EQ(got.r_z, 0.0);
-        }
-    }
-
-    std::vector<double> resid_ref(n), resid_got(n);
-    double sum_ref = 0.0, ss_ref = 0.0, sum_got = 0.0, ss_got = 0.0;
-    kernels::residual3_ref(pr.aos.data(), n, pr.x, pr.h, pr.z, pr.gamma,
-                           pr.exponent, resid_ref.data(), sum_ref, ss_ref);
-    kernels::residual3_lanes<W>(pr.p.data(), pr.q.data(), pr.r.data(),
-                                pr.rssi.data(), n, pr.x, pr.h, pr.z, pr.gamma,
-                                pr.exponent, resid_got.data(), sum_got, ss_got);
-    EXPECT_EQ(sum_got, sum_ref);
-    EXPECT_EQ(ss_got, ss_ref);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(resid_got[i], resid_ref[i]);
-}
-
-TEST(LaneContractTest, Kernels3DBitIdenticalAcrossWidths) {
-    const std::size_t counts[] = {1, 3, 7, 8, 9, 16, 17, 40, 129};
-    std::uint64_t seed = 300;
-    for (std::size_t n : counts) {
-        const Problem3 pr(n, seed++);
-        check_width_3d<1>(pr);
-        check_width_3d<2>(pr);
-        check_width_3d<4>(pr);
-        check_width_3d<8>(pr);
     }
 }
 
@@ -601,42 +512,6 @@ TEST(KernelModeTest, MultiSegmentBitIdenticalAcrossModes) {
             }
         }
     }
-}
-
-TEST(KernelModeTest, Solver3BitIdenticalAcrossModes) {
-    // A walk with vertical excitation so the z row is live.
-    locble::Rng rng(43);
-    std::vector<FusedSample3> samples;
-    double t = 0.0;
-    for (int i = 0; i < 45; ++i) {
-        FusedSample3 s;
-        s.t = t;
-        t += 0.1;
-        const double ox = 4.0 * i / 44.0;
-        const double oz = (i < 22) ? 0.0 : 1.2;
-        s.p = 5.0 - ox;
-        s.q = 2.5;
-        s.r = 1.0 - oz;
-        const double l2 = s.p * s.p + s.q * s.q + s.r * s.r;
-        s.rssi = -59.0 - 5.0 * 2.0 * std::log10(std::max(l2, 0.01)) +
-                 rng.gaussian(0.0, 1.0);
-        samples.push_back(s);
-    }
-    LocationSolver3::Config lanes_cfg;
-    lanes_cfg.base.kernel_mode = KernelMode::lanes;
-    LocationSolver3::Config ref_cfg = lanes_cfg;
-    ref_cfg.base.kernel_mode = KernelMode::scalar_reference;
-
-    const auto fit_lanes = LocationSolver3(lanes_cfg).solve(samples);
-    const auto fit_ref = LocationSolver3(ref_cfg).solve(samples);
-    ASSERT_TRUE(fit_lanes.has_value());
-    ASSERT_TRUE(fit_ref.has_value());
-    EXPECT_EQ(fit_lanes->location.x, fit_ref->location.x);
-    EXPECT_EQ(fit_lanes->location.y, fit_ref->location.y);
-    EXPECT_EQ(fit_lanes->location.z, fit_ref->location.z);
-    EXPECT_EQ(fit_lanes->gamma_dbm, fit_ref->gamma_dbm);
-    EXPECT_EQ(fit_lanes->residual_db, fit_ref->residual_db);
-    EXPECT_EQ(fit_lanes->confidence, fit_ref->confidence);
 }
 
 TEST(KernelModeTest, SessionWarmBitIdenticalToColdInBothModes) {

@@ -3,36 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
+#include <vector>
 
 namespace locble::dsp {
 namespace {
-
-TEST(MovingAverageTest, WarmupAveragesAvailableSamples) {
-    MovingAverage ma(3);
-    EXPECT_DOUBLE_EQ(ma.process(3.0), 3.0);
-    EXPECT_DOUBLE_EQ(ma.process(5.0), 4.0);
-    EXPECT_DOUBLE_EQ(ma.process(7.0), 5.0);
-}
-
-TEST(MovingAverageTest, SlidesWindow) {
-    MovingAverage ma(2);
-    ma.process(1.0);
-    ma.process(3.0);
-    EXPECT_DOUBLE_EQ(ma.process(5.0), 4.0);  // (3+5)/2
-    EXPECT_DOUBLE_EQ(ma.process(7.0), 6.0);  // (5+7)/2
-}
-
-TEST(MovingAverageTest, ZeroWindowThrows) {
-    EXPECT_THROW(MovingAverage(0), std::invalid_argument);
-}
-
-TEST(MovingAverageTest, ResetClears) {
-    MovingAverage ma(4);
-    ma.process(10.0);
-    ma.reset();
-    EXPECT_DOUBLE_EQ(ma.process(2.0), 2.0);
-}
 
 TEST(CenteredMovingAverageTest, ConstantSignalUnchanged) {
     const std::vector<double> v(10, 3.0);

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -229,33 +228,6 @@ TEST(ServeObsCoherenceTest, CountersMatchStatsUnderOverlappedIngest) {
     reg.set_enabled(false);
     expect_counters_equal(obs_counters(), s, "overlapped ingest");
 #endif
-}
-
-TEST(ServeObsCoherenceTest, CountersMatchStatsAcrossGrowThenShrink) {
-    const auto events = make_workload(991);
-#if LOCBLE_OBS
-    obs::Registry& reg = obs::Registry::global();
-    reg.reset();
-    reg.set_enabled(true);
-#endif
-    // Resize both with a slice queued and with none, growing 1 -> 8 and
-    // shrinking back to 1.
-    const unsigned plan[] = {2u, 4u, 8u, 3u, 1u};
-    TrackingService svc(coherence_config(1, 1 << 12));
-    std::size_t i = 0, k = 0;
-    for (double edge = 2.0; i < events.size(); ++k) {
-        edge = submit_slice(svc, events, i, edge);
-        if (k % 2 == 0) svc.resize_shards(plan[(k / 2) % std::size(plan)]);
-        svc.run_epoch();
-        if (k % 2 == 1) svc.resize_shards(plan[(k / 2) % std::size(plan)]);
-    }
-    svc.run_epoch();
-    const IngestStats s = svc.stats();
-#if LOCBLE_OBS
-    reg.set_enabled(false);
-    expect_counters_equal(obs_counters(), s, "grow then shrink");
-#endif
-    EXPECT_EQ(s, run_workload(events, coherence_config(1, 1 << 12)));
 }
 
 TEST(ServeObsCoherenceTest, CountersSplitAcrossACheckpointHandoff) {

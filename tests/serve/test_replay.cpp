@@ -352,6 +352,29 @@ TEST(WireCheckpointTest, RestoreReproducesObservableState) {
     EXPECT_EQ(twin.stats(), donor.stats());
 }
 
+/// Restore is how a service changes its shard count, so it must carry
+/// events still queued past the last swap without touching the barrier
+/// view: before the next epoch the restored service reports the donor's
+/// live stats and its last-barrier snapshot, and one epoch later both have
+/// processed the queued event identically.
+TEST(WireCheckpointTest, RestoreWithEventsQueuedKeepsTheBarrierStats) {
+    TrackingService donor(service_config(2, 1));
+    donor.submit(pose_event(1, 0.0, {0.0, 0.0}));
+    donor.run_epoch();
+    donor.submit(adv_event(1, 0.5, 2, -60.0));
+
+    TrackingService resharded(service_config(5, 2));
+    resharded.restore_checkpoint(donor.checkpoint());
+    EXPECT_EQ(resharded.stats(), donor.stats());
+    EXPECT_EQ(canonical_text(resharded.snapshot()), canonical_text(donor.snapshot()));
+
+    donor.run_epoch();
+    resharded.run_epoch();
+    EXPECT_EQ(resharded.stats(), donor.stats());
+    EXPECT_EQ(canonical_text(resharded.snapshot()), canonical_text(donor.snapshot()));
+    EXPECT_EQ(deterministic_status(resharded), deterministic_status(donor));
+}
+
 TEST(WireCheckpointTest, RestoreRequiresAFreshService) {
     TrackingService donor(service_config(1, 1));
     donor.submit(adv_event(1, 0.5, 1, -60.0));
