@@ -306,7 +306,8 @@ int main(int argc, char** argv) {
 
         const double x_incr = median_ratio(naive, incr);
         const double x_coarse = median_ratio(naive, coarse);
-        const int grid = static_cast<int>((cfg.exponent_max - cfg.exponent_min) /
+        const int grid = static_cast<int>((LocationSolver::kExponentMax -
+                                           LocationSolver::kExponentMin) /
                                           cfg.exponent_step) + 1;
         table.add_row(pt.key,
                       {static_cast<double>(pt.per_batch * pt.batches),

@@ -350,7 +350,7 @@ std::pair<double, double> exponent_band_for(channel::PropagationClass cls) {
         case channel::PropagationClass::plos: return {2.1, 3.1};
         case channel::PropagationClass::nlos: return {2.7, 4.2};
     }
-    return {1.2, 6.0};
+    return {LocationSolver::kExponentMin, LocationSolver::kExponentMax};
 }
 
 bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
@@ -368,7 +368,7 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
     // Plausibility screen: discard non-physical attempts so a noise-
     // favoured exponent cannot launch the target outside radio range.
     const auto plausible = [&](const locble::Vec2& loc, const double* gammas) {
-        if (loc.norm() > cfg_.max_range_m) return false;
+        if (loc.norm() > kMaxRangeM) return false;
         for (std::size_t s = 0; s < uk; ++s)
             if (gammas[s] < gamma_min - 1e-9 || gammas[s] > gamma_max + 1e-9)
                 return false;
@@ -532,7 +532,7 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
             used_multistart = true;
             const double d0 = std::clamp(
                 std::pow(10.0, (gamma_seed - mean_rssi) / (10.0 * exponent)), 0.5,
-                cfg_.max_range_m);
+                kMaxRangeM);
             constexpr int kBearings = 8;
             for (int b = 0; b < kBearings; ++b) {
                 const double angle = 2.0 * std::numbers::pi * b / kBearings;
@@ -592,7 +592,7 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
     if (diag) *diag = SolveDiagnostics{};
     if (!incremental || count < ws.agg_count) ws.invalidate();
     const std::uint64_t grows_before = ws.grow_events_;
-    if (count < cfg_.min_samples) {
+    if (count < kMinSamples) {
         LOCBLE_COUNT("solver.too_few_samples", 1);
         return false;
     }
@@ -624,18 +624,18 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
     ws.agg_count = count;
 
     // Is there usable lateral (q) excitation, or is the walk effectively 1-D?
-    const bool lateral_ok = (ws.q_max - ws.q_min) >= cfg_.min_lateral_spread;
+    const bool lateral_ok = (ws.q_max - ws.q_min) >= kMinLateralSpread;
     const int k = ws.seg_k;
     const double mean_rssi = ws.rssi_sum / static_cast<double>(count);
 
-    double n_min = cfg_.exponent_min;
-    double n_max = cfg_.exponent_max;
+    double n_min = kExponentMin;
+    double n_max = kExponentMax;
     if (hints.exponent_band) {
         n_min = std::max(n_min, hints.exponent_band->first);
         n_max = std::min(n_max, hints.exponent_band->second);
     }
-    double gamma_min = cfg_.gamma_min_dbm;
-    double gamma_max = cfg_.gamma_max_dbm;
+    double gamma_min = kGammaMinDbm;
+    double gamma_max = kGammaMaxDbm;
     if (hints.gamma_band_dbm) {
         gamma_min = std::max(gamma_min, hints.gamma_band_dbm->first);
         gamma_max = std::min(gamma_max, hints.gamma_band_dbm->second);

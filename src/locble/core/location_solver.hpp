@@ -279,21 +279,24 @@ public:
         coarse_to_fine,
     };
 
+    /// Eq. 5's exponent search range; hints only narrow it.
+    static constexpr double kExponentMin = 1.2;
+    static constexpr double kExponentMax = 6.0;
+    /// Fewer samples than this give no fit.
+    static constexpr std::size_t kMinSamples = 8;
+    /// Below this spread (m) the q dimension is considered degenerate and
+    /// the 1-D (ambiguous) model is fit instead.
+    static constexpr double kMinLateralSpread = 0.35;
+    /// Physical plausibility bounds on candidate fits: BLE beacons are
+    /// receivable within ~15 m indoors (Sec. 2.2), and the 1 m power offset
+    /// of any real transmitter/receiver pair lies in a known band.
+    /// Candidates outside are discarded during the Eq. 5 search.
+    static constexpr double kMaxRangeM = 25.0;
+    static constexpr double kGammaMinDbm = -90.0;
+    static constexpr double kGammaMaxDbm = -30.0;
+
     struct Config {
-        double exponent_min{1.2};
-        double exponent_max{6.0};
         double exponent_step{0.05};  ///< grid resolution for Eq. 5's search
-        std::size_t min_samples{8};
-        /// Below this spread (m) the q dimension is considered degenerate
-        /// and the 1-D (ambiguous) model is fit instead.
-        double min_lateral_spread{0.35};
-        /// Physical plausibility bounds on candidate fits: BLE beacons are
-        /// receivable within ~15 m indoors (Sec. 2.2), and the 1 m power
-        /// offset of any real transmitter/receiver pair lies in a known
-        /// band. Candidates outside are discarded during the Eq. 5 search.
-        double max_range_m{25.0};
-        double gamma_min_dbm{-90.0};
-        double gamma_max_dbm{-30.0};
         /// Ablation switches for the estimator design choices documented in
         /// DESIGN.md (defaults are the measured-best configuration).
         bool use_wls{true};              ///< 1/rho row weighting of the linear seed

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "locble/dsp/anf.hpp"
 #include "locble/obs/obs.hpp"
 
 namespace locble::core {
@@ -44,7 +45,7 @@ LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
 
     // ANF runs offline (zero-phase) over the recorded capture.
     locble::TimeSeries denoised_series;
-    if (cfg_.use_anf) denoised_series = dsp::Anf(cfg_.anf).process_offline(raw_rss);
+    if (cfg_.use_anf) denoised_series = dsp::Anf().process_offline(raw_rss);
 
     // The per-batch re-solve of Algorithm 1: one solve after every closed
     // batch, keeping the last fit that converged.
@@ -97,7 +98,7 @@ BatchLoop::Flush BatchLoop::add(double raw_rssi, FusedSample s,
                                 LocateResult::Diagnostics& diag) {
     if (!started_) {
         started_ = true;
-        batch_end_ = s.t + cfg_.batch_seconds;
+        batch_end_ = s.t + kBatchSeconds;
     }
     const Flush f = close(s.t, diag);
     s.segment = segment_;
@@ -111,7 +112,7 @@ BatchLoop::Flush BatchLoop::close(double t, LocateResult::Diagnostics& diag) {
     Flush f;
     while (started_ && t > batch_end_) {
         if (has_open_batch()) f = flush(diag);
-        batch_end_ += cfg_.batch_seconds;
+        batch_end_ += kBatchSeconds;
     }
     return f;
 }
@@ -131,7 +132,7 @@ BatchLoop::Flush BatchLoop::flush(LocateResult::Diagnostics& diag) {
         regime_ = obs.regime;
         changed = obs.changed;
     }
-    if (regime_ && cfg_.use_regime_bands) {
+    if (regime_) {
         const auto band = exponent_band_for(*regime_);
         band_min_ = std::min(band_min_, band.first);
         band_max_ = std::max(band_max_, band.second);
@@ -150,7 +151,7 @@ BatchLoop::Flush BatchLoop::flush(LocateResult::Diagnostics& diag) {
     // environment segment (Algo. 1's "new regression"). The solver keeps
     // (x, h) common and fits Gamma per segment, so blockage insertion loss
     // is absorbed without discarding geometry.
-    if (changed && level_jumped && cfg_.restart_on_change) {
+    if (changed && level_jumped) {
         ++segment_;
         ++restarts_;
         f.restarted = true;
@@ -179,7 +180,7 @@ bool BatchLoop::solve(LocationFit& out, LocateResult::Diagnostics& diag) {
     // The regime's exponent band applies only while one regime covered the
     // whole regression; mixed-regime data keeps the full range (the union
     // band measured worse than either constraint).
-    if (cfg_.use_regime_bands && band_max_ > band_min_ && restarts_ == 0)
+    if (band_max_ > band_min_ && restarts_ == 0)
         hints.exponent_band = {{band_min_, band_max_}};
     if (cfg_.gamma_prior_dbm) {
         // Blockage shows up as insertion loss the log-distance model has no
@@ -187,7 +188,7 @@ bool BatchLoop::solve(LocationFit& out, LocateResult::Diagnostics& diag) {
         // downward when any blocked window was seen (glass/body ~3-8 dB,
         // concrete or metal 8-15 dB below calibration).
         double below = cfg_.gamma_prior_below_db;
-        if (saw_blocked_ && cfg_.use_regime_bands) below += 14.0;
+        if (saw_blocked_) below += 14.0;
         hints.gamma_band_dbm = {*cfg_.gamma_prior_dbm - below,
                                 *cfg_.gamma_prior_dbm + cfg_.gamma_prior_above_db};
     }

@@ -6,7 +6,6 @@
 #include "locble/common/timeseries.hpp"
 #include "locble/core/envaware.hpp"
 #include "locble/core/location_solver.hpp"
-#include "locble/dsp/anf.hpp"
 #include "locble/motion/dead_reckoning.hpp"
 
 namespace locble::core {
@@ -41,9 +40,7 @@ struct LocateResult {
 class LocBle {
 public:
     struct Config {
-        dsp::Anf::Config anf{};
         LocationSolver::Config solver{};
-        double batch_seconds{2.0};   ///< Algo. 1 collects 2-3 s batches
         bool use_anf{true};          ///< ablation switch (Fig. 5)
         bool use_envaware{true};     ///< ablation switch (Fig. 5)
         /// Calibrated 1 m RSSI read from the target's beacon frame (iBeacon
@@ -54,12 +51,6 @@ public:
         std::optional<double> gamma_prior_dbm;
         double gamma_prior_below_db{5.0};
         double gamma_prior_above_db{3.0};
-        /// Diagnostics/ablation: let EnvAware's regime constrain the
-        /// exponent band and widen the Gamma band (the Sec. 4.1 coupling).
-        bool use_regime_bands{true};
-        /// Diagnostics/ablation: restart the regression when the regime
-        /// changes (Algo. 1 line 13).
-        bool restart_on_change{true};
     };
 
     /// `envaware` must be trained when cfg.use_envaware is true; pass
@@ -96,14 +87,18 @@ private:
 
 /// Algorithm 1's per-beacon batch loop (Sec. 5.3), the one copy behind both
 /// LocBle::locate and the streaming serve::TrackingSession. It cuts the
-/// stream into `batch_seconds` windows, classifies each closed batch with
-/// EnvAware, opens a new Gamma segment on a confirmed environment change,
-/// and folds the batch into one incremental LocationSolver::Session. The
-/// callers differ only in what they feed add() — zero-phase or causal ANF,
-/// and how they pair poses — and in when they call solve(): after every
-/// closed batch offline, once per epoch in the service.
+/// stream into kBatchSeconds windows, classifies each closed batch with
+/// EnvAware, lets the regime narrow the exponent band, opens a new Gamma
+/// segment on a confirmed environment change (Algo. 1 line 13), and folds
+/// the batch into one incremental LocationSolver::Session. The callers
+/// differ only in what they feed add() — zero-phase or causal ANF, and how
+/// they pair poses — and in when they call solve(): after every closed
+/// batch offline, once per epoch in the service.
 class BatchLoop {
 public:
+    /// Algo. 1 collects 2-3 s batches.
+    static constexpr double kBatchSeconds = 2.0;
+
     /// What one add(), close() or flush() did. At most one non-empty batch
     /// closes per call: add() closes the windows before it buffers, so the
     /// open batch always lies in the current window.

@@ -7,11 +7,8 @@
 
 namespace locble::dsp {
 
-Anf::Anf(const Config& cfg)
-    : cfg_(cfg),
-      bf_(design_butterworth_lowpass(cfg.butterworth_order, cfg.cutoff_hz,
-                                     cfg.sample_rate_hz)),
-      akf_(cfg.akf) {
+Anf::Anf()
+    : bf_(design_butterworth_lowpass(kButterworthOrder, kCutoffHz, kSampleRateHz)) {
     // Measure the chain's steady-state ramp lag: for a unit-slope input the
     // settled output equals input(t - tau_g).
     Anf probe(*this);
@@ -24,7 +21,7 @@ Anf::Anf(const Config& cfg)
         in = static_cast<double>(i);
         out = probe.process(in);
     }
-    group_delay_s_ = std::max(0.0, (in - out) / cfg.sample_rate_hz);
+    group_delay_s_ = std::max(0.0, (in - out) / kSampleRateHz);
 }
 
 double Anf::process(double raw_rssi) {
@@ -49,8 +46,8 @@ locble::TimeSeries Anf::process_offline(const locble::TimeSeries& raw) const {
     if (raw.empty()) return out;
     LOCBLE_COUNT("anf.offline_passes", 1);
     LOCBLE_COUNT("anf.samples", raw.size());
-    const auto bf = design_butterworth_lowpass(cfg_.butterworth_order, cfg_.cutoff_hz,
-                                               cfg_.sample_rate_hz);
+    const auto bf =
+        design_butterworth_lowpass(kButterworthOrder, kCutoffHz, kSampleRateHz);
     const std::vector<double> smooth = filtfilt(bf, locble::values_of(raw));
 
     // Run the adaptive Kalman in both directions and average: each pass has
@@ -58,9 +55,9 @@ locble::TimeSeries Anf::process_offline(const locble::TimeSeries& raw) const {
     // zero-lag smoother.
     const std::size_t n = raw.size();
     std::vector<double> fwd(n), bwd(n);
-    AdaptiveKalman akf_f(cfg_.akf);
+    AdaptiveKalman akf_f;
     for (std::size_t i = 0; i < n; ++i) fwd[i] = akf_f.update(raw[i].value, smooth[i]);
-    AdaptiveKalman akf_b(cfg_.akf);
+    AdaptiveKalman akf_b;
     for (std::size_t i = n; i-- > 0;) bwd[i] = akf_b.update(raw[i].value, smooth[i]);
 
     out.reserve(n);
@@ -98,10 +95,9 @@ void Anf::restore_state(const State& s) {
     last_bf_ = s.last_bf;
 }
 
-locble::TimeSeries butterworth_only(const locble::TimeSeries& raw,
-                                    const Anf::Config& cfg) {
-    auto bf = design_butterworth_lowpass(cfg.butterworth_order, cfg.cutoff_hz,
-                                         cfg.sample_rate_hz);
+locble::TimeSeries butterworth_only(const locble::TimeSeries& raw) {
+    auto bf = design_butterworth_lowpass(Anf::kButterworthOrder, Anf::kCutoffHz,
+                                         Anf::kSampleRateHz);
     locble::TimeSeries out;
     out.reserve(raw.size());
     bool primed = false;

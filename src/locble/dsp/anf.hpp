@@ -11,21 +11,17 @@ namespace locble::dsp {
 
 /// Adaptive Noise Filter — LocBLE's RSS preprocessing stage (Sec. 4.2).
 ///
-/// Raw RSS passes through a fine-tuned low-pass Butterworth filter (default:
-/// 6th order) to remove fast fading, then an adaptive Kalman filter fuses
-/// the raw and filtered streams to recover the responsiveness the high-order
+/// Raw RSS passes through a fine-tuned 6th-order low-pass Butterworth
+/// filter to remove fast fading, then an adaptive Kalman filter fuses the
+/// raw and filtered streams to recover the responsiveness the high-order
 /// Butterworth costs.
 class Anf {
 public:
-    struct Config {
-        int butterworth_order{6};
-        double cutoff_hz{0.7};    ///< passes slow path-loss trends only
-        double sample_rate_hz{10.0};
-        AdaptiveKalman::Config akf{};
-    };
+    static constexpr int kButterworthOrder = 6;
+    static constexpr double kCutoffHz = 0.7;  ///< passes slow path-loss trends only
+    static constexpr double kSampleRateHz = 10.0;
 
-    Anf() : Anf(Config{}) {}
-    explicit Anf(const Config& cfg);
+    Anf();
 
     /// Process one raw RSS sample; returns the denoised value.
     double process(double raw_rssi);
@@ -51,12 +47,11 @@ public:
     double group_delay_s() const { return group_delay_s_; }
 
     void reset();
-    const Config& config() const { return cfg_; }
 
     /// Complete serializable streaming state of the ANF chain — one (s1, s2)
     /// pair per Butterworth section plus the adaptive-Kalman posterior. The
-    /// derived group delay and all coefficients come from the config at
-    /// construction and are never serialized (service checkpointing,
+    /// derived group delay and all coefficients come from the constants above
+    /// at construction and are never serialized (service checkpointing,
     /// docs/WIRE.md).
     struct State {
         std::vector<std::pair<double, double>> sections;  ///< (s1, s2) each
@@ -66,11 +61,10 @@ public:
     };
     State checkpoint_state() const;
     /// Throws std::invalid_argument when the section count does not match
-    /// this filter's design (i.e. the state came from a different config).
+    /// this filter's design.
     void restore_state(const State& s);
 
 private:
-    Config cfg_;
     BiquadCascade bf_;
     AdaptiveKalman akf_;
     bool primed_{false};
@@ -78,8 +72,7 @@ private:
     double group_delay_s_{0.0};
 };
 
-/// Offline ablation helper: Butterworth-only filtering of a series.
-locble::TimeSeries butterworth_only(const locble::TimeSeries& raw,
-                                    const Anf::Config& cfg = {});
+/// Offline ablation helper: the ANF's Butterworth stage alone over a series.
+locble::TimeSeries butterworth_only(const locble::TimeSeries& raw);
 
 }  // namespace locble::dsp

@@ -84,16 +84,13 @@ private:
 /// band, raw trust and process noise both increase proportionally.
 class AdaptiveKalman {
 public:
-    struct Config {
-        double q{0.02};           ///< base process noise (dB^2 per sample)
-        double r_filtered{0.5};   ///< variance assigned to the BF output
-        double r_raw{16.0};       ///< base variance assigned to raw samples
-        double bias_alpha{0.25};  ///< EWMA factor for the innovation bias
-        double adapt_gain{3.0};   ///< how strongly bias boosts responsiveness
-    };
+    static constexpr double kQ = 0.02;          ///< base process noise (dB^2/sample)
+    static constexpr double kRFiltered = 0.5;   ///< variance of the BF output
+    static constexpr double kRRaw = 16.0;       ///< base variance of raw samples
+    static constexpr double kBiasAlpha = 0.25;  ///< EWMA factor of the innovation bias
+    static constexpr double kAdaptGain = 3.0;   ///< how strongly bias boosts response
 
-    AdaptiveKalman() : AdaptiveKalman(Config{}) {}
-    explicit AdaptiveKalman(const Config& cfg) : cfg_(cfg), kf_(cfg.q, cfg.r_raw) {}
+    AdaptiveKalman() : kf_(kQ, kRRaw) {}
 
     /// Fuse one (raw, filtered) pair; returns the fused estimate.
     double update(double raw, double filtered);
@@ -101,8 +98,8 @@ public:
     double state() const { return kf_.state(); }
     void reset();
 
-    /// Complete serializable filter state (the config is reconstructed from
-    /// the owner's config, never serialized) — service checkpointing.
+    /// Complete serializable filter state (the gains are constants, never
+    /// serialized) — service checkpointing.
     struct State {
         double x{0.0};
         double p{1.0};
@@ -118,7 +115,6 @@ public:
     }
 
 private:
-    Config cfg_;
     ScalarKalman kf_;
     double bias_{0.0};
 };

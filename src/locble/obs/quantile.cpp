@@ -77,12 +77,6 @@ double QuantileSketch::quantile(double q) const {
     return sketch_quantile(buckets_, upper_, q);
 }
 
-void QuantileSketch::reset() {
-    for (auto& b : buckets_) b = 0;
-    count_ = 0;
-    max_ = 0.0;
-}
-
 void QuantileSketch::restore(double upper, std::uint32_t resolution,
                              std::vector<std::uint64_t> buckets,
                              std::uint64_t count, double max) {

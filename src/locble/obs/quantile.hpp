@@ -66,8 +66,6 @@ public:
     /// resolution + 1 counts, last = overflow; empty when unconfigured.
     const std::vector<std::uint64_t>& buckets() const { return buckets_; }
 
-    void reset();
-
     /// Reinstate a sketch from its serialized parts (service checkpointing,
     /// docs/WIRE.md). `buckets.size()` must be resolution + 1 and resolution
     /// must be > 0 — throws std::logic_error otherwise. The restored sketch

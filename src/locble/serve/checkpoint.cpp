@@ -112,34 +112,32 @@ void fields(S& s, V& v) {
 }
 
 // Config lists, visited only by the Writer that config_digest runs: every
-// field a session's results depend on, in digest byte order.
-template <Of<dsp::AdaptiveKalman::Config> S, class V>
-void fields(S& s, V& v) {
-    auto& [q, r_filtered, r_raw, bias_alpha, adapt_gain] = s;
-    v(q, r_filtered, r_raw, bias_alpha, adapt_gain);
-}
-template <Of<dsp::Anf::Config> S, class V>
-void fields(S& s, V& v) {
-    auto& [butterworth_order, cutoff_hz, sample_rate_hz, akf] = s;
-    v(butterworth_order, cutoff_hz, sample_rate_hz, akf);
-}
+// value a session's results depend on, in digest byte order. A removed knob
+// keeps its slot, holding the constant that replaced it in the knob's wire
+// type (docs/WIRE.md), so every config digests as before.
 template <Of<core::LocationSolver::Config> S, class V>
 void fields(S& s, V& v) {
+    using Solver = core::LocationSolver;
     // kernel_mode is left out: both modes fit bit-identically (lane contract).
-    auto& [exponent_min, exponent_max, exponent_step, min_samples, min_lateral_spread,
-           max_range_m, gamma_min_dbm, gamma_max_dbm, use_wls, use_gn_refinement,
-           use_model_averaging, search_mode, kernel_mode] = s;
-    v(exponent_min, exponent_max, exponent_step, min_samples, min_lateral_spread,
-      max_range_m, gamma_min_dbm, gamma_max_dbm, use_wls, use_gn_refinement,
-      use_model_averaging, search_mode);
+    auto& [exponent_step, use_wls, use_gn_refinement, use_model_averaging, search_mode,
+           kernel_mode] = s;
+    v(Solver::kExponentMin, Solver::kExponentMax, exponent_step, Solver::kMinSamples,
+      Solver::kMinLateralSpread, Solver::kMaxRangeM, Solver::kGammaMinDbm,
+      Solver::kGammaMaxDbm, use_wls, use_gn_refinement, use_model_averaging, search_mode);
 }
 template <Of<core::LocBle::Config> S, class V>
 void fields(S& s, V& v) {
-    auto& [anf, solver, batch_seconds, use_anf, use_envaware, gamma_prior_dbm,
-           gamma_prior_below_db, gamma_prior_above_db, use_regime_bands,
-           restart_on_change] = s;
-    v(anf, solver, batch_seconds, use_anf, use_envaware, gamma_prior_dbm,
-      gamma_prior_below_db, gamma_prior_above_db, use_regime_bands, restart_on_change);
+    using dsp::AdaptiveKalman, dsp::Anf;
+    // The ANF's design (order, cutoff, rate, then the Kalman gains), and
+    // the regime bands and segment restarts, both always on.
+    constexpr bool regime_bands = true, restart_on_change = true;
+    auto& [solver, use_anf, use_envaware, gamma_prior_dbm, gamma_prior_below_db,
+           gamma_prior_above_db] = s;
+    v(Anf::kButterworthOrder, Anf::kCutoffHz, Anf::kSampleRateHz, AdaptiveKalman::kQ,
+      AdaptiveKalman::kRFiltered, AdaptiveKalman::kRRaw, AdaptiveKalman::kBiasAlpha,
+      AdaptiveKalman::kAdaptGain, solver, core::BatchLoop::kBatchSeconds, use_anf,
+      use_envaware, gamma_prior_dbm, gamma_prior_below_db, gamma_prior_above_db,
+      regime_bands, restart_on_change);
 }
 template <Of<core::SegmentedDtwMatcher::Config> S, class V>
 void fields(S& s, V& v) {

@@ -189,15 +189,26 @@ void TrackingService::submit(const Event& e) {
     // The tap observes every submission pre-admission, so a replayed log
     // re-enacts drops/rejections instead of double-counting them.
     if (tap_) tap_->on_event(e);
-    Shard& shard = *shards_[shard_of(e.client, static_cast<std::uint32_t>(
-                                                   shards_.size()))];
-    // The horizon (the service's event-time clock) advances on the driver
-    // thread over *accepted* events only, so batch closing and eviction see
-    // the same clock whatever the shard count.
-    if (shard.enqueue(e, stats_)) {
-        horizon_ = has_horizon_ ? std::max(horizon_, e.t) : e.t;
-        has_horizon_ = true;
+    ++stats_.submitted;
+    // A non-finite value would poison the session it reaches (a NaN RSSI
+    // or pose freezes the fit) or the clock (an infinite t hangs batch
+    // closing), so it is refused before it can touch any state.
+    const bool finite =
+        std::isfinite(e.t) &&
+        (e.kind == EventKind::adv
+             ? std::isfinite(e.rssi_dbm)
+             : std::isfinite(e.position.x) && std::isfinite(e.position.y));
+    if (!finite) {
+        ++stats_.rejected;
+        return;
     }
+    shards_[shard_of(e.client, static_cast<std::uint32_t>(shards_.size()))]->enqueue(
+        e, stats_);
+    // The horizon (the service's event-time clock) advances on the driver
+    // thread over accepted events, so batch closing and eviction see the
+    // same clock whatever the shard count.
+    horizon_ = has_horizon_ ? std::max(horizon_, e.t) : e.t;
+    has_horizon_ = true;
 }
 
 void TrackingService::submit(const std::vector<Event>& events) {
@@ -381,7 +392,7 @@ ServiceStatus TrackingService::status() const {
     st.epoch = stats_.epochs;
     st.horizon = epoch_horizon_;
     const std::vector<EpochRecord> recs = recorder_.records();
-    const std::size_t window = std::min(cfg_.status_window_epochs, recs.size());
+    const std::size_t window = std::min(kStatusWindowEpochs, recs.size());
     st.window_epochs = window;
     if (window == 0) return st;  // nothing recorded: all zero, health ok
 
@@ -420,13 +431,12 @@ ServiceStatus TrackingService::status() const {
     st.staleness_p99_s = staleness.quantile(0.99);
     st.staleness_max_s = staleness.max();
 
-    const StatusThresholds& th = cfg_.status;
-    if (st.drop_rate >= th.overloaded_drop_rate ||
-        st.staleness_p99_s >= th.overloaded_staleness_p99_s)
+    if (st.drop_rate >= kOverloadedDropRate ||
+        st.staleness_p99_s >= kOverloadedStalenessP99S)
         st.health = ServiceHealth::overloaded;
-    else if (st.drop_rate >= th.degraded_drop_rate ||
-             st.staleness_p99_s >= th.degraded_staleness_p99_s ||
-             st.no_fix_rate >= th.degraded_no_fix_rate)
+    else if (st.drop_rate >= kDegradedDropRate ||
+             st.staleness_p99_s >= kDegradedStalenessP99S ||
+             st.no_fix_rate >= kDegradedNoFixRate)
         st.health = ServiceHealth::degraded;
 
     st.epoch_wall_p50_us = nearest_rank(walls, 0.50);

@@ -74,34 +74,27 @@ enum class ServiceHealth : std::uint8_t { ok, degraded, overloaded };
 /// Lowercase name ("ok" / "degraded" / "overloaded") for reports.
 const char* health_name(ServiceHealth h);
 
-/// Thresholds the ok/degraded/overloaded classification runs on, checked
-/// worst-first (any overloaded trigger wins over any degraded one). The
-/// defaults are documented in docs/SERVING.md; every rate is computed over
-/// the status rolling window.
-struct StatusThresholds {
-    /// (dropped + rejected) / submitted: above 1% is degraded, above 10%
-    /// the service is shedding so much load it counts as overloaded.
-    double degraded_drop_rate{0.01};
-    double overloaded_drop_rate{0.10};
-    /// Event-time staleness p99 across live sessions, in seconds: above
-    /// half the default idle timeout is degraded, above 1.5x it the fleet
-    /// is mostly waiting to be evicted — overloaded.
-    double degraded_staleness_p99_s{30.0};
-    double overloaded_staleness_p99_s{90.0};
-    /// Live sessions without a location fit / live sessions. High at
-    /// warm-up by nature, so only an extreme value (default 90%) degrades —
-    /// a service that cannot converge is unhealthy even with empty queues.
-    double degraded_no_fix_rate{0.90};
+/// Epochs the status() rates and staleness quantiles roll over (capped by
+/// what the flight recorder holds).
+inline constexpr std::size_t kStatusWindowEpochs = 16;
 
-    /// Field list in config-digest byte order (serve/checkpoint.cpp).
-    template <class Self, class Visitor>
-    static void fields(Self& s, Visitor& v) {
-        auto& [degraded_drop_rate, overloaded_drop_rate, degraded_staleness_p99_s,
-               overloaded_staleness_p99_s, degraded_no_fix_rate] = s;
-        v(degraded_drop_rate, overloaded_drop_rate, degraded_staleness_p99_s,
-          overloaded_staleness_p99_s, degraded_no_fix_rate);
-    }
-};
+/// Thresholds the ok/degraded/overloaded classification runs on, checked
+/// worst-first (any overloaded trigger wins over any degraded one); every
+/// rate is computed over the status rolling window (docs/SERVING.md).
+///
+/// (dropped + rejected) / submitted: above 1% is degraded, above 10% the
+/// service is shedding so much load it counts as overloaded.
+inline constexpr double kDegradedDropRate = 0.01;
+inline constexpr double kOverloadedDropRate = 0.10;
+/// Event-time staleness p99 across live sessions, in seconds: above half
+/// the default idle timeout is degraded, above 1.5x it the fleet is mostly
+/// waiting to be evicted — overloaded.
+inline constexpr double kDegradedStalenessP99S = 30.0;
+inline constexpr double kOverloadedStalenessP99S = 90.0;
+/// Live sessions without a location fit / live sessions. High at warm-up by
+/// nature, so only an extreme value (90%) degrades — a service that cannot
+/// converge is unhealthy even with empty queues.
+inline constexpr double kDegradedNoFixRate = 0.90;
 
 /// Rolling-window health report assembled from the flight recorder. Every
 /// field except the `epoch_wall_*` wall-clock percentiles derives from
@@ -110,8 +103,8 @@ struct StatusThresholds {
 struct ServiceStatus {
     std::uint64_t epoch{0};
     double horizon{0.0};
-    /// Flight-recorder records the window actually covered (<= the
-    /// configured window; fewer right after start/clear).
+    /// Flight-recorder records the window actually covered (<=
+    /// kStatusWindowEpochs; fewer right after start/clear).
     std::uint64_t window_epochs{0};
     std::uint64_t sessions_live{0};
     std::uint64_t sessions_no_fit{0};
@@ -189,21 +182,19 @@ public:
         /// the per-shard telemetry walk. The recorder is service API of
         /// record, like IngestStats: it works under LOCBLE_OBS=OFF.
         std::size_t flight_recorder_epochs{64};
-        /// Epochs the status() rates and staleness quantiles roll over
-        /// (capped by what the recorder holds).
-        std::size_t status_window_epochs{16};
-        StatusThresholds status{};
 
         /// The config digest a checkpoint carries (serve/checkpoint.cpp) is
-        /// this list, written and hashed. The status and recorder fields
-        /// shape status_json(), which the restore identity contract covers.
+        /// this list, written and hashed. The recorder capacity and the
+        /// status constants, in the slots of the knobs they replaced, shape
+        /// status_json(), which the restore identity contract covers.
         template <class Self, class Visitor>
         static void fields(Self& s, Visitor& v) {
             // shards and threads are left out: results are invariant to them
             // by the serve determinism contract.
-            auto& [shards, threads, shard, flight_recorder_epochs, status_window_epochs,
-                   status] = s;
-            v(shard, flight_recorder_epochs, status_window_epochs, status);
+            auto& [shards, threads, shard, flight_recorder_epochs] = s;
+            v(shard, flight_recorder_epochs, kStatusWindowEpochs, kDegradedDropRate,
+              kOverloadedDropRate, kDegradedStalenessP99S, kOverloadedStalenessP99S,
+              kDegradedNoFixRate);
         }
     };
 
@@ -238,7 +229,9 @@ public:
 
     /// Route one event to its client's shard ingest buffer. Driver thread;
     /// legal while an epoch is in flight (the event lands in the buffer the
-    /// *next* epoch will drain).
+    /// *next* epoch will drain). An event whose `t`, advertised RSSI or pose
+    /// position is not finite is refused and counted in `rejected`: it
+    /// creates no client, enters no queue and leaves the horizon alone.
     void submit(const Event& e);
     /// Route a batch in order.
     void submit(const std::vector<Event>& events);
@@ -274,7 +267,7 @@ public:
     /// — same discipline as snapshot().
     const FlightRecorder& flight_recorder() const { return recorder_; }
 
-    /// Rolling-window health report over the last status_window_epochs
+    /// Rolling-window health report over the last kStatusWindowEpochs
     /// recorded epochs (all-zero, health ok, when the recorder is disabled
     /// or nothing has been recorded). Throws std::logic_error while an
     /// epoch is in flight.

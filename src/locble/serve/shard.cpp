@@ -7,20 +7,15 @@
 
 namespace locble::serve {
 
-bool Shard::enqueue(const Event& e, IngestStats& stats) {
-    ++stats.submitted;
+void Shard::enqueue(const Event& e, IngestStats& stats) {
     auto [it, created] = ingest_.try_emplace(e.client);
     IngestQueue& q = it->second;
     if (created) ++stats.clients_created;
     if (q.has_event_t && e.t < q.last_event_t) ++stats.late;
     if (q.buf.size() >= cfg_.queue_capacity) {
-        // Backpressure. The bound is per client, so this decision depends
-        // only on the client's own stream — identical whatever the shard
-        // count (docs/SERVING.md).
-        if (cfg_.overflow == OverflowPolicy::reject) {
-            ++stats.rejected;
-            return false;
-        }
+        // Backpressure: the oldest event makes room. The bound is per
+        // client, so this decision depends only on the client's own stream
+        // — identical whatever the shard count (docs/SERVING.md).
         q.buf.pop_front();
         ++stats.dropped;
     }
@@ -29,7 +24,6 @@ bool Shard::enqueue(const Event& e, IngestStats& stats) {
     q.last_event_t = q.has_event_t ? std::max(q.last_event_t, e.t) : e.t;
     q.has_event_t = true;
     LOCBLE_GAUGE_MAX_ND("serve.queue.high_water", q.buf.size());
-    return true;
 }
 
 void Shard::begin_epoch(double horizon) {
@@ -82,8 +76,7 @@ void Shard::process_epoch() {
     std::chrono::steady_clock::time_point t0;
     if (telemetry_) {
         telem_ = EpochTelemetry{};
-        telem_.staleness_s =
-            obs::QuantileSketch(cfg_.staleness_max_s, cfg_.staleness_resolution);
+        telem_.staleness_s = obs::QuantileSketch(kStalenessMaxS, kStalenessResolution);
         t0 = std::chrono::steady_clock::now();
     }
 
@@ -132,14 +125,15 @@ void Shard::process_epoch() {
         // Staleness of every live session at the barrier: horizon minus the
         // last event folded into the session — pure event time, so the
         // merged sketch (bucket-sum across shards) is byte-identical for
-        // any shard count. The obs quantile mirrors it with fixed default
-        // bounds so --metrics reports see the same tail.
+        // any shard count. The obs quantile mirrors it with the same bounds
+        // so --metrics reports see the same tail.
         for (auto& [id, c] : clients_) {
             for (auto& [beacon, sess] : c.sessions) {
                 const double stale = std::max(0.0, horizon - sess.last_event_t());
                 telem_.staleness_s.record(stale);
                 if (!sess.has_fit()) ++telem_.record.sessions_no_fit;
-                LOCBLE_QUANTILE("serve.staleness_s", stale, 120.0, 240u);
+                LOCBLE_QUANTILE("serve.staleness_s", stale, kStalenessMaxS,
+                                kStalenessResolution);
             }
         }
         telem_.record.sessions_live = live_sessions_;
@@ -210,7 +204,7 @@ void Shard::process_client(ClientId id, ClientState& c,
     // Prune pose history that can no longer pair with any admissible
     // advertisement; keep the last two points so interpolation never loses
     // its bracket. Lazy: runs only when the client is visited.
-    const double keep_after = horizon - cfg_.pose_history_s;
+    const double keep_after = horizon - kPoseHistoryS;
     std::size_t drop = 0;
     while (drop + 2 < c.path.size() && c.path[drop + 1].t < keep_after) ++drop;
     if (drop > 0) {

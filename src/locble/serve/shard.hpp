@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -37,44 +38,49 @@ namespace locble::serve {
 ///    touched concurrently and the hot path takes no locks.
 class Shard {
 public:
+    /// Forget pose samples older than this behind the horizon (enough
+    /// history must remain to pair delayed advertisements). Pruning is lazy:
+    /// it runs when the client is next processed, so an idle client's path
+    /// is frozen, not leaked.
+    static constexpr double kPoseHistoryS = 30.0;
+    /// Staleness sketch domain (0, kStalenessMaxS] split into
+    /// kStalenessResolution uniform buckets: 0.5 s resolution out to two
+    /// default idle-eviction timeouts. Sessions staler than the bound
+    /// saturate the reported quantiles at it.
+    static constexpr double kStalenessMaxS = 120.0;
+    static constexpr std::uint32_t kStalenessResolution = 240;
+
     struct Config {
         TrackingSession::Config session{};
         /// Bounded ingest buffer capacity in events, *per client*, per
         /// epoch interval (the buffer swaps empty at every epoch start). A
-        /// per-client bound (rather than per-shard) keeps the overflow
-        /// decision a pure function of that client's own stream, so drops
-        /// are identical whatever the shard count — and one chatty client
-        /// can never evict its neighbors' events.
+        /// full buffer evicts its oldest event to admit the new one
+        /// (freshest data wins; counted in `dropped`). A per-client bound
+        /// (rather than per-shard) keeps the overflow decision a pure
+        /// function of that client's own stream, so drops are identical
+        /// whatever the shard count — and one chatty client can never evict
+        /// its neighbors' events.
         std::size_t queue_capacity{512};
-        OverflowPolicy overflow{OverflowPolicy::drop_oldest};
         /// Evict a client (and its sessions) once its newest event is this
         /// far behind the service horizon, in event-time seconds.
         double idle_timeout_s{60.0};
-        /// Forget pose samples older than this behind the horizon (enough
-        /// history must remain to pair delayed advertisements). Pruning is
-        /// lazy: it runs when the client is next processed, so an idle
-        /// client's path is frozen, not leaked.
-        double pose_history_s{30.0};
         /// Run the Sec. 6 clustering calibration across a client's fitted
         /// beacons at the end of each epoch (only for clients whose fits
         /// changed).
         bool enable_clustering{false};
         core::ClusteringCalibrator::Config clustering{};
-        /// Staleness sketch domain (0, max_s] split into `resolution`
-        /// uniform buckets; sessions staler than the bound saturate the
-        /// reported quantiles at it. Defaults give 0.5 s resolution out to
-        /// two idle-eviction timeouts.
-        double staleness_max_s{120.0};
-        std::uint32_t staleness_resolution{240};
 
         /// Field list in config-digest byte order (serve/checkpoint.cpp),
-        /// where `session` comes last.
+        /// where `session` comes last. Removed knobs keep their slots, each
+        /// holding its constant in the knob's wire type: the overflow policy
+        /// was a u8 enum whose drop-oldest value, the one policy left, was 0.
         template <class Self, class Visitor>
         static void fields(Self& s, Visitor& v) {
-            auto& [session, queue_capacity, overflow, idle_timeout_s, pose_history_s,
-                   enable_clustering, clustering, staleness_max_s, staleness_resolution] = s;
-            v(queue_capacity, overflow, idle_timeout_s, pose_history_s, enable_clustering,
-              clustering, staleness_max_s, staleness_resolution, session);
+            constexpr auto drop_oldest = std::byte{0};
+            auto& [session, queue_capacity, idle_timeout_s, enable_clustering,
+                   clustering] = s;
+            v(queue_capacity, drop_oldest, idle_timeout_s, kPoseHistoryS, enable_clustering,
+              clustering, kStalenessMaxS, kStalenessResolution, session);
         }
     };
 
@@ -84,17 +90,16 @@ public:
     /// reads no clock and walks no sessions beyond its normal work.
     Shard(const Config& cfg, const core::EnvAware* envaware, bool telemetry)
         : cfg_(cfg), envaware_(envaware), telemetry_(telemetry),
-          anf_(cfg.session.pipeline.anf), calibrator_(cfg.clustering) {}
+          calibrator_(cfg.clustering) {}
 
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
 
-    /// Route one event into its client's bounded ingest buffer (creating
-    /// the client on first contact), counting the admission decision in
-    /// `stats`. Driver thread; may overlap a running epoch — it only ever
-    /// touches ingest-side state. Returns whether the event was accepted
-    /// (false only under OverflowPolicy::reject).
-    bool enqueue(const Event& e, IngestStats& stats);
+    /// Admit one event into its client's bounded ingest buffer (creating
+    /// the client on first contact), counting the admission in `stats`.
+    /// Driver thread; may overlap a running epoch — it only ever touches
+    /// ingest-side state.
+    void enqueue(const Event& e, IngestStats& stats);
 
     /// The epoch swap (driver thread, no epoch in flight): move every
     /// client's accumulated buffer into the epoch inbox and decide idle
@@ -214,8 +219,8 @@ private:
     Config cfg_;
     const core::EnvAware* envaware_;
     const bool telemetry_;
-    /// The sessions' ANF, built once: its design is a pure function of the
-    /// config, and every new session starts from a copy.
+    /// The sessions' ANF, built once: its design is fixed, and every new
+    /// session starts from a copy.
     dsp::Anf anf_;
     core::ClusteringCalibrator calibrator_;
 

@@ -5,16 +5,6 @@
 
 namespace locble::serve {
 
-/// Backpressure policy of a full per-client ingest queue.
-enum class OverflowPolicy : std::uint8_t {
-    /// Evict the oldest queued event to admit the new one (freshest-data
-    /// wins; the drop is counted in `serve.ingest.dropped`).
-    drop_oldest,
-    /// Refuse the new event (history wins; counted in
-    /// `serve.ingest.rejected`).
-    reject,
-};
-
 /// Monotonic u64 accounting of the service. Each count is kept once. The
 /// driver-side counts (submitted, accepted, dropped, rejected, late, epochs,
 /// clients_created) live in the service's own ledger, bumped on the driver
@@ -27,8 +17,8 @@ enum class OverflowPolicy : std::uint8_t {
 struct IngestStats {
     std::uint64_t submitted{0};
     std::uint64_t accepted{0};
-    std::uint64_t dropped{0};   ///< drop_oldest evictions
-    std::uint64_t rejected{0};  ///< reject refusals
+    std::uint64_t dropped{0};   ///< oldest events evicted from a full queue
+    std::uint64_t rejected{0};  ///< non-finite events refused at submit
     std::uint64_t late{0};      ///< t went backwards within a client stream
     std::uint64_t epochs{0};
     std::uint64_t clients_created{0};

@@ -31,8 +31,8 @@ namespace locble::serve {
 class TrackingSession {
 public:
     struct Config {
-        /// Stage configuration shared with the offline pipeline: ANF,
-        /// solver, batch cadence, EnvAware/regime switches, Gamma prior.
+        /// Stage configuration shared with the offline pipeline: solver,
+        /// ANF and EnvAware switches, Gamma prior.
         core::LocBle::Config pipeline{};
         /// When > 0, a session whose accumulated regression exceeds this
         /// many samples is reset (counted in `resets`) before the next
@@ -50,10 +50,10 @@ public:
         }
     };
 
-    /// `anf` is a fresh ANF built from cfg.pipeline.anf; the session copies
-    /// it. Building one designs the Butterworth cascade and probes its group
-    /// delay, which costs far more than the copy, so a shard builds it once
-    /// for all its sessions. `envaware` must be a trained model when
+    /// `anf` is a freshly built ANF; the session copies it. Building one
+    /// designs the Butterworth cascade and probes its group delay, which
+    /// costs far more than the copy, so a shard builds it once for all its
+    /// sessions. `envaware` must be a trained model when
     /// cfg.pipeline.use_envaware is set; the session keeps its own copy (the
     /// regime tracker carries per-session streaming state).
     TrackingSession(const Config& cfg, const dsp::Anf& anf,

@@ -205,14 +205,4 @@ std::vector<MeasurementOutcome> run_stationary_trials(const Scenario& sc,
     });
 }
 
-std::vector<ClusteredOutcome> run_cluster_trials(
-    const Scenario& sc, const BeaconPlacement& target,
-    const std::vector<BeaconPlacement>& neighbors, const MeasurementConfig& cfg,
-    const runtime::TrialPlan& plan) {
-    shared_envaware();
-    return run_trials_parallel(plan, [&](int, locble::Rng& rng) {
-        return measure_with_cluster(sc, target, neighbors, cfg, rng);
-    });
-}
-
 }  // namespace locble::sim

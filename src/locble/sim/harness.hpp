@@ -126,10 +126,4 @@ std::vector<MeasurementOutcome> run_stationary_trials(const Scenario& sc,
                                                       const MeasurementConfig& cfg,
                                                       const runtime::TrialPlan& plan);
 
-/// Batch of clustered measurements (Sec. 6 layout).
-std::vector<ClusteredOutcome> run_cluster_trials(
-    const Scenario& sc, const BeaconPlacement& target,
-    const std::vector<BeaconPlacement>& neighbors, const MeasurementConfig& cfg,
-    const runtime::TrialPlan& plan);
-
 }  // namespace locble::sim

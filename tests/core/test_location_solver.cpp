@@ -114,9 +114,8 @@ TEST(LocationSolverTest, StraightWalkIsAmbiguous) {
 
 TEST(LocationSolverTest, TooFewSamplesRejected) {
     const auto samples = l_shape_samples({4.0, 2.0}, -59.0, 2.0, 4.0, 3.0, 3);
-    LocationSolver::Config cfg;
-    cfg.min_samples = 10;
-    EXPECT_FALSE(LocationSolver(cfg).solve(samples).has_value());
+    ASSERT_LT(samples.size(), LocationSolver::kMinSamples);
+    EXPECT_FALSE(LocationSolver().solve(samples).has_value());
 }
 
 TEST(LocationSolverTest, MovingTargetRelativeDisplacements) {

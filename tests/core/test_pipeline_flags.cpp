@@ -1,5 +1,5 @@
-// Pipeline configuration-flag behaviour: the regime-band coupling and the
-// restart/segmentation logic exposed for the Fig. 5 ablations.
+// Pipeline segmentation behaviour: the restart/segmentation logic of
+// Algorithm 1's batch loop behind the Fig. 5 ablations.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 
 #include "locble/common/rng.hpp"
 #include "locble/core/pipeline.hpp"
+#include "locble/dsp/anf.hpp"
 
 namespace locble::core {
 namespace {
@@ -62,18 +63,6 @@ TEST(PipelineFlagsTest, RestartOpensGammaSegments) {
     }
 }
 
-TEST(PipelineFlagsTest, RestartDisabledKeepsSingleSegment) {
-    LocBle::Config cfg;
-    cfg.gamma_prior_dbm = -59.0;
-    cfg.restart_on_change = false;
-    const LocBle pipeline(cfg, tiny_envaware());
-    const auto rss = stepped_rss({5.0, 2.0}, 12.0, 4.0, 1);
-    const auto result = pipeline.locate(rss, ideal_l_motion());
-    ASSERT_TRUE(result.fit.has_value());
-    EXPECT_EQ(result.regression_restarts, 0);
-    EXPECT_EQ(result.fit->segment_gammas.size(), 1u);
-}
-
 TEST(PipelineFlagsTest, SmallLevelWobbleDoesNotSegment) {
     // A 1 dB step is below the 4 dB segmentation gate even if the
     // classifier wobbles.
@@ -86,38 +75,48 @@ TEST(PipelineFlagsTest, SmallLevelWobbleDoesNotSegment) {
     EXPECT_EQ(result.regression_restarts, 0);
 }
 
-TEST(PipelineFlagsTest, RegimeBandsCanBeDisabled) {
-    LocBle::Config with;
-    with.gamma_prior_dbm = -59.0;
-    LocBle::Config without = with;
-    without.use_regime_bands = false;
-    const auto rss = stepped_rss({5.0, 2.0}, 0.0, 0.0, 3);
-    const auto rw = LocBle(with, tiny_envaware()).locate(rss, ideal_l_motion());
-    const auto rwo = LocBle(without, tiny_envaware()).locate(rss, ideal_l_motion());
-    ASSERT_TRUE(rw.fit.has_value());
-    ASSERT_TRUE(rwo.fit.has_value());
-    // Both must produce sane fixes; only the search bands differ.
-    EXPECT_LT(Vec2::distance(rw.fit->location, {5.0, 2.0}), 2.5);
-    EXPECT_LT(Vec2::distance(rwo.fit->location, {5.0, 2.0}), 2.5);
+/// Algorithm 1's regression samples for `rss` over the L walk: fused and
+/// batched as LocBle::locate does, with the segment ids the batch loop gave
+/// them.
+std::vector<FusedSample> batch_loop_samples(const locble::TimeSeries& rss) {
+    LocBle::Config cfg;
+    cfg.gamma_prior_dbm = -59.0;
+    const auto motion = ideal_l_motion();
+    const auto denoised = dsp::Anf().process_offline(rss);
+    BatchLoop loop(cfg, &tiny_envaware());
+    LocateResult::Diagnostics diag;
+    for (std::size_t i = 0; i < rss.size(); ++i) {
+        const Vec2 obs = motion.position_at(rss[i].t);
+        FusedSample s;
+        s.t = rss[i].t;
+        s.p = -obs.x;
+        s.q = -obs.y;
+        s.rssi = denoised[i].value;
+        loop.add(rss[i].value, s, diag);
+    }
+    loop.flush(diag);
+    return loop.samples();
 }
 
 TEST(PipelineFlagsTest, SegmentedFitBeatsUnsegmentedOnHardTransition) {
-    // On a 12 dB insertion-loss transition, letting the pipeline segment
-    // should at least not hurt vs a single-Gamma fit of the mixed data.
+    // On a 12 dB insertion-loss transition, fitting one Gamma per segment
+    // the batch loop opened should at least not hurt vs a single-Gamma fit
+    // of the same samples.
     const Vec2 target{5.0, 2.0};
+    SolveHints hints;  // the Gamma prior band, widened for a blocked window
+    hints.gamma_band_dbm = {-59.0 - 5.0 - 14.0, -59.0 + 3.0};
+    const LocationSolver solver;
     double seg_err = 0.0, flat_err = 0.0;
     int n = 0;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        const auto rss = stepped_rss(target, 12.0, 4.0, seed);
-        LocBle::Config seg_cfg;
-        seg_cfg.gamma_prior_dbm = -59.0;
-        LocBle::Config flat_cfg = seg_cfg;
-        flat_cfg.restart_on_change = false;
-        const auto rs = LocBle(seg_cfg, tiny_envaware()).locate(rss, ideal_l_motion());
-        const auto rf = LocBle(flat_cfg, tiny_envaware()).locate(rss, ideal_l_motion());
-        if (!rs.fit || !rf.fit) continue;
-        seg_err += Vec2::distance(rs.fit->location, target);
-        flat_err += Vec2::distance(rf.fit->location, target);
+        const auto seg = batch_loop_samples(stepped_rss(target, 12.0, 4.0, seed));
+        auto flat = seg;
+        for (auto& s : flat) s.segment = 0;
+        const auto rs = solver.solve(seg, hints);
+        const auto rf = solver.solve(flat, hints);
+        if (!rs || !rf) continue;
+        seg_err += Vec2::distance(rs->location, target);
+        flat_err += Vec2::distance(rf->location, target);
         ++n;
     }
     ASSERT_GE(n, 8);

@@ -148,6 +148,83 @@ TEST(WireCheckpointTest, FormatIsPinnedWithRecorderOn) {
     EXPECT_EQ(clustered.recorder_bytes, 664u);
 }
 
+/// FNV-1a 64 of a freshly built service's checkpoint. Its `meta` section
+/// carries the config digest; every other byte is the same for any config.
+std::uint64_t fresh_checkpoint_hash(const TrackingService::Config& cfg) {
+    // The digest leaves the trained model out, so any trained one serves.
+    static const core::EnvAware env = [] {
+        locble::Rng rng(20);
+        core::EnvDatasetConfig dcfg;
+        dcfg.traces_per_class = 15;
+        core::EnvAware e;
+        e.train(core::generate_env_dataset(dcfg, rng));
+        return e;
+    }();
+    std::optional<core::EnvAware> model;
+    if (cfg.shard.session.pipeline.use_envaware) model = env;
+    TrackingService svc(cfg, std::move(model));
+    return fnv1a64(kFnvBasis, svc.checkpoint());
+}
+
+TEST(WireCheckpointTest, ConfigDigestIsPinnedForTheConfigsProgramsRun) {
+    // perfbench's two serve workloads (perfbench/locble_perf.cpp).
+    TrackingService::Config fleet;
+    fleet.shards = 4;
+    fleet.threads = 2;
+    fleet.shard.session.pipeline.use_envaware = false;
+    fleet.shard.session.pipeline.gamma_prior_dbm = -59.0;
+    fleet.shard.session.pipeline.solver.search_mode =
+        core::LocationSolver::SearchMode::coarse_to_fine;
+    EXPECT_EQ(fresh_checkpoint_hash(fleet), 0xd85b06a05a86ce9cull)
+        << "fleet_replay";
+    TrackingService::Config standby = fleet;
+    standby.shards = 1;
+    standby.threads = 1;
+    standby.shard.session.pipeline.use_envaware = true;
+    EXPECT_EQ(fresh_checkpoint_hash(standby), 0xe6d56f4086e1950aull)
+        << "standby_long_walk";
+
+    // bench_ablation_solver's variants and two of bench_solver_scaling's
+    // exponent grid steps, each as the session pipeline of a default config.
+    using Edit = std::function<void(core::LocBle::Config&)>;
+    const auto variant = [](const Edit& edit) {
+        TrackingService::Config cfg;
+        edit(cfg.shard.session.pipeline);
+        return fresh_checkpoint_hash(cfg);
+    };
+    const struct {
+        const char* name;
+        Edit edit;
+        std::uint64_t hash;
+    } pins[] = {
+        {"defaults", [](auto&) {}, 0x6c04dea1cd4c10feull},
+        {"no_wls", [](auto& p) { p.solver.use_wls = false; }, 0x5a2ec3ea5479c6d7ull},
+        {"no_gn", [](auto& p) { p.solver.use_gn_refinement = false; },
+         0x31336fc66a2daff5ull},
+        {"model_averaging", [](auto& p) { p.solver.use_model_averaging = true; },
+         0x624aac2f5d60e16bull},
+        {"no_gamma_prior",
+         [](auto& p) {
+             p.gamma_prior_dbm = -60.0;
+             p.gamma_prior_below_db = 30.0;
+             p.gamma_prior_above_db = 30.0;
+         },
+         0x8852815e1bdb2bb9ull},
+        {"exponent_step 0.1", [](auto& p) { p.solver.exponent_step = 0.1; },
+         0xde6b4a2d418ab9a6ull},
+        {"exponent_step 0.025", [](auto& p) { p.solver.exponent_step = 0.025; },
+         0x470e85ab58ba1432ull},
+    };
+    for (const auto& pin : pins) EXPECT_EQ(variant(pin.edit), pin.hash) << pin.name;
+
+    // The kernel mode is outside the digest: both modes fit bit-identically.
+    EXPECT_EQ(variant([](auto& p) {
+                  p.solver.kernel_mode =
+                      core::LocationSolver::Config::KernelMode::scalar_reference;
+              }),
+              pins[0].hash);
+}
+
 /// Re-frame a checkpoint with section bodies passed through `edit`. The
 /// frame CRCs are recomputed, so only the checkpoint reader's own
 /// validation can catch the edit.

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -27,10 +29,19 @@ TrackingService::Config recorder_config(unsigned shards,
     cfg.shard.session.pipeline.gamma_prior_dbm = -59.0;
     cfg.shard.idle_timeout_s = 1e9;  // staleness tests keep sessions resident
     cfg.flight_recorder_epochs = recorder_epochs;
-    // Toy fleets never converge to a fit; disable the no-fix trigger so the
-    // tests exercise one classification axis at a time.
-    cfg.status.degraded_no_fix_rate = 2.0;
     return cfg;
+}
+
+/// `client` walking +x at 1 m/s past beacon 7 at (5, 2): a pose and an
+/// advertisement at t = k / 10 for every k in [first, last]. Its first 2 s
+/// batch, once closed, gives the session a fit.
+void submit_walk(TrackingService& svc, ClientId client, int first, int last) {
+    for (int k = first; k <= last; ++k) {
+        const double t = k / 10.0;
+        svc.submit(pose_event(client, t, {t, 0.0}));
+        const double dist = std::max(std::hypot(5.0 - t, 2.0), 0.1);
+        svc.submit(adv_event(client, t, 7, -59.0 - 20.0 * std::log10(dist)));
+    }
 }
 
 std::string deterministic_part(const std::string& status_json_text) {
@@ -172,16 +183,15 @@ TEST(FlightRecorderTest, RecorderJsonIsVersionedAndStructured) {
 TEST(ServiceStatusTest, HealthyFleetReportsOk) {
     TrackingService svc(recorder_config(1, 16));
     for (int e = 1; e <= 3; ++e) {
-        svc.submit(pose_event(1, 1.0 * e, {1.0, 1.0}));
-        svc.submit(adv_event(1, 1.0 * e, 7, -60.0));
-        svc.submit(pose_event(2, 1.0 * e, {2.0, 1.0}));
-        svc.submit(adv_event(2, 1.0 * e, 7, -61.0));
+        submit_walk(svc, 1, 30 * e - 29, 30 * e);
+        submit_walk(svc, 2, 30 * e - 29, 30 * e);
         svc.run_epoch();
     }
     const ServiceStatus st = svc.status();
     EXPECT_EQ(st.health, ServiceHealth::ok);
     EXPECT_EQ(st.window_epochs, 3u);
     EXPECT_EQ(st.sessions_live, 2u);
+    EXPECT_EQ(st.sessions_no_fit, 0u);
     EXPECT_DOUBLE_EQ(st.drop_rate, 0.0);
     EXPECT_DOUBLE_EQ(st.eviction_rate, 0.0);
     EXPECT_LT(st.staleness_p99_s, 1.0);
@@ -190,23 +200,20 @@ TEST(ServiceStatusTest, HealthyFleetReportsOk) {
 
 TEST(ServiceStatusTest, StaleSessionsDegradeThenOverload) {
     // One session falls behind the horizon: 40 s stale -> degraded
-    // (threshold 30), then 100 s stale -> overloaded (threshold 90).
+    // (kDegradedStalenessP99S, 30 s), then 100 s stale -> overloaded
+    // (kOverloadedStalenessP99S, 90 s).
     TrackingService svc(recorder_config(1, 16));
-    svc.submit(pose_event(1, 1.0, {1.0, 1.0}));
-    svc.submit(adv_event(1, 1.0, 7, -60.0));
-    svc.submit(pose_event(2, 1.0, {2.0, 1.0}));
-    svc.submit(adv_event(2, 1.0, 7, -61.0));
+    submit_walk(svc, 1, 1, 30);
+    submit_walk(svc, 2, 1, 30);
     svc.run_epoch();
     EXPECT_EQ(svc.status().health, ServiceHealth::ok);
 
-    svc.submit(pose_event(2, 41.0, {2.0, 2.0}));
-    svc.submit(adv_event(2, 41.0, 7, -60.0));
+    submit_walk(svc, 2, 430, 430);
     svc.run_epoch();
     EXPECT_EQ(svc.status().health, ServiceHealth::degraded);
     EXPECT_DOUBLE_EQ(svc.status().staleness_p99_s, 40.0);
 
-    svc.submit(pose_event(2, 101.0, {2.0, 3.0}));
-    svc.submit(adv_event(2, 101.0, 7, -60.0));
+    submit_walk(svc, 2, 1030, 1030);
     svc.run_epoch();
     EXPECT_EQ(svc.status().health, ServiceHealth::overloaded);
 }
@@ -223,19 +230,6 @@ TEST(ServiceStatusTest, HeavyDropsClassifyAsOverloaded) {
     EXPECT_EQ(st.window_dropped, 96u);
     EXPECT_DOUBLE_EQ(st.drop_rate, 0.96);
     EXPECT_EQ(st.health, ServiceHealth::overloaded);
-}
-
-TEST(ServiceStatusTest, ThresholdsAreConfigurable) {
-    auto cfg = recorder_config(1, 16);
-    cfg.status.degraded_staleness_p99_s = 0.25;  // hair trigger
-    TrackingService svc(cfg);
-    svc.submit(pose_event(1, 1.0, {1.0, 1.0}));
-    svc.submit(adv_event(1, 1.0, 7, -60.0));
-    svc.run_epoch();
-    svc.submit(pose_event(2, 2.0, {2.0, 1.0}));
-    svc.submit(adv_event(2, 2.0, 7, -61.0));
-    svc.run_epoch();  // session 1 now 1 s stale >= 0.25
-    EXPECT_EQ(svc.status().health, ServiceHealth::degraded);
 }
 
 TEST(ServiceStatusTest, StatusJsonDeterministicAcrossShardCounts) {
@@ -264,17 +258,20 @@ TEST(ServiceStatusTest, StatusJsonDeterministicAcrossShardCounts) {
 }
 
 TEST(ServiceStatusTest, StatusWindowIsBoundedByConfigAndHistory) {
-    auto cfg = recorder_config(1, 32);
-    cfg.status_window_epochs = 4;
-    TrackingService svc(cfg);
-    for (int e = 1; e <= 10; ++e) {
-        svc.submit(adv_event(1, 1.0 * e, 7, -60.0));
-        svc.run_epoch();
+    // The window is kStatusWindowEpochs, or what the recorder holds.
+    const int epochs = static_cast<int>(kStatusWindowEpochs) + 4;
+    for (const std::size_t capacity : {std::size_t{32}, std::size_t{4}}) {
+        TrackingService svc(recorder_config(1, capacity));
+        for (int e = 1; e <= epochs; ++e) {
+            svc.submit(adv_event(1, 1.0 * e, 7, -60.0));
+            svc.run_epoch();
+        }
+        const std::size_t window = std::min(kStatusWindowEpochs, capacity);
+        const ServiceStatus st = svc.status();
+        EXPECT_EQ(st.epoch, static_cast<std::uint64_t>(epochs));
+        EXPECT_EQ(st.window_epochs, window);
+        EXPECT_EQ(st.window_submitted, window);  // one event per epoch in-window
     }
-    const ServiceStatus st = svc.status();
-    EXPECT_EQ(st.epoch, 10u);
-    EXPECT_EQ(st.window_epochs, 4u);
-    EXPECT_EQ(st.window_submitted, 4u);  // one event per epoch in-window
 }
 
 }  // namespace

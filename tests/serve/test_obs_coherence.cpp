@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -54,6 +55,24 @@ std::vector<Event> make_workload(std::uint64_t seed) {
         }
     }
     return events;
+}
+
+/// `events` with a non-finite copy after every 25th event: the copy of an
+/// advertisement carries a NaN RSSI, that of a pose a NaN position.
+std::vector<Event> with_non_finite(const std::vector<Event>& events) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<Event> out;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        out.push_back(events[i]);
+        if (i % 25 != 24) continue;
+        Event bad = events[i];
+        if (bad.kind == EventKind::adv)
+            bad.rssi_dbm = nan;
+        else
+            bad.position = {nan, nan};
+        out.push_back(bad);
+    }
+    return out;
 }
 
 TrackingService::Config coherence_config(unsigned shards, std::size_t capacity) {
@@ -110,11 +129,10 @@ std::vector<std::pair<std::string, std::uint64_t>> expected_pairs(
 }
 #endif
 
-void check_coherence(unsigned shards, std::size_t capacity,
-                     OverflowPolicy policy) {
-    const auto events = make_workload(991);
-    auto cfg = coherence_config(shards, capacity);
-    cfg.shard.overflow = policy;
+void check_coherence(unsigned shards, std::size_t capacity, bool non_finite) {
+    const auto clean = make_workload(991);
+    const auto events = non_finite ? with_non_finite(clean) : clean;
+    const auto cfg = coherence_config(shards, capacity);
 
 #if LOCBLE_OBS
     obs::Registry& reg = obs::Registry::global();
@@ -130,9 +148,10 @@ void check_coherence(unsigned shards, std::size_t capacity,
     // The ledger's internal identity holds regardless of build flavor.
     // Every submitted event is either admitted or rejected at the door;
     // `late` overlaps accepted (late events are still admitted) and
-    // `dropped` counts drop_oldest evictions of already-accepted events.
+    // `dropped` counts evictions of already-accepted events.
     EXPECT_EQ(s.submitted, static_cast<std::uint64_t>(events.size()));
     EXPECT_EQ(s.submitted, s.accepted + s.rejected);
+    EXPECT_EQ(s.rejected, static_cast<std::uint64_t>(events.size() - clean.size()));
     EXPECT_LE(s.dropped, s.accepted);
     EXPECT_LE(s.late, s.submitted);
 
@@ -155,18 +174,20 @@ void check_coherence(unsigned shards, std::size_t capacity,
     EXPECT_GT(s.late, 0u);
     EXPECT_GT(s.sessions_evicted, 0u);
     if (capacity <= 8) {
-        EXPECT_GT(s.dropped + s.rejected, 0u);
+        EXPECT_GT(s.dropped, 0u);
+    }
+    if (non_finite) {
+        EXPECT_GT(s.rejected, 0u);
     }
 }
 
 TEST(ServeObsCoherenceTest, CountersMatchStatsAtEveryShardCount) {
-    for (const unsigned shards : {1u, 2u, 8u})
-        check_coherence(shards, 1 << 12, OverflowPolicy::drop_oldest);
+    for (const unsigned shards : {1u, 2u, 8u}) check_coherence(shards, 1 << 12, false);
 }
 
 TEST(ServeObsCoherenceTest, CountersMatchStatsUnderForcedOverflow) {
-    check_coherence(1, 8, OverflowPolicy::drop_oldest);
-    check_coherence(4, 8, OverflowPolicy::reject);
+    check_coherence(1, 8, false);
+    check_coherence(4, 8, true);
 }
 
 TEST(ServeObsCoherenceTest, MergedTotalsAreShardCountInvariant) {

@@ -399,7 +399,7 @@ TEST(WireCheckpointTest, ConfigMismatchIsRejectedWithItsTypedCode) {
     const std::string ckpt = donor.checkpoint();
 
     auto cfg = service_config(4, 2);  // shard/thread counts may differ freely
-    cfg.shard.session.pipeline.batch_seconds *= 2.0;  // results may not
+    cfg.shard.session.pipeline.gamma_prior_below_db += 1.0;  // results may not
     TrackingService other(cfg);
     try {
         other.restore_checkpoint(ckpt);

@@ -155,11 +155,10 @@ TEST(ServeLifecycleTest, SampleCapResetIsCounted) {
 }
 
 TEST(ServeLifecycleTest, NanPairingTimeStaysOnAOnePointPoseTrack) {
-    // Pairing an advertisement with a one-point pose track at a NaN time
-    // must take that pose, not run the bracket search past the track's
-    // end. Two ways in: a client whose first pose is at t = NaN (every
-    // later pose is then late and ignored), and one valid pose followed by
-    // an advertisement at t = NaN.
+    // Two ways a NaN pairing time could reach a one-point pose track: a
+    // client whose first pose is at t = NaN, and one valid pose followed by
+    // an advertisement at t = NaN. submit() refuses both NaN events, so
+    // neither reaches a track (pose_at keeps its NaN-safe endpoints).
     const double nan = std::numeric_limits<double>::quiet_NaN();
     TrackingService svc(base_config());
     svc.submit(pose_event(2, 0.0, {0.0, 0.0}));
@@ -169,8 +168,10 @@ TEST(ServeLifecycleTest, NanPairingTimeStaysOnAOnePointPoseTrack) {
     svc.run_epoch();
 
     const auto snap = svc.snapshot();
-    ASSERT_EQ(snap.estimates.size(), 2u);
-    for (const auto& e : snap.estimates) EXPECT_EQ(e.samples_seen, 1u);
+    EXPECT_EQ(snap.stats.rejected, 2u);
+    ASSERT_EQ(snap.estimates.size(), 1u);  // client 2 has no advertisement
+    EXPECT_EQ(snap.estimates[0].client, 1u);
+    EXPECT_EQ(snap.estimates[0].samples_seen, 0u);  // no pose to pair with
 }
 
 }  // namespace

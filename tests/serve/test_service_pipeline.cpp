@@ -117,17 +117,12 @@ TEST(ServePipelineTest, OverflowUnderOverlapIsInvisible) {
     const auto wl = sim::make_multi_client_workload(wcfg, 9);
     const auto batches = chunk_by_epoch(wl, 8.0);
 
-    for (const OverflowPolicy policy :
-         {OverflowPolicy::drop_oldest, OverflowPolicy::reject}) {
-        auto cfg = service_config(1, 1);
-        cfg.shard.queue_capacity = 48;  // force overflow
-        cfg.shard.overflow = policy;
-        const std::string phased = run_phased(cfg, batches);
-        auto ovl = service_config(4, 4);
-        ovl.shard.queue_capacity = 48;
-        ovl.shard.overflow = policy;
-        EXPECT_EQ(phased, run_overlapped(ovl, batches));
-    }
+    auto cfg = service_config(1, 1);
+    cfg.shard.queue_capacity = 48;  // force overflow
+    const std::string phased = run_phased(cfg, batches);
+    auto ovl = service_config(4, 4);
+    ovl.shard.queue_capacity = 48;
+    EXPECT_EQ(phased, run_overlapped(ovl, batches));
 }
 
 /// Incremental snapshots reconstruct the full view: applying each epoch's

@@ -91,13 +91,13 @@ core::LocateResult expect_streaming_equals_offline(const core::LocBle::Config& c
 
     TrackingSession::Config scfg;
     scfg.pipeline = cfg;
-    TrackingSession session(scfg, dsp::Anf(cfg.anf), env);
+    TrackingSession session(scfg, dsp::Anf(), env);
     IngestStats stats;
     for (const auto& s : rss) {
         const Vec2 obs = walk.position_at(s.t);
         session.on_adv(s.t, s.value, -obs.x, -obs.y, stats);
     }
-    session.finish_epoch(rss.back().t + 2.0 * cfg.batch_seconds, stats);
+    session.finish_epoch(rss.back().t + 2.0 * core::BatchLoop::kBatchSeconds, stats);
 
     EXPECT_EQ(offline.fit.has_value(), session.has_fit());
     if (offline.fit && session.has_fit()) {

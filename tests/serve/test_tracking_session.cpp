@@ -86,10 +86,10 @@ TEST(TrackingSessionTest, EpochSplitIsInvisible) {
 
 TEST(TrackingSessionTest, PoseLagTracksAnfGroupDelay) {
     auto cfg = clean_config();
-    EXPECT_EQ(TrackingSession(cfg, dsp::Anf(cfg.pipeline.anf), nullptr).pose_lag_s(),
+    EXPECT_EQ(TrackingSession(cfg, dsp::Anf(), nullptr).pose_lag_s(),
               0.0);
     cfg.pipeline.use_anf = true;
-    const TrackingSession with_anf(cfg, dsp::Anf(cfg.pipeline.anf), nullptr);
+    const TrackingSession with_anf(cfg, dsp::Anf(), nullptr);
     EXPECT_GT(with_anf.pose_lag_s(), 0.0);
 }
 
@@ -97,7 +97,7 @@ TEST(TrackingSessionTest, MaxSessionSamplesBoundsAndResets) {
     auto cfg = clean_config();
     cfg.max_session_samples = 30;
     IngestStats stats;
-    TrackingSession s(cfg, dsp::Anf(cfg.pipeline.anf), nullptr);
+    TrackingSession s(cfg, dsp::Anf(), nullptr);
     feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1, stats);  // 81 samples
     s.finish_epoch(9.0, stats);
     EXPECT_GE(s.resets(), 1);
@@ -109,10 +109,10 @@ TEST(TrackingSessionTest, MaxSessionSamplesBoundsAndResets) {
 TEST(TrackingSessionTest, EnvAwareRequiredWhenEnabled) {
     auto cfg = clean_config();
     cfg.pipeline.use_envaware = true;
-    EXPECT_THROW(TrackingSession(cfg, dsp::Anf(cfg.pipeline.anf), nullptr),
+    EXPECT_THROW(TrackingSession(cfg, dsp::Anf(), nullptr),
                  std::invalid_argument);
     const core::EnvAware untrained;
-    EXPECT_THROW(TrackingSession(cfg, dsp::Anf(cfg.pipeline.anf), &untrained),
+    EXPECT_THROW(TrackingSession(cfg, dsp::Anf(), &untrained),
                  std::invalid_argument);
 }
 
