@@ -35,11 +35,16 @@
 // shard count follows LOCBLE_SERVE_TAIL_SHARDS (default 1) — an env var,
 // like LOCBLE_THREADS, because it is a CI axis rather than a user knob.
 //
+// At the xlarge point a second overlapped sweep holds one shard and varies
+// the worker threads (1/2/4): workers claim clients and sessions, not
+// shards, so a one-shard service scales with its threads too.
+//
 // Headline CI gates: xlarge.speedup >= 2 and
 // xlarge.determinism_identical == 1 always, tail.determinism_identical == 1
-// always; on runners with >= 4 cores (the `cores` scalar) the overlapped
-// sweep must additionally scale:
-// xlarge.overlap_events_per_sec_shards4 > overlap_events_per_sec_shards1.
+// always; on runners with >= 4 cores (the `cores` scalar) both overlapped
+// sweeps must additionally scale:
+// xlarge.overlap_events_per_sec_shards4 > overlap_events_per_sec_shards1 and
+// xlarge.overlap_events_per_sec_1shard_threads4 > ..._1shard_threads1.
 
 #include <algorithm>
 #include <chrono>
@@ -300,7 +305,21 @@ int main(int argc, char** argv) {
             overlap_evps[s] =
                 static_cast<double>(wl.events.size()) / (us * 1e-6);
         }
-        const bool overlap_identical = ocanon == canon1 && !canon1.empty();
+        bool overlap_identical = ocanon == canon1 && !canon1.empty();
+
+        // One shard, more workers: the epoch's sessions spread over the
+        // threads whatever the shard count.
+        const unsigned thread_sweep[] = {1, 2, 4};
+        double thread_evps[std::size(thread_sweep)] = {};
+        if (k == "xlarge") {
+            for (std::size_t t = 0; t < std::size(thread_sweep); ++t) {
+                std::string tcanon;
+                const double us =
+                    overlapped_pass(batches, 1, thread_sweep[t], &tcanon);
+                thread_evps[t] = static_cast<double>(wl.events.size()) / (us * 1e-6);
+                overlap_identical = overlap_identical && tcanon == canon1;
+            }
+        }
         all_identical = all_identical && overlap_identical;
 
         // Overflow run: a queue two orders too small must degrade
@@ -334,6 +353,11 @@ int main(int argc, char** argv) {
             rep.add_scalar(k + ".overlap_events_per_sec_shards" +
                                std::to_string(shard_sweep[s]),
                            overlap_evps[s]);
+        if (k == "xlarge")
+            for (std::size_t t = 0; t < std::size(thread_sweep); ++t)
+                rep.add_scalar(k + ".overlap_events_per_sec_1shard_threads" +
+                                   std::to_string(thread_sweep[t]),
+                               thread_evps[t]);
         rep.add_scalar(k + ".determinism_identical",
                        identical && overlap_identical ? 1.0 : 0.0);
         rep.add_scalar(k + ".overflow_submitted",
@@ -524,8 +548,8 @@ int main(int argc, char** argv) {
     std::printf("headline (CI gate): xlarge.speedup >= 2 (got %.2f); every\n"
                 "point's phased and overlapped canonical snapshots plus the\n"
                 "tail status identical across shard counts (%s);\n"
-                "on >= 4 cores the overlapped sweep must scale with "
-                "shards\n\n",
+                "on >= 4 cores the overlapped sweeps must scale with "
+                "shards and, at one shard, with threads\n\n",
                 xlarge_speedup, all_identical ? "yes" : "NO");
     return runner.finish();
 }

@@ -94,9 +94,12 @@ void ThreadPool::worker_loop() {
             task = std::move(queue_.front());
             queue_.pop_front();
         }
-        task();  // exceptions land in the task's future
+        // Count before running: the task's future becomes ready inside
+        // task(), and a caller that returns from get() may read the
+        // registry at once, so the count must be ordered before that.
         ++tasks_run;
         LOCBLE_COUNT_ND("runtime.pool.tasks", 1);
+        task();  // exceptions land in the task's future
     }
     // Per-worker distribution, flushed once at pool teardown (snapshots
     // taken while the pool is alive only see the running total above).

@@ -16,11 +16,11 @@ namespace locble::serve {
 /// per-shard rows live under the "nd" key of the JSON dump and never enter
 /// cross-shard-count determinism comparisons.
 struct ShardEpochRecord {
-    std::uint64_t events_drained{0};   ///< events the worker consumed this epoch
+    std::uint64_t events_drained{0};   ///< events the shard's clients drained this epoch
     std::uint64_t clients_visited{0};  ///< clients processed (incl. open-batch revisits)
     std::uint64_t sessions_live{0};    ///< live sessions at epoch end
     std::uint64_t sessions_no_fit{0};  ///< live sessions without a location fit
-    double wall_us{0.0};               ///< wall-clock shard epoch duration (ND)
+    double wall_us{0.0};               ///< summed wall time of the shard's work items (ND)
 
     /// Field list in checkpoint byte order (serve/checkpoint.cpp).
     template <class Self, class Visitor>

@@ -167,10 +167,11 @@ TrackingService::TrackingService(const Config& cfg,
             "TrackingService: session config enables EnvAware but no model "
             "was provided");
     const core::EnvAware* env = envaware_ ? &*envaware_ : nullptr;
+    threads_ = cfg_.threads == 0 ? nshards : cfg_.threads;
     shards_.reserve(nshards);
     for (unsigned i = 0; i < nshards; ++i)
-        shards_.push_back(std::make_unique<Shard>(cfg_.shard, env, recorder_.enabled()));
-    threads_ = cfg_.threads == 0 ? nshards : std::min(cfg_.threads, nshards);
+        shards_.push_back(
+            std::make_unique<Shard>(cfg_.shard, env, recorder_.enabled(), threads_));
     // One pool for the service lifetime; with a single worker begin_epoch()
     // runs the whole epoch inline, so threads == 1 needs no pool at all.
     if (threads_ > 1) pool_.emplace(threads_);
@@ -180,7 +181,7 @@ TrackingService::~TrackingService() {
     try {
         end_epoch();
     } catch (...) {
-        // A shard worker failed during teardown; the epoch's results are
+        // A work item failed during teardown; the epoch's results are
         // being discarded anyway.
     }
 }
@@ -238,66 +239,124 @@ std::uint64_t TrackingService::begin_epoch() {
         for (const auto& s : shards_) queued += s->inbox_events();
         LOCBLE_TRACE_COUNTER("serve.queue_depth", queued);
     }
+    in_flight_ = true;
+
+    // One client list for the whole epoch, in client-id order. Planning
+    // creates the epoch's new clients, which changes a shard's client map,
+    // so it runs here on the driver before any worker does.
+    client_work_.clear();
+    for (auto& s : shards_) s->plan_epoch(client_work_);
+    std::sort(client_work_.begin(), client_work_.end(),
+              [](const Shard::ClientWork& a, const Shard::ClientWork& b) {
+                  return a.id < b.id;
+              });
+    // Stage 1: drain each delivery into its client's sessions.
+    launch(client_work_.size(), [this](std::size_t worker, std::size_t i) {
+        const Shard::ClientWork& w = client_work_[i];
+        w.shard->drain(w, worker);
+    });
+    join();
+
+    // Stage 2, nearly all of the epoch's work: close and solve every session
+    // of the visited clients, in (client, beacon) order. It runs until
+    // end_epoch(), beside the driver's ingest for the next epoch.
+    session_work_.clear();
+    if (!failure_) {
+        for (const Shard::ClientWork& w : client_work_)
+            for (auto& [beacon, session] : w.state->sessions)
+                session_work_.push_back({w.shard, &session});
+        launch(session_work_.size(), [this](std::size_t worker, std::size_t i) {
+            const Shard::SessionWork& w = session_work_[i];
+            w.shard->solve(*w.session, worker);
+        });
+    }
     if (!pool_) {
         LOCBLE_SPAN("serve.epoch");
-        std::exception_ptr failure;
-        try {
-            for (auto& s : shards_) s->process_epoch();
-        } catch (...) {
-            failure = std::current_exception();
-        }
-        close_epoch(failure);
-        return epoch;
-    }
-    in_flight_ = true;
-    next_shard_.store(0, std::memory_order_relaxed);
-    const std::size_t workers =
-        std::min<std::size_t>(threads_, shards_.size());
-    inflight_.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        inflight_.push_back(pool_->submit([this] {
-            // Dynamic shard scheduling; which worker runs which shard never
-            // matters because a shard's epoch is a pure function of its own
-            // state.
-            for (;;) {
-                const std::size_t i =
-                    next_shard_.fetch_add(1, std::memory_order_relaxed);
-                if (i >= shards_.size()) return;
-                shards_[i]->process_epoch();
-            }
-        }));
+        end_epoch();
     }
     return epoch;
 }
 
 void TrackingService::end_epoch() {
     if (!in_flight_) return;
+    join();
+    // The evictions decided at the swap change the client maps' shape, so
+    // they run here, between stages — also after a failed stage. Evicted
+    // clients still settle (and are freed) in stage 3, so their last epoch
+    // counts in full.
+    for (auto& s : shards_) s->evict();
+    if (!failure_) {
+        // Stage 3: each shard's telemetry walk (the largest items, so they
+        // are claimed first), then each client's settle.
+        const std::size_t walks = recorder_.enabled() ? shards_.size() : 0;
+        launch(walks + client_work_.size(),
+               [this, walks](std::size_t worker, std::size_t i) {
+                   if (i < walks) {
+                       shards_[i]->record_telemetry(worker);
+                       return;
+                   }
+                   const Shard::ClientWork& w = client_work_[i - walks];
+                   w.shard->settle(w, worker);
+               });
+        join();
+    }
+    in_flight_ = false;
+    // The barrier. A failed epoch's counts are folded too: the work the
+    // workers did before an item threw stays counted.
+    IngestStats worked;
+    for (auto& s : shards_) worked += s->end_epoch();
+    stats_ += worked;
+    barrier_stats_ += worked;
+    publish(worked);
+    if (failure_) std::rethrow_exception(std::exchange(failure_, nullptr));
+    finalize_epoch_record();
+}
+
+void TrackingService::launch(std::size_t count,
+                             std::function<void(std::size_t, std::size_t)> item) {
+    if (count == 0) return;
+    cursor_.store(0, std::memory_order_relaxed);
+    // Items touch disjoint state, and the pool's queue orders the work
+    // lists before every claim, so the cursor needs no ordering of its own.
+    auto worker = [this, count, item = std::move(item)](std::size_t w) {
+        std::size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count) return;
+        LOCBLE_SPAN("serve.shard.epoch");
+        try {
+            do {
+                item(w, i);
+            } while ((i = cursor_.fetch_add(1, std::memory_order_relaxed)) < count);
+        } catch (...) {
+            cursor_.store(count, std::memory_order_relaxed);  // no more claims
+            throw;
+        }
+    };
+    if (!pool_) {
+        try {
+            worker(0);
+        } catch (...) {
+            failure_ = std::current_exception();
+        }
+        return;
+    }
+    const std::size_t workers = std::min<std::size_t>(threads_, count);
+    for (std::size_t w = 0; w < workers; ++w)
+        inflight_.push_back(pool_->submit([worker, w] { worker(w); }));
+}
+
+void TrackingService::join() {
+    if (inflight_.empty()) return;
     LOCBLE_SPAN("serve.epoch.barrier");
-    // Drain every worker before rethrowing, so a failure still leaves the
-    // service quiescent (no worker left touching shard state).
-    std::exception_ptr first;
+    // Wait for every worker before anything rethrows, so a failure still
+    // leaves the service quiescent (no worker left touching shard state).
     for (auto& f : inflight_) {
         try {
             f.get();
         } catch (...) {
-            if (!first) first = std::current_exception();
+            if (!failure_) failure_ = std::current_exception();
         }
     }
     inflight_.clear();
-    in_flight_ = false;
-    close_epoch(first);
-}
-
-void TrackingService::close_epoch(std::exception_ptr failure) {
-    // A failed epoch's counts are folded too: the work a worker did before
-    // it threw stays counted.
-    IngestStats worked;
-    for (auto& s : shards_) worked += s->take_epoch_stats();
-    stats_ += worked;
-    barrier_stats_ += worked;
-    publish(worked);
-    if (failure) std::rethrow_exception(failure);
-    finalize_epoch_record();
 }
 
 void TrackingService::finalize_epoch_record() {

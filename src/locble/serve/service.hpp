@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -135,22 +136,26 @@ struct ServiceStatus {
 /// percentiles. Doubles print %.17g (round-trip exact).
 std::string status_json(const ServiceStatus& status);
 
-/// Sharded multi-client tracking service with a pipelined epoch loop (the
-/// serve tentpole, reworked for ingest/epoch overlap in PR 6).
+/// Sharded multi-client tracking service with a pipelined epoch loop.
 ///
-/// Sessions are sharded by a rendezvous hash of the client id (shard_of);
-/// a shard owns its clients exclusively, so the epoch hot path takes no
-/// locks. The driver thread runs either the classic phased loop
+/// Clients are sharded by a rendezvous hash of the client id (shard_of);
+/// a shard owns its clients' ingest queues and state. An epoch runs as three
+/// stages over epoch-wide, ordered work lists whose items workers claim
+/// through one atomic cursor: drain each client's delivery, then close and
+/// solve each session, then settle each client (clustering, dirty listing,
+/// pose pruning). A session is a pure function of its own events, so the
+/// hot path takes no locks and the work order is never observable. The
+/// driver thread runs either the classic phased loop
 ///
 ///   submit(events...);   // ingest: route into double-buffered queues
-///   run_epoch();         // swap + drain every shard, barrier at the end
+///   run_epoch();         // swap, run the three stages, barrier at the end
 ///   snapshot();          // merged view as of the barrier
 ///
 /// or the pipelined loop that overlaps ingest with epoch execution:
 ///
-///   begin_epoch();       // swap buffers, launch shard workers, return
+///   begin_epoch();       // swap, drain, launch the solves, return
 ///   submit(events...);   // lands in the fresh ingest buffers, overlapped
-///   end_epoch();         // barrier
+///   end_epoch();         // barrier: settle the clients, fold the counts
 ///
 /// Overlap changes nothing observable: submissions made while an epoch is
 /// in flight are processed by the *next* epoch, exactly as if they had been
@@ -165,17 +170,18 @@ std::string status_json(const ServiceStatus& status);
 ///
 /// All driver-side entry points (submit, begin/end/run_epoch, snapshot,
 /// stats, status, checkpoint, restore_checkpoint, set_ingest_tap) must be
-/// called from one thread; only shard processing is concurrent.
+/// called from one thread; only the epoch's work items run concurrently.
 class TrackingService {
 public:
     struct Config {
         /// Number of shards (0 is taken as 1). More shards means finer
         /// parallelism; results never change.
         unsigned shards{1};
-        /// Worker threads driving shard epochs: 0 means one per shard,
-        /// otherwise capped at the shard count. 1 runs epochs inline on the
-        /// calling thread with no pool at all (begin_epoch then completes
-        /// the epoch synchronously).
+        /// Worker threads running the epoch's work items: 0 means one per
+        /// shard. Not capped by the shard count: workers claim clients and
+        /// sessions, not shards. 1 runs epochs inline on the calling thread
+        /// with no pool at all (begin_epoch then completes the epoch
+        /// synchronously).
         unsigned threads{1};
         Shard::Config shard{};
         /// Flight-recorder capacity in epochs; 0 disables recording *and*
@@ -236,15 +242,19 @@ public:
     /// Route a batch in order.
     void submit(const std::vector<Event>& events);
 
-    /// Swap every shard's ingest buffers, apply eviction decisions, and
-    /// launch the shard workers; returns the epoch index now in flight.
-    /// With a single worker thread the epoch completes inline before
-    /// returning (end_epoch is then a no-op). Throws std::logic_error if an
-    /// epoch is already in flight.
+    /// Swap every shard's ingest buffers and decide evictions, drain the
+    /// deliveries into their clients' sessions, and launch the session
+    /// solves; returns the epoch index now in flight. With a single worker
+    /// thread the epoch completes inline before returning (end_epoch is then
+    /// a no-op) and a work item's exception surfaces here. Throws
+    /// std::logic_error if an epoch is already in flight.
     std::uint64_t begin_epoch();
 
-    /// Barrier: wait for every shard worker launched by begin_epoch().
-    /// No-op when no epoch is in flight.
+    /// Barrier: wait for the solves begin_epoch() launched, apply the
+    /// evictions decided at the swap, settle every visited client and fold
+    /// the workers' counts. Rethrows a work item's exception once the
+    /// service is quiescent and every count is folded. No-op when no epoch
+    /// is in flight.
     void end_epoch();
 
     /// begin_epoch() + end_epoch(): the phase-separated driver loop.
@@ -305,11 +315,16 @@ public:
 
 private:
     friend struct CheckpointCodec;
-    /// The epoch barrier, once every shard worker has stopped (inline at the
-    /// end of begin_epoch() when there is no pool, otherwise in end_epoch()):
-    /// fold the shards' worker-side counts into the ledger, then rethrow
-    /// `failure` if a worker threw, else record the epoch.
-    void close_epoch(std::exception_ptr failure);
+    /// Run one epoch stage: `item(worker, i)` for every i in [0, count),
+    /// claimed in index order through one atomic cursor by up to threads_
+    /// pool workers, or in order on the calling thread without a pool. Each
+    /// worker's claims are one serve.shard.epoch span. A throwing item
+    /// stops further claims; its exception lands in failure_ (at join() when
+    /// pooled). Pooled stages run until join().
+    void launch(std::size_t count, std::function<void(std::size_t, std::size_t)> item);
+    /// Wait for the launched stage's workers; the first exception goes to
+    /// failure_.
+    void join();
     /// Assemble and push this epoch's flight record.
     void finalize_epoch_record();
 
@@ -331,8 +346,15 @@ private:
     /// Horizon captured at the last begin_epoch(): what snapshots report.
     double epoch_horizon_{0.0};
     bool in_flight_{false};
+    /// The epoch's work lists: clients in id order (stages 1 and 3), then
+    /// their sessions in (client, beacon) order (stage 2).
+    std::vector<Shard::ClientWork> client_work_;
+    std::vector<Shard::SessionWork> session_work_;
+    /// The running stage: its claim cursor and its workers' futures.
+    std::atomic<std::size_t> cursor_{0};
     std::vector<std::future<void>> inflight_;
-    std::atomic<std::size_t> next_shard_{0};
+    /// The first exception a work item threw this epoch.
+    std::exception_ptr failure_;
     FlightRecorder recorder_;
     /// Barrier stats when the previous record was finalized — the baseline
     /// per-epoch deltas subtract from.

@@ -23,19 +23,25 @@ namespace locble::serve {
 /// id hashes to it — their double-buffered ingest queues, pose tracks and
 /// per-beacon tracking sessions.
 ///
-/// Threading contract (docs/SERVING.md): state is split into two disjoint
-/// halves so ingest can overlap epoch execution.
+/// Threading contract (docs/SERVING.md): state is split into disjoint parts
+/// so ingest can overlap epoch execution and any number of workers can share
+/// one shard's epoch.
 ///
 ///  - *Ingest side* (`ingest_`) is touched only by the driver thread, at any
 ///    time — including while an epoch is in flight. Its counts go to the
 ///    ledger enqueue() is handed, the service's own.
-///  - *Worker side* (`clients_`, `epoch_stats_`, `dirty_`) is touched only
-///    by the one worker thread running `process_epoch()`, and read at
-///    quiescent points (between epochs) for snapshots and the barrier fold.
+///  - *Client map* (`clients_`, `evicted_`) changes shape only on the driver
+///    thread, between stages: plan_epoch() creates the epoch's new clients,
+///    evict() takes out the evicted ones.
+///  - *Work items* run on the service's workers, which claim them from the
+///    epoch-wide work lists: drain() and settle() touch one client,
+///    solve() one session, record_telemetry() only reads sessions (fields
+///    no concurrent settle() writes) and writes the telemetry. A worker
+///    counts into its own Tally, never another's.
 ///  - The handoff (`inbox_`, `epoch_horizon_`) is written by `begin_epoch()`
-///    on the driver thread while no epoch is in flight, then consumed by
-///    the worker; the epoch barrier orders the two, so nothing is ever
-///    touched concurrently and the hot path takes no locks.
+///    on the driver thread while no epoch is in flight, then read by the
+///    work items; the service's stage barriers order everything else, so
+///    nothing is touched concurrently and the hot path takes no locks.
 class Shard {
 public:
     /// Forget pose samples older than this behind the horizon (enough
@@ -86,11 +92,14 @@ public:
 
     /// `envaware` may be null when the session config does not use it; it
     /// must outlive the shard. `telemetry` collects the per-epoch flight
-    /// recorder telemetry (EpochTelemetry); when false, process_epoch()
-    /// reads no clock and walks no sessions beyond its normal work.
-    Shard(const Config& cfg, const core::EnvAware* envaware, bool telemetry)
+    /// recorder telemetry (EpochTelemetry); when false, the epoch reads no
+    /// clock and walks no sessions beyond its normal work. `workers` is the
+    /// number of workers that may run this shard's work items (one Tally
+    /// each).
+    Shard(const Config& cfg, const core::EnvAware* envaware, bool telemetry,
+          std::size_t workers)
         : cfg_(cfg), envaware_(envaware), telemetry_(telemetry),
-          calibrator_(cfg.clustering) {}
+          calibrator_(cfg.clustering), tallies_(workers) {}
 
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
@@ -108,16 +117,55 @@ public:
     /// count).
     void begin_epoch(double horizon);
 
-    /// Drain the inbox, drive the tracking sessions, close batches up to
-    /// the swap horizon, solve, cluster, and apply the evictions decided at
-    /// the swap. Exactly one worker thread per epoch.
-    void process_epoch();
+    struct ClientState;
 
-    /// Hand over the worker-side counts process_epoch() made (including
-    /// those of an epoch a worker exception cut short) and zero them for
-    /// the next epoch. Quiescent point required: the service folds them
-    /// into its ledger at the barrier.
-    IngestStats take_epoch_stats() { return std::exchange(epoch_stats_, IngestStats{}); }
+    /// One client's share of an epoch: its delivered buffer (null when an
+    /// open batch alone brings the client back), its resident state, and
+    /// whether the swap evicted it.
+    struct ClientWork {
+        Shard* shard{nullptr};
+        ClientId id{0};
+        ClientState* state{nullptr};
+        std::deque<Event>* events{nullptr};
+        bool evict{false};
+    };
+
+    /// One session's share of an epoch: the batch close and solve.
+    struct SessionWork {
+        Shard* shard{nullptr};
+        TrackingSession* session{nullptr};
+    };
+
+    /// After the swap (driver thread): create the clients the inbox
+    /// introduces and append, in client-id order, one work item per client
+    /// the epoch visits — each delivery, and each resident client that
+    /// still holds an open batch. A fully idle client gets no work item.
+    void plan_epoch(std::vector<ClientWork>& work);
+
+    /// Stage 1 (a worker): drain the client's delivery into its sessions,
+    /// creating the sessions new beacons need.
+    void drain(const ClientWork& w, std::size_t worker);
+    /// Stage 2 (a worker): close the session's batches up to the swap
+    /// horizon and run its warm-started solve.
+    void solve(TrackingSession& session, std::size_t worker);
+    /// Stage 3 (a worker): the client's clustering, dirty listing,
+    /// open-batch flag and pose pruning; an evicted client's state is freed
+    /// instead of pruned.
+    void settle(const ClientWork& w, std::size_t worker);
+    /// Stage 3 (a worker, when built with telemetry): staleness and no-fit
+    /// counts over every session that outlives the epoch.
+    void record_telemetry(std::size_t worker);
+
+    /// After stage 2 (driver thread): take the clients evicted at the swap
+    /// out of the client map and count them. Their state stays alive for
+    /// stage 3 to settle (and free) until end_epoch().
+    void evict();
+
+    /// The epoch barrier (driver thread, every worker stopped): fold the
+    /// workers' tallies and the evictions, release the evicted clients, and
+    /// return the epoch's worker-side counts — including those of an epoch
+    /// a worker exception cut short. The service folds them into its ledger.
+    IngestStats end_epoch();
 
     struct ClientState {
         std::vector<motion::TimedPosition> path;  ///< pose track, time-ordered
@@ -143,23 +191,25 @@ public:
     /// dirty flags). Quiescent point required.
     std::map<ClientId, ClientState>& clients_mut() { return clients_; }
 
-    /// Sessions dirtied since the last snapshot, in the order the worker
-    /// discovered them (deduplicated via TrackingSession::dirty_listed).
-    /// The service consumes — and clears — this at snapshot assembly.
+    /// Sessions dirtied since the last snapshot, in the order the workers'
+    /// tallies were folded (deduplicated via TrackingSession::dirty_listed).
+    /// The service consumes — and clears — this at snapshot assembly, which
+    /// sorts its rows, so the order is never observed.
     std::vector<std::pair<ClientId, BeaconId>>& dirty_sessions() {
         return dirty_;
     }
 
-    /// Live session count across this shard's clients (maintained by the
-    /// worker; quiescent point required).
+    /// Live session count across this shard's clients (updated at each
+    /// epoch barrier; quiescent point required).
     std::size_t live_sessions() const { return live_sessions_; }
 
     /// Per-epoch telemetry for the service flight recorder, rebuilt by each
-    /// process_epoch() when the shard was built with telemetry on.
-    /// Worker-side state: read at quiescent points only (the service reads
-    /// it at the barrier).
+    /// epoch when the shard was built with telemetry on. Read at quiescent
+    /// points only (the service reads it at the barrier).
     struct EpochTelemetry {
-        /// The shard's row of the epoch's flight record.
+        /// The shard's row of the epoch's flight record. Its counts are the
+        /// shard's own; `wall_us` sums the wall time of the shard's work
+        /// items, whichever workers ran them.
         ShardEpochRecord record;
         /// Staleness (horizon - last event fed to the session, seconds) of
         /// every live session at epoch end — the deterministic,
@@ -196,11 +246,20 @@ private:
         }
     };
 
-    /// One swapped-out buffer handed to the worker at the epoch barrier.
+    /// One swapped-out buffer handed to the epoch at the swap.
     struct Delivery {
         ClientId client{0};
         std::deque<Event> events;
         bool evict{false};  ///< idle-evict after processing (decided at swap)
+    };
+
+    /// One worker's counts for this shard's work items in an epoch, folded
+    /// at the barrier by u64 sum. Cache-line aligned: workers write their
+    /// own tallies side by side.
+    struct alignas(64) Tally {
+        IngestStats stats;
+        std::vector<std::pair<ClientId, BeaconId>> dirty;
+        double wall_us{0.0};  ///< wall time of the worker's items (ND)
     };
 
     /// Find or create `beacon`'s session in `sessions`: the one
@@ -211,9 +270,7 @@ private:
         return sessions.try_emplace(beacon, cfg_.session, anf_, envaware_);
     }
 
-    void process_client(ClientId id, ClientState& c, std::deque<Event>* events,
-                        double horizon);
-    void run_clustering(ClientState& c);
+    void run_clustering(ClientState& c, IngestStats& stats);
     locble::Vec2 pose_at(ClientState& c, double t) const;
 
     Config cfg_;
@@ -228,20 +285,23 @@ private:
     // Unordered on purpose: the hot enqueue path is a keyed lookup
     // (try_emplace), which never observes iteration order. The one
     // order-sensitive consumer is the epoch swap, and begin_epoch()
-    // re-sorts the drained inbox by client id before the worker sees it —
+    // re-sorts the drained inbox by client id before the epoch sees it —
     // the collect-then-sort idiom the flow-sensitive `unordered` lint rule
     // codifies (docs/CORRECTNESS.md).
     std::unordered_map<ClientId, IngestQueue> ingest_;
 
-    // --- barrier handoff (written at begin_epoch, read by the worker) ---
+    // --- barrier handoff (written at begin_epoch, read by the work items) ---
     std::vector<Delivery> inbox_;
     double epoch_horizon_{0.0};
     std::size_t inbox_events_{0};
 
-    // --- worker side (one worker thread per epoch) ---
+    // --- epoch side (shape: driver between stages; items: workers) ---
     std::map<ClientId, ClientState> clients_;
-    /// This epoch's worker-side counts, until take_epoch_stats().
-    IngestStats epoch_stats_;
+    /// Clients evict() took out this epoch, alive until end_epoch(), and
+    /// their counts.
+    std::vector<std::map<ClientId, ClientState>::node_type> evicted_;
+    IngestStats evictions_;
+    std::vector<Tally> tallies_;  ///< one per worker
     std::vector<std::pair<ClientId, BeaconId>> dirty_;
     std::size_t live_sessions_{0};
     EpochTelemetry telem_;

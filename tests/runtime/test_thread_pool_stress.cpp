@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "locble/obs/obs.hpp"
+
 namespace locble::runtime {
 namespace {
 
@@ -112,6 +114,29 @@ TEST(ThreadPoolStressTest, OversubscribedPoolMakesProgress) {
     for (auto& f : futures) f.get();
     EXPECT_EQ(sum.load(), 2000u);
 }
+
+#if LOCBLE_OBS
+TEST(ThreadPoolStressTest, TaskCountIsVisibleOnceItsFutureIsReady) {
+    // A caller that returns from a task's future and then snapshots the
+    // registry (the serve epoch barrier followed by a metrics read) must
+    // see that task counted. Under TSan a count made after the future is
+    // ready is also a data race with the snapshot's read of the slot.
+    obs::Registry& reg = obs::Registry::global();
+    reg.reset();
+    reg.set_enabled(true);
+    {
+        ThreadPool pool(4);
+        for (std::uint64_t i = 1; i <= 1000; ++i) {
+            pool.submit([] {}).get();
+            std::uint64_t counted = 0;
+            for (const obs::MetricSnapshot& m : reg.snapshot())
+                if (m.name == "runtime.pool.tasks") counted = m.count;
+            ASSERT_EQ(counted, i) << "task " << i;
+        }
+    }
+    reg.set_enabled(false);
+}
+#endif
 
 }  // namespace
 }  // namespace locble::runtime

@@ -13,6 +13,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "locble/common/rng.hpp"
@@ -297,9 +298,12 @@ TEST(ServeObsCoherenceTest, CountersSplitAcrossACheckpointHandoff) {
 /// the throw (here an idle eviction) is in the ledger and the counters.
 /// The EnvAware model is untrained, so building the first session throws.
 TEST(ServeObsCoherenceTest, WorkerExceptionLosesNoCount) {
-    for (const unsigned shards : {1u, 2u}) {
+    // (shards, threads): inline epochs at one thread, a worker pool above,
+    // and workers past the shard count.
+    for (const auto& [shards, threads] :
+         {std::pair{1u, 1u}, std::pair{2u, 2u}, std::pair{4u, 2u}, std::pair{1u, 4u}}) {
         auto cfg = coherence_config(shards, 1 << 12);
-        cfg.threads = shards;  // inline epoch at 1, worker pool at 2
+        cfg.threads = threads;
         cfg.shard.session.pipeline.use_envaware = true;
 #if LOCBLE_OBS
         obs::Registry& reg = obs::Registry::global();
