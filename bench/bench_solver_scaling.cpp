@@ -24,12 +24,15 @@
 //
 // A kernel.* micro-section times the raw gn2/residual2 kernels (scalar
 // reference vs lane kernels at the build's kLaneWidth) on a synthetic SoA
-// problem, isolating the SIMD win from the incremental one.
+// problem, isolating the SIMD win from the incremental one, and batches of
+// Gauss-Newton runs taken one at a time vs in lockstep (eight k == 1 runs;
+// 1-8 runs at k = 2..4), every run checked against gn_lockstep_ref.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -253,6 +256,151 @@ void bench_kernels(bench::Runner& runner, int trials) {
     runner.report().add_scalar("kernel.checksum", checksum);
 }
 
+/// Serial and lockstep wall time of one lockstep micro-benchmark case.
+struct LockstepTiming {
+    double serial_us;
+    double lock_us;
+};
+
+/// Lockstep Gauss-Newton micro-benchmark. Each case times `runs` runs over
+/// one n-sample L-walk in k Gamma segments, each run from its own bearing
+/// at its own exponent: taken one at a time (a batch of one run per call,
+/// a sweep and a scalar solve per iteration) and advanced together by the
+/// lockstep executor. Every run of both is checked bit for bit against
+/// gn_lockstep_ref — the same run alone on the AoS samples, through the
+/// scalar twins and solve_linear_flat (`kernel.gn_lockstep_identical`).
+void bench_lockstep(bench::Runner& runner, int trials) {
+    namespace kn = core::kernels;
+    constexpr std::size_t kW = kn::kLaneWidth;
+    constexpr int kReps = 200;
+    locble::Rng rng(runner.sweep_seed(10));
+    std::size_t compared = 0, mismatches = 0;
+    const auto time_case = [&](std::size_t n, std::size_t k, std::size_t runs) {
+        // An L-walk past a target at (5, 2), 2 dB noise, each segment 3 dB
+        // below the one before.
+        std::vector<double> p(n), q(n), rssi(n);
+        std::vector<int> seg(n);
+        std::vector<FusedSample> aos(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double u = static_cast<double>(i) / static_cast<double>(n);
+            p[i] = 5.0 - (u < 0.5 ? 8.0 * u : 4.0);
+            q[i] = 2.0 - (u < 0.5 ? 0.0 : 6.0 * (u - 0.5));
+            seg[i] = static_cast<int>(i * k / n);
+            const double l2 = std::max(p[i] * p[i] + q[i] * q[i], 0.01);
+            rssi[i] = -59.0 - 3.0 * seg[i] - 10.5 * std::log10(l2) +
+                      rng.gaussian(0.0, 2.0);
+            aos[i] = FusedSample{0.0, p[i], q[i], rssi[i], seg[i]};
+        }
+        std::vector<double> scratch(kn::lockstep_scratch_size(k));
+        kn::GnBatch start;
+        start.runs = runs;
+        start.k = k;
+        start.gamma_min = -90.0;
+        start.gamma_max = -30.0;
+        for (std::size_t j = 0; j < runs; ++j) {
+            const double angle = 2.0 * 3.141592653589793 * static_cast<double>(j) /
+                                 static_cast<double>(kn::kAccLanes);
+            start.x[j] = 4.0 * std::cos(angle);
+            start.h[j] = 4.0 * std::sin(angle);
+            start.exponent[j] = 1.6 + 0.3 * static_cast<double>(j);
+        }
+        std::vector<double> g_ref(runs * k, -59.0), g_serial(runs * k), g_lock(runs * k);
+        kn::GnBatch ref = start;
+        ref.gammas = g_ref.data();
+        kn::gn_lockstep_ref(aos.data(), n, ref, scratch.data());
+        kn::GnBatch serial[kn::kAccLanes];
+        kn::GnBatch lock;
+        // Bit for bit: memcmp tells -0.0 from 0.0 and matches a NaN.
+        const auto same = [&](double x, double h, const double* g, std::size_t j) {
+            return std::memcmp(&x, &ref.x[j], sizeof x) == 0 &&
+                   std::memcmp(&h, &ref.h[j], sizeof h) == 0 &&
+                   std::memcmp(g, g_ref.data() + j * k, k * sizeof(double)) == 0;
+        };
+        LockstepTiming best{1e300, 1e300};
+        for (int trial = 0; trial < trials + 1; ++trial) {  // first pass warms up
+            double t0 = now_us();
+            for (int rep = 0; rep < kReps; ++rep) {
+                for (std::size_t j = 0; j < runs; ++j) {
+                    kn::GnBatch& one = serial[j];
+                    one = kn::GnBatch{};
+                    one.runs = 1;
+                    one.k = k;
+                    one.gamma_min = start.gamma_min;
+                    one.gamma_max = start.gamma_max;
+                    one.x[0] = start.x[j];
+                    one.h[0] = start.h[j];
+                    one.exponent[0] = start.exponent[j];
+                    one.gammas = g_serial.data() + j * k;
+                    std::fill_n(one.gammas, k, -59.0);
+                    kn::gn_lockstep<kW>(p.data(), q.data(), rssi.data(), seg.data(), n,
+                                        one, scratch.data());
+                }
+            }
+            const double t_serial = now_us() - t0;
+
+            t0 = now_us();
+            for (int rep = 0; rep < kReps; ++rep) {
+                lock = start;
+                std::fill(g_lock.begin(), g_lock.end(), -59.0);
+                lock.gammas = g_lock.data();
+                kn::gn_lockstep<kW>(p.data(), q.data(), rssi.data(), seg.data(), n, lock,
+                                    scratch.data());
+            }
+            const double t_lock = now_us() - t0;
+            for (std::size_t j = 0; j < runs; ++j) {
+                compared += 2;
+                if (!same(serial[j].x[0], serial[j].h[0], g_serial.data() + j * k, j))
+                    ++mismatches;
+                if (!same(lock.x[j], lock.h[j], g_lock.data() + j * k, j)) ++mismatches;
+            }
+            if (trial == 0) continue;
+            best.serial_us = std::min(best.serial_us, t_serial);
+            best.lock_us = std::min(best.lock_us, t_lock);
+        }
+        return best;
+    };
+
+    // k == 1: the eight bearings of one grid point, at the per-sweep
+    // sample counts of the perfbench workloads.
+    constexpr std::size_t kCountsK1[] = {16, 38, 68, 190};
+    for (const std::size_t n : kCountsK1) {
+        const LockstepTiming t = time_case(n, 1, kn::kAccLanes);
+        const double per_run = 1e3 / (static_cast<double>(kReps) * kn::kAccLanes);
+        std::printf("lockstep GN (n=%zu, k=1, 8 runs, W=%zu): %.0f -> %.0f ns/run (x%.2f)\n",
+                    n, kW, t.serial_us * per_run, t.lock_us * per_run,
+                    t.serial_us / t.lock_us);
+        runner.report().add_scalar("kernel.gn_lockstep_speedup_n" + std::to_string(n),
+                                   t.serial_us / t.lock_us);
+    }
+    // k > 1: batches of 1..8 runs at the k > 1 sweep lengths of offline_fix
+    // (~64 samples) and standby_long_walk (~131).
+    constexpr std::size_t kSegments[] = {2, 3, 4};
+    constexpr std::size_t kCountsSeg[] = {64, 131};
+    for (const std::size_t k : kSegments) {
+        for (const std::size_t n : kCountsSeg) {
+            std::printf("lockstep GN (n=%zu, k=%zu, W=%zu) serial/lockstep by runs:", n, k,
+                        kW);
+            for (std::size_t runs = 1; runs <= kn::kAccLanes; ++runs) {
+                const LockstepTiming t = time_case(n, k, runs);
+                std::printf(" %zu:x%.2f", runs, t.serial_us / t.lock_us);
+                runner.report().add_scalar("kernel.gn_lockstep_speedup_k" +
+                                               std::to_string(k) + "_n" +
+                                               std::to_string(n) + "_r" +
+                                               std::to_string(runs),
+                                           t.serial_us / t.lock_us);
+            }
+            std::printf("\n");
+        }
+    }
+    runner.add_trials(trials);
+    std::printf("lockstep GN: %zu runs compared with gn_lockstep_ref, %zu mismatches\n\n",
+                compared, mismatches);
+    runner.report().add_scalar("kernel.gn_lockstep_runs_compared",
+                               static_cast<double>(compared));
+    runner.report().add_scalar("kernel.gn_lockstep_identical",
+                               mismatches == 0 ? 1.0 : 0.0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -331,6 +479,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n", table.str().c_str());
     bench_kernels(runner, trials);
+    bench_lockstep(runner, trials);
     runner.report().add_scalar("lane_width",
                                static_cast<double>(core::kernels::kLaneWidth));
     runner.report().add_text("kernel_isa", LOCBLE_KERNEL_ISA);

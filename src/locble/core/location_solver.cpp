@@ -11,8 +11,6 @@ namespace locble::core {
 
 namespace {
 
-constexpr double kLog10 = 2.302585092994046;
-
 using KernelMode = LocationSolver::Config::KernelMode;
 constexpr std::size_t kW = kernels::kLaneWidth;
 
@@ -27,10 +25,6 @@ struct SoaView {
     const int* seg;
     KernelMode mode;
 };
-
-/// Samples per call of a multi-segment element kernel: its outputs live in
-/// stack buffers of this size, folded before the next chunk.
-constexpr std::size_t kSegChunk = 256;
 
 /// Residual statistics with per-segment gammas. One prediction pass over
 /// the samples (residuals parked in `resid_buf`, sized >= count by the
@@ -93,230 +87,6 @@ ResidualStats residual_stats_kernel(const FusedSample* samples, std::size_t coun
     return residual_stats_from_moments(count, sum, ss, m2);
 }
 
-/// Lane twin of refine_fit_db's multi-segment accumulation loop (upper
-/// triangle of JtJ and Jtr, zeroed by the caller). The element kernel
-/// computes each sample's (jx, jy, r) a chunk at a time, and the fold below
-/// adds them into every sum in index order — the same left-to-right
-/// sequence of additions as the AoS loop, so the sums are bitwise equal.
-/// The entries of the current segment's Gamma column are carried in locals
-/// and written back when the segment changes.
-void accumulate_segments(double* jtj, double* jtr, std::size_t dim, const SoaView& soa,
-                         std::size_t count, double x, double h, const double* gammas,
-                         std::size_t k, double exponent, double c) {
-    double jx[kSegChunk], jy[kSegChunk], r[kSegChunk];
-    double r0 = 0.0, r1 = 0.0, a00 = 0.0, a01 = 0.0, a11 = 0.0;
-    std::size_t g = 2;  // Jtr / JtJ index of the current segment's Gamma
-    double rg = 0.0, a0g = 0.0, a1g = 0.0, agg = 0.0;
-    const int last = static_cast<int>(k) - 1;
-    for (std::size_t i0 = 0; i0 < count; i0 += kSegChunk) {
-        const std::size_t len = std::min(kSegChunk, count - i0);
-        kernels::gn_seg_lanes<kW>(soa.p + i0, soa.q + i0, soa.rssi + i0, soa.seg + i0,
-                                  len, x, h, gammas, last + 1, exponent, c, jx, jy, r);
-        for (std::size_t j = 0; j < len; ++j) {
-            const std::size_t gj =
-                2 + static_cast<std::size_t>(std::min(soa.seg[i0 + j], last));
-            if (gj != g) {
-                jtr[g] = rg;
-                jtj[g] = a0g;
-                jtj[dim + g] = a1g;
-                jtj[g * dim + g] = agg;
-                g = gj;
-                rg = jtr[g];
-                a0g = jtj[g];
-                a1g = jtj[dim + g];
-                agg = jtj[g * dim + g];
-            }
-            r0 += jx[j] * r[j];
-            r1 += jy[j] * r[j];
-            rg += r[j];
-            a00 += jx[j] * jx[j];
-            a01 += jx[j] * jy[j];
-            a0g += jx[j];
-            a11 += jy[j] * jy[j];
-            a1g += jy[j];
-            agg += 1.0;
-        }
-    }
-    jtr[g] = rg;
-    jtj[g] = a0g;
-    jtj[dim + g] = a1g;
-    jtj[g * dim + g] = agg;
-    jtr[0] = r0;
-    jtr[1] = r1;
-    jtj[0] = a00;
-    jtj[1] = a01;
-    jtj[dim + 1] = a11;
-}
-
-/// Gauss-Newton refinement of (x, h, Gamma_1..Gamma_k) at fixed exponent,
-/// minimizing the dB-domain residual — the maximum-likelihood objective
-/// under Gaussian RSS noise, with one power offset per environment segment
-/// (the paper's Gamma(e)). Gammas are projected into [gamma_min, gamma_max]
-/// each step.
-///
-/// Allocation-free: the jacobian row has exactly three nonzeros (d/dx,
-/// d/dh and the sample's segment gamma), so JtJ/Jtr are accumulated in one
-/// fused sparse pass into flat workspace storage (jtj is dim*dim, jtr and
-/// delta are dim, caller-sized); the normal system is solved in place with
-/// solve_linear_flat.
-void refine_fit_db(double* jtj, double* jtr, double* delta,
-                   const FusedSample* samples, std::size_t count, double exponent,
-                   locble::Vec2& location, double* gammas, std::size_t k,
-                   double gamma_min, double gamma_max, const SoaView& soa) {
-    constexpr int kIterations = 12;
-    const std::size_t dim = 2 + k;
-    double x = location.x, h = location.y;
-
-    if (k == 1) {
-        // Single-segment fast path (the common case: dim == 3). The
-        // normal-equation accumulation runs in the SoA lane kernel — the
-        // vectorized sweep this PR exists for — or its AoS scalar-reference
-        // twin; both produce bit-identical sums by the lane contract.
-        const double c = -10.0 * exponent / kLog10;
-        double gamma = gammas[0];
-        for (int it = 0; it < kIterations; ++it) {
-            kernels::GnSums2 sums;
-            if (soa.mode == KernelMode::lanes)
-                kernels::gn2_lanes<kW>(soa.p, soa.q, soa.rssi, count, x, h, gamma,
-                                       exponent, c, sums);
-            else
-                kernels::gn2_ref(samples, count, x, h, gamma, exponent, c, sums);
-            const double damping = 1e-6 + (it < 3 ? 0.1 : 0.0);
-            jtj[0] = sums.a00 * (1.0 + damping) + 1e-9;
-            jtj[1] = sums.a01;
-            jtj[2] = sums.a02;
-            jtj[3] = sums.a01;
-            jtj[4] = sums.a11 * (1.0 + damping) + 1e-9;
-            jtj[5] = sums.a12;
-            jtj[6] = sums.a02;
-            jtj[7] = sums.a12;
-            jtj[8] = sums.a22 * (1.0 + damping) + 1e-9;
-            jtr[0] = sums.r0;
-            jtr[1] = sums.r1;
-            jtr[2] = sums.r2;
-            if (!locble::solve_linear_flat(jtj, jtr, delta, 3)) break;
-            x += delta[0];
-            h += delta[1];
-            double step = std::abs(delta[0]) + std::abs(delta[1]);
-            gamma = std::clamp(gamma + delta[2], gamma_min, gamma_max);
-            step += std::abs(delta[2]);
-            if (step < 1e-6) break;
-        }
-        gammas[0] = gamma;
-        location = {x, h};
-        return;
-    }
-
-    for (int it = 0; it < kIterations; ++it) {
-        std::fill_n(jtj, dim * dim, 0.0);
-        std::fill_n(jtr, dim, 0.0);
-        const double c = -10.0 * exponent / kLog10;  // loop-invariant
-        if (soa.mode == KernelMode::lanes) {
-            accumulate_segments(jtj, jtr, dim, soa, count, x, h, gammas, k, exponent,
-                                c);
-        } else {
-            for (std::size_t i = 0; i < count; ++i) {
-                const auto& s = samples[i];
-                const double dx = x + s.p;
-                const double dy = h + s.q;
-                const double l2 = std::max(dx * dx + dy * dy, kMinDistanceSq);
-                const auto seg = static_cast<std::size_t>(
-                    std::min<int>(s.segment, static_cast<int>(k) - 1));
-                const double pred = predict_rssi_db(gammas[seg], exponent, l2);
-                const double r = s.rssi - pred;
-                const double jx = c * dx / l2;
-                const double jy = c * dy / l2;
-                // Fused sparse JtJ/Jtr accumulation (upper triangle; mirrored
-                // once after the pass).
-                jtr[0] += jx * r;
-                jtr[1] += jy * r;
-                jtr[2 + seg] += 1.0 * r;
-                jtj[0 * dim + 0] += jx * jx;
-                jtj[0 * dim + 1] += jx * jy;
-                jtj[0 * dim + (2 + seg)] += jx * 1.0;
-                jtj[1 * dim + 1] += jy * jy;
-                jtj[1 * dim + (2 + seg)] += jy * 1.0;
-                jtj[(2 + seg) * dim + (2 + seg)] += 1.0 * 1.0;
-            }
-        }
-        for (std::size_t a = 0; a < dim; ++a)
-            for (std::size_t b = 0; b < a; ++b) jtj[a * dim + b] = jtj[b * dim + a];
-
-        // Levenberg damping keeps early steps conservative; a small ridge
-        // also guards segments with very few samples.
-        const double damping = 1e-6 + (it < 3 ? 0.1 : 0.0);
-        for (std::size_t a = 0; a < dim; ++a)
-            jtj[a * dim + a] = jtj[a * dim + a] * (1.0 + damping) + 1e-9;
-
-        if (!locble::solve_linear_flat(jtj, jtr, delta, dim)) break;
-        x += delta[0];
-        h += delta[1];
-        double step = std::abs(delta[0]) + std::abs(delta[1]);
-        for (std::size_t s = 0; s < k; ++s) {
-            gammas[s] = std::clamp(gammas[s] + delta[2 + s], gamma_min, gamma_max);
-            step += std::abs(delta[2 + s]);
-        }
-        if (step < 1e-6) break;
-    }
-    location = {x, h};
-}
-
-/// Initialize per-segment gammas from a single-gamma seed: each segment's
-/// offset is the mean residual of its samples under the seed parameters.
-/// Writes k gammas into `gammas`; `sum`/`cnt` are caller-provided scratch
-/// of k entries each.
-void init_segment_gammas(double* sum, int* cnt, const FusedSample* samples,
-                         std::size_t count, const locble::Vec2& location,
-                         double exponent, double gamma_seed, int k, double gamma_min,
-                         double gamma_max, double* gammas, const SoaView& soa) {
-    if (k == 1) {  // lane-kernel twin of the loop below
-        const double s0 =
-            soa.mode == KernelMode::lanes
-                ? kernels::seed_sum_lanes<kW>(soa.p, soa.q, soa.rssi, count,
-                                              location.x, location.y, gamma_seed,
-                                              exponent)
-                : kernels::seed_sum_ref(samples, count, location.x, location.y,
-                                        gamma_seed, exponent);
-        double g = gamma_seed;
-        if (count > 0) g += s0 / static_cast<double>(count);
-        gammas[0] = std::clamp(g, gamma_min, gamma_max);
-        return;
-    }
-    std::fill_n(sum, k, 0.0);
-    std::fill_n(cnt, k, 0);
-    if (soa.mode == KernelMode::lanes) {
-        // Residuals under the one trial Gamma (a one-entry Gamma table),
-        // folded per segment in index order like the loop below.
-        double r[kSegChunk];
-        for (std::size_t i0 = 0; i0 < count; i0 += kSegChunk) {
-            const std::size_t len = std::min(kSegChunk, count - i0);
-            kernels::residual_seg_lanes<kW>(soa.p + i0, soa.q + i0, soa.rssi + i0,
-                                            soa.seg + i0, len, location.x,
-                                            location.y, &gamma_seed, 1, exponent, r);
-            for (std::size_t j = 0; j < len; ++j) {
-                const int seg = std::min(soa.seg[i0 + j], k - 1);
-                sum[seg] += r[j];
-                cnt[seg] += 1;
-            }
-        }
-    } else {
-        for (std::size_t i = 0; i < count; ++i) {
-            const auto& s = samples[i];
-            const int seg = std::min(s.segment, k - 1);
-            const double dx = location.x + s.p;
-            const double dy = location.y + s.q;
-            sum[seg] +=
-                s.rssi - predict_rssi_db(gamma_seed, exponent, dx * dx + dy * dy);
-            cnt[seg] += 1;
-        }
-    }
-    for (int s = 0; s < k; ++s) {
-        gammas[s] = gamma_seed;
-        if (cnt[s] > 0) gammas[s] += sum[s] / cnt[s];
-        gammas[s] = std::clamp(gammas[s], gamma_min, gamma_max);
-    }
-}
-
 }  // namespace
 
 ResidualStats residual_stats_from_moments(std::size_t count, double sum, double ss,
@@ -353,17 +123,50 @@ std::pair<double, double> exponent_band_for(channel::PropagationClass cls) {
     return {LocationSolver::kExponentMin, LocationSolver::kExponentMax};
 }
 
-bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
-                                         SolverWorkspace::GridPoint& gp,
-                                         const FusedSample* samples, std::size_t count,
-                                         bool lateral_ok, double gamma_min,
-                                         double gamma_max, int k, double mean_rssi,
-                                         bool warm,
-                                         SolverWorkspace::CandidateSlot& slot) const {
-    const double exponent = gp.n;
+void LocationSolver::evaluate_points(SolverWorkspace& ws, SolverWorkspace::PointEval* pts,
+                                     std::size_t m, const FusedSample* samples,
+                                     std::size_t count, bool lateral_ok, double gamma_min,
+                                     double gamma_max, int k, double mean_rssi,
+                                     bool try_warm) const {
     const std::size_t uk = static_cast<std::size_t>(k);
     const SoaView soa{ws.soa_p.data(), ws.soa_q.data(), ws.soa_rssi.data(),
                       ws.soa_seg.data(), cfg_.kernel_mode};
+    double* const scratch = ws.gn_scratch.data();
+
+    // The Gauss-Newton runs of one stage, up to kAccLanes of them, advance
+    // in lockstep (or, in scalar_reference mode, one after another through
+    // the AoS twins); owner[j] is the point run j belongs to.
+    kernels::GnBatch batch;
+    batch.k = uk;
+    batch.gamma_min = gamma_min;
+    batch.gamma_max = gamma_max;
+    batch.gammas = ws.run_gammas.data();
+    std::size_t owner[kernels::kAccLanes];
+    const auto add_run = [&](std::size_t pi, const locble::Vec2& start) {
+        const std::size_t j = batch.runs++;
+        owner[j] = pi;
+        batch.x[j] = start.x;
+        batch.h[j] = start.y;
+        batch.exponent[j] = ws.grid[pts[pi].gi].n;
+        return j;
+    };
+    const auto run_batch = [&](bool seeded) {
+        if (soa.mode == KernelMode::lanes) {
+            if (seeded)
+                kernels::seed_lockstep<kW>(soa.p, soa.q, soa.rssi, soa.seg, count, batch,
+                                           scratch);
+            if (cfg_.use_gn_refinement)
+                kernels::gn_lockstep<kW>(soa.p, soa.q, soa.rssi, soa.seg, count, batch,
+                                         scratch);
+        } else {
+            if (seeded) kernels::seed_lockstep_ref(samples, count, batch, scratch);
+            if (cfg_.use_gn_refinement)
+                kernels::gn_lockstep_ref(samples, count, batch, scratch);
+        }
+    };
+    const auto point_gammas = [&](std::size_t pi) {
+        return ws.point_gammas.data() + pi * uk;
+    };
 
     // Plausibility screen: discard non-physical attempts so a noise-
     // favoured exponent cannot launch the target outside radio range.
@@ -374,79 +177,79 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
                 return false;
         return true;
     };
-
-    // Gather refined attempts and keep the best *plausible* one.
-    double best_rms = 1e300;
-    locble::Vec2 best_loc;
-    ResidualStats best_stats;
-    const auto consider = [&](locble::Vec2 loc, double gamma_seed) {
-        init_segment_gammas(ws.gam_sum.data(), ws.gam_cnt.data(), samples, count, loc,
-                            exponent, gamma_seed, k, gamma_min, gamma_max,
-                            ws.gam_cur.data(), soa);
-        if (cfg_.use_gn_refinement)
-            refine_fit_db(ws.jtj.data(), ws.jtr.data(), ws.delta.data(), samples,
-                          count, exponent, loc, ws.gam_cur.data(), uk, gamma_min,
-                          gamma_max, soa);
-        if (!plausible(loc, ws.gam_cur.data())) return;
-        const ResidualStats st =
-            residual_stats_kernel(samples, count, loc, exponent, ws.gam_cur.data(),
-                                  k, ws.resid.data(), soa);
-        if (st.rms_db < best_rms) {
-            best_rms = st.rms_db;
-            best_loc = loc;
-            best_stats = st;
-            std::copy_n(ws.gam_cur.data(), uk, ws.gam_best.data());
-        }
+    // Offer run j's fit to its point, which keeps the best *plausible*
+    // attempt (`improve`: only one with a lower RMS than it holds).
+    const auto offer = [&](std::size_t j, bool improve) {
+        auto& pe = pts[owner[j]];
+        const locble::Vec2 loc{batch.x[j], batch.h[j]};
+        const double* gammas = batch.gammas + j * uk;
+        if (!plausible(loc, gammas)) return false;
+        const ResidualStats st = residual_stats_kernel(samples, count, loc,
+                                                       batch.exponent[j], gammas, k,
+                                                       ws.resid.data(), soa);
+        if (improve && !(st.rms_db < pe.best_rms)) return true;
+        pe.best_rms = st.rms_db;
+        pe.best_confidence = st.confidence;
+        pe.best_loc = loc;
+        std::copy_n(gammas, uk, point_gammas(owner[j]));
+        return true;
     };
 
-    bool used_multistart = false;
-    if (warm) {
-        // Warm start (coarse_to_fine sessions): Gauss-Newton seeded from
-        // the previous flush's fit at this grid point. The carried gammas
-        // are re-clamped to the current band and extended if new
-        // environment segments appeared since.
-        locble::Vec2 loc = gp.warm_loc;
+    // Warm starts (coarse_to_fine sessions): Gauss-Newton seeded from the
+    // previous flush's fit at the grid point. The carried gammas are
+    // re-clamped to the current band and extended if new environment
+    // segments appeared since. An implausible result falls back to the
+    // cold evaluation below.
+    batch.runs = 0;
+    for (std::size_t pi = 0; pi < m; ++pi) {
+        auto& pe = pts[pi];
+        const auto& gp = ws.grid[pe.gi];
+        if (!(try_warm && gp.has_fit)) {
+            pe.cold = true;
+            continue;
+        }
+        pe.warm = true;
+        const std::size_t j = add_run(pi, gp.warm_loc);
         const std::size_t have = gp.warm_gammas.size();
         for (std::size_t s = 0; s < uk; ++s) {
             const double g = s < have ? gp.warm_gammas[s]
                                       : (have > 0 ? gp.warm_gammas[have - 1]
                                                   : 0.5 * (gamma_min + gamma_max));
-            ws.gam_cur[s] = std::clamp(g, gamma_min, gamma_max);
+            batch.gammas[j * uk + s] = std::clamp(g, gamma_min, gamma_max);
         }
-        if (cfg_.use_gn_refinement)
-            refine_fit_db(ws.jtj.data(), ws.jtr.data(), ws.delta.data(), samples,
-                          count, exponent, loc, ws.gam_cur.data(), uk, gamma_min,
-                          gamma_max, soa);
-        if (!plausible(loc, ws.gam_cur.data())) return false;
-        const ResidualStats st =
-            residual_stats_kernel(samples, count, loc, exponent, ws.gam_cur.data(),
-                                  k, ws.resid.data(), soa);
-        best_rms = st.rms_db;
-        best_loc = loc;
-        best_stats = st;
-        std::copy_n(ws.gam_cur.data(), uk, ws.gam_best.data());
-    } else {
-        // A sticky rho failure marks the exponent degenerate.
-        if (gp.rho_bad) return false;
+    }
+    run_batch(/*seeded=*/false);
+    for (std::size_t j = 0; j < batch.runs; ++j)
+        if (!offer(j, /*improve=*/false)) pts[owner[j]].cold = true;
 
-        // --- Linear elliptical seed (paper Eq. 3) on all samples with a
-        // single Gamma; rho is exponential in RSS, so dB noise becomes
-        // multiplicative. Weighting rows by 1/rho_i minimizes relative
-        // error — the first-order equivalent of fitting in the dB domain,
-        // in the same linear form.
-        //
-        // The normal equations are folded incrementally: raw row products
-        // accumulate append-only per grid point, and the conditioning
-        // scales (a running per-column max) are divided out of the m x m
-        // aggregate at solve time. Plain LS (ablation) keeps the paper's
-        // raw Eq. 3 rows, uniformly scaled by 1/rho_scale — which factors
-        // out of the sums, so the same raw folds serve both modes.
-        //
-        // rho_i = eta^RSSI_i (the only exponent-dependent per-sample
-        // quantity) is computed inside the fold; only the once-per-session
-        // refold, when the walk first gains lateral spread, computes a
-        // sample's rho twice, and rho_scale's running max is unmoved by it.
-        const std::size_t m = lateral_ok ? 4 : 3;
+    // Cold evaluation, first the linear elliptical seed (paper Eq. 3) on
+    // all samples with a single Gamma; rho is exponential in RSS, so dB
+    // noise becomes multiplicative. Weighting rows by 1/rho_i minimizes
+    // relative error — the first-order equivalent of fitting in the dB
+    // domain, in the same linear form.
+    //
+    // The normal equations are folded incrementally: raw row products
+    // accumulate append-only per grid point, and the conditioning scales (a
+    // running per-column max) are divided out of the m x m aggregate at
+    // solve time. Plain LS (ablation) keeps the paper's raw Eq. 3 rows,
+    // uniformly scaled by 1/rho_scale — which factors out of the sums, so
+    // the same raw folds serve both modes.
+    //
+    // rho_i = eta^RSSI_i (the only exponent-dependent per-sample quantity)
+    // is computed inside the fold; only the once-per-session refold, when
+    // the walk first gains lateral spread, computes a sample's rho twice,
+    // and rho_scale's running max is unmoved by it.
+    batch.runs = 0;
+    for (std::size_t pi = 0; pi < m; ++pi) {
+        auto& pe = pts[pi];
+        if (!pe.cold) continue;
+        auto& gp = ws.grid[pe.gi];
+        // A sticky rho failure marks the exponent degenerate.
+        if (gp.rho_bad) {
+            pe.failed = true;
+            continue;
+        }
+        const std::size_t mm = lateral_ok ? 4 : 3;
         if (gp.ls_count == 0 || gp.ls_lateral != lateral_ok) {
             std::fill_n(gp.ls_ata, 16, 0.0);
             std::fill_n(gp.ls_atb, 4, 0.0);
@@ -459,7 +262,7 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
             const double rho = std::pow(gp.eta, s.rssi);
             if (!(rho > 0.0) || !std::isfinite(rho)) {
                 gp.rho_bad = true;
-                return false;
+                break;
             }
             gp.rho_scale = std::max(gp.rho_scale, rho);
             const double u = cfg_.use_wls ? 1.0 / rho : 1.0;
@@ -475,12 +278,16 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
                 row[2] = u;
             }
             const double t = cfg_.use_wls ? 1.0 : rho;
-            for (std::size_t j = 0; j < m; ++j) {
+            for (std::size_t j = 0; j < mm; ++j) {
                 gp.ls_max[j] = std::max(gp.ls_max[j], std::abs(row[j]));
                 gp.ls_atb[j] += row[j] * t;
-                for (std::size_t jk = j; jk < m; ++jk)
+                for (std::size_t jk = j; jk < mm; ++jk)
                     gp.ls_ata[j * 4 + jk] += row[j] * row[jk];
             }
+        }
+        if (gp.rho_bad) {
+            pe.failed = true;
+            continue;
         }
         gp.ls_count = count;
 
@@ -490,22 +297,23 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
         const double f = cfg_.use_wls ? 1.0 : 1.0 / gp.rho_scale;
         const double f2 = f * f;
         double scale[4];
-        for (std::size_t j = 0; j < m; ++j) {
+        for (std::size_t j = 0; j < mm; ++j) {
             scale[j] = gp.ls_max[j] * f;
             if (scale[j] < 1e-300) scale[j] = 1.0;
         }
-        for (std::size_t j = 0; j < m; ++j) {
+        for (std::size_t j = 0; j < mm; ++j) {
             ws.atb[j] = f2 * gp.ls_atb[j] / scale[j];
-            for (std::size_t jk = j; jk < m; ++jk)
-                ws.ata[j * m + jk] = f2 * gp.ls_ata[j * 4 + jk] / (scale[j] * scale[jk]);
+            for (std::size_t jk = j; jk < mm; ++jk)
+                ws.ata[j * mm + jk] = f2 * gp.ls_ata[j * 4 + jk] / (scale[j] * scale[jk]);
         }
-        for (std::size_t j = 0; j < m; ++j)
-            for (std::size_t jk = 0; jk < j; ++jk) ws.ata[j * m + jk] = ws.ata[jk * m + j];
+        for (std::size_t j = 0; j < mm; ++j)
+            for (std::size_t jk = 0; jk < j; ++jk)
+                ws.ata[j * mm + jk] = ws.ata[jk * mm + j];
 
         bool linear_seed_ok =
-            count >= m && locble::solve_linear_flat(ws.ata, ws.atb, ws.beta, m);
+            count >= mm && locble::solve_linear_flat(ws.ata, ws.atb, ws.beta, mm);
         if (linear_seed_ok)
-            for (std::size_t j = 0; j < m; ++j) ws.beta[j] /= scale[j];
+            for (std::size_t j = 0; j < mm; ++j) ws.beta[j] /= scale[j];
         if (linear_seed_ok && !(ws.beta[0] > 0.0))
             linear_seed_ok = false;  // eps = 1/A > 0
 
@@ -513,54 +321,72 @@ bool LocationSolver::evaluate_grid_point(SolverWorkspace& ws,
         // from the level-implied range when it does not (weak quadratic
         // excitation makes the linear system lose the sign of A) or when
         // its refinement ran away.
-        double gamma_seed = 0.5 * (gamma_min + gamma_max);
-        if (linear_seed_ok) {
-            const double a = ws.beta[0];
-            const double eps = 1.0 / a;
-            gamma_seed =
-                std::clamp(5.0 * exponent * std::log10(eps), gamma_min, gamma_max);
-            if (lateral_ok) {
-                consider({ws.beta[1] / (2.0 * a), ws.beta[2] / (2.0 * a)}, gamma_seed);
-            } else {
-                const double x0 = ws.beta[1] / (2.0 * a);
-                const double g = ws.beta[2];
-                const double h2 = g * eps - x0 * x0;
-                consider({x0, std::sqrt(std::max(h2, 0.0))}, gamma_seed);
-            }
+        pe.gamma_seed = 0.5 * (gamma_min + gamma_max);
+        if (!linear_seed_ok) continue;
+        const double a = ws.beta[0];
+        const double eps = 1.0 / a;
+        pe.gamma_seed = std::clamp(5.0 * gp.n * std::log10(eps), gamma_min, gamma_max);
+        locble::Vec2 start;
+        if (lateral_ok) {
+            start = {ws.beta[1] / (2.0 * a), ws.beta[2] / (2.0 * a)};
+        } else {
+            const double x0 = ws.beta[1] / (2.0 * a);
+            const double g = ws.beta[2];
+            const double h2 = g * eps - x0 * x0;
+            start = {x0, std::sqrt(std::max(h2, 0.0))};
         }
-        if (best_rms >= 1e300) {
-            used_multistart = true;
-            const double d0 = std::clamp(
-                std::pow(10.0, (gamma_seed - mean_rssi) / (10.0 * exponent)), 0.5,
-                kMaxRangeM);
-            constexpr int kBearings = 8;
-            for (int b = 0; b < kBearings; ++b) {
-                const double angle = 2.0 * std::numbers::pi * b / kBearings;
-                consider(locble::unit_from_angle(angle) * d0, gamma_seed);
-            }
+        batch.gamma_seed[add_run(pi, start)] = pe.gamma_seed;
+    }
+    run_batch(/*seeded=*/true);
+    for (std::size_t j = 0; j < batch.runs; ++j) offer(j, /*improve=*/true);
+
+    // Multi-start: eight bearings at the level-implied range, one batch per
+    // point, offered in bearing order.
+    for (std::size_t pi = 0; pi < m; ++pi) {
+        auto& pe = pts[pi];
+        if (!pe.cold || pe.failed || pe.best_rms < 1e300) continue;
+        pe.multistart = true;
+        const double exponent = ws.grid[pe.gi].n;
+        const double d0 = std::clamp(
+            std::pow(10.0, (pe.gamma_seed - mean_rssi) / (10.0 * exponent)), 0.5,
+            kMaxRangeM);
+        constexpr int kBearings = 8;
+        static_assert(kBearings <= static_cast<int>(kernels::kAccLanes));
+        batch.runs = 0;
+        for (int b = 0; b < kBearings; ++b) {
+            const double angle = 2.0 * std::numbers::pi * b / kBearings;
+            batch.gamma_seed[add_run(pi, locble::unit_from_angle(angle) * d0)] =
+                pe.gamma_seed;
         }
-        if (best_rms >= 1e300) return false;
+        run_batch(/*seeded=*/true);
+        for (std::size_t j = 0; j < batch.runs; ++j) offer(j, /*improve=*/true);
+        if (pe.best_rms >= 1e300) pe.failed = true;
     }
 
-    slot.exponent = exponent;
-    slot.raw_loc = best_loc;
-    slot.loc = best_loc;
-    slot.ambiguous = !lateral_ok;
-    slot.multistart = used_multistart;
-    if (slot.ambiguous) slot.loc.y = std::abs(slot.loc.y);
-
-    // The winning consider() already evaluated the residuals at this exact
-    // (loc, gammas); recompute only when the ambiguity convention actually
-    // moved the location.
-    const ResidualStats stats =
-        slot.loc.y == best_loc.y
-            ? best_stats
-            : residual_stats_kernel(samples, count, slot.loc, exponent,
-                                    ws.gam_best.data(), k, ws.resid.data(), soa);
-    slot.score = stats.rms_db;
-    slot.residual_db = stats.rms_db;
-    slot.confidence = stats.confidence;
-    return true;
+    for (std::size_t pi = 0; pi < m; ++pi) {
+        auto& pe = pts[pi];
+        if (pe.failed) continue;
+        auto& slot = pe.slot;
+        slot.exponent = ws.grid[pe.gi].n;
+        slot.raw_loc = pe.best_loc;
+        slot.loc = pe.best_loc;
+        slot.ambiguous = !lateral_ok;
+        slot.multistart = pe.multistart;
+        if (slot.ambiguous) slot.loc.y = std::abs(slot.loc.y);
+        slot.score = pe.best_rms;
+        slot.confidence = pe.best_confidence;
+        // The winning attempt already evaluated the residuals at this exact
+        // (loc, gammas); recompute only when the ambiguity convention
+        // actually moved the location.
+        if (slot.loc.y != pe.best_loc.y) {
+            const ResidualStats stats =
+                residual_stats_kernel(samples, count, slot.loc, slot.exponent,
+                                      point_gammas(pi), k, ws.resid.data(), soa);
+            slot.score = stats.rms_db;
+            slot.confidence = stats.confidence;
+        }
+        slot.residual_db = slot.score;
+    }
 }
 
 void SolverWorkspace::rebuild_grid(double n_min, double n_max, double step) {
@@ -652,15 +478,11 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
     const std::size_t grid_size = ws.grid.size();
 
     // Size the flat scratch once per solve (no-ops after warm-up).
-    const std::size_t dim = 2 + static_cast<std::size_t>(k);
-    ws.ensure_size(ws.jtj, dim * dim);
-    ws.ensure_size(ws.jtr, dim);
-    ws.ensure_size(ws.delta, dim);
-    ws.ensure_size(ws.gam_cur, static_cast<std::size_t>(k));
-    ws.ensure_size(ws.gam_best, static_cast<std::size_t>(k));
-    ws.ensure_size(ws.gam_sum, static_cast<std::size_t>(k));
-    ws.ensure_size(ws.gam_cnt, static_cast<std::size_t>(k));
-    ws.ensure_size(ws.best_gammas, static_cast<std::size_t>(k));
+    const std::size_t uk = static_cast<std::size_t>(k);
+    ws.ensure_size(ws.run_gammas, kernels::kAccLanes * uk);
+    ws.ensure_size(ws.point_gammas, kernels::kAccLanes * uk);
+    ws.ensure_size(ws.gn_scratch, kernels::lockstep_scratch_size(uk));
+    ws.ensure_size(ws.best_gammas, uk);
     ws.ensure_size(ws.resid, count);
     ws.ensure_size(ws.evaluated, grid_size);
     std::fill(ws.evaluated.begin(), ws.evaluated.end(), std::uint8_t{0});
@@ -675,54 +497,68 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
     double best_score = 1e300;
     int best_idx = -1;
 
-    const auto eval_point = [&](std::size_t gi) {
-        if (ws.evaluated[gi]) return;
-        ws.evaluated[gi] = 1;
-        ++grid_points;
-        auto& gp = ws.grid[gi];
-        SolverWorkspace::CandidateSlot slot;
-        bool ok = false;
-        if (coarse && incremental && gp.has_fit) {
-            ++warm_starts;
-            LOCBLE_COUNT("solver.warm_starts", 1);
-            ok = evaluate_grid_point(ws, gp, samples, count, lateral_ok, gamma_min,
-                                     gamma_max, k, mean_rssi, /*warm=*/true, slot);
-            if (!ok) LOCBLE_COUNT("solver.warm_fallbacks", 1);
-        }
-        if (!ok)
-            ok = evaluate_grid_point(ws, gp, samples, count, lateral_ok, gamma_min,
-                                     gamma_max, k, mean_rssi, /*warm=*/false, slot);
-        if (coarse) {
-            // Remember this flush's fit as the next flush's GN seed.
-            gp.has_fit = ok;
-            if (ok) {
-                gp.warm_loc = slot.raw_loc;
-                ws.ensure_size(gp.warm_gammas, static_cast<std::size_t>(k));
-                std::copy_n(ws.gam_best.data(), static_cast<std::size_t>(k),
-                            gp.warm_gammas.data());
+    // Grid points are queued in the serial evaluation order and evaluated
+    // in chunks of up to kAccLanes (their Gauss-Newton runs share lockstep
+    // batches); each chunk's outcomes are then folded in queue order, so
+    // the candidates, the strict `<` argmin, the warm grid and every count
+    // are those of evaluating the points one at a time. Batching the warm
+    // and seed starts across points, not only each point's bearings, is
+    // worth +13% fleet_replay and +16% standby_long_walk throughput
+    // (docs/PERFORMANCE.md).
+    SolverWorkspace::PointEval chunk[kernels::kAccLanes];
+    std::size_t queued = 0;
+    const auto flush_chunk = [&] {
+        evaluate_points(ws, chunk, queued, samples, count, lateral_ok, gamma_min,
+                        gamma_max, k, mean_rssi, coarse && incremental);
+        for (std::size_t pi = 0; pi < queued; ++pi) {
+            auto& pe = chunk[pi];
+            auto& gp = ws.grid[pe.gi];
+            const double* gammas = ws.point_gammas.data() + pi * uk;
+            if (pe.warm) {
+                ++warm_starts;
+                LOCBLE_COUNT("solver.warm_starts", 1);
+                if (pe.cold) LOCBLE_COUNT("solver.warm_fallbacks", 1);
+            }
+            if (coarse) {
+                // Remember this flush's fit as the next flush's GN seed.
+                gp.has_fit = !pe.failed;
+                if (gp.has_fit) {
+                    gp.warm_loc = pe.slot.raw_loc;
+                    ws.ensure_size(gp.warm_gammas, uk);
+                    std::copy_n(gammas, uk, gp.warm_gammas.data());
+                }
+            }
+            if (pe.failed) {
+                ++failures;
+                continue;
+            }
+            if (pe.slot.multistart) ++multistarts;
+            pe.slot.grid_idx = static_cast<int>(pe.gi);
+            ws.candidates.push_back(pe.slot);
+            if (pe.slot.score < best_score) {
+                best_score = pe.slot.score;
+                best_idx = static_cast<int>(ws.candidates.size()) - 1;
+                std::copy_n(gammas, uk, ws.best_gammas.data());
             }
         }
-        if (!ok) {
-            ++failures;
-            return;
-        }
-        if (slot.multistart) ++multistarts;
-        slot.grid_idx = static_cast<int>(gi);
-        ws.candidates.push_back(slot);
-        if (slot.score < best_score) {
-            best_score = slot.score;
-            best_idx = static_cast<int>(ws.candidates.size()) - 1;
-            std::copy_n(ws.gam_best.data(), static_cast<std::size_t>(k),
-                        ws.best_gammas.data());
-        }
+        queued = 0;
+    };
+    const auto queue_point = [&](std::size_t gi) {
+        ws.evaluated[gi] = 1;
+        ++grid_points;
+        chunk[queued] = SolverWorkspace::PointEval{};
+        chunk[queued++].gi = gi;
+        if (queued == kernels::kAccLanes) flush_chunk();
     };
 
     if (!coarse) {
-        for (std::size_t gi = 0; gi < grid_size; ++gi) eval_point(gi);
+        for (std::size_t gi = 0; gi < grid_size; ++gi) queue_point(gi);
+        flush_chunk();
     } else {
         // Coarse pass at 2x the grid step (endpoints always included)...
-        for (std::size_t gi = 0; gi < grid_size; gi += 2) eval_point(gi);
-        if (grid_size > 0) eval_point(grid_size - 1);
+        for (std::size_t gi = 0; gi < grid_size; gi += 2) queue_point(gi);
+        if (grid_size > 0 && !ws.evaluated[grid_size - 1]) queue_point(grid_size - 1);
+        flush_chunk();
         // ...then hill-descend on the fine grid around the running argmin
         // until both neighbours have been evaluated and neither wins.
         int prev_best = -2;
@@ -734,9 +570,10 @@ bool LocationSolver::solve_impl(const FusedSample* samples, std::size_t count,
                 if (j >= 0 && j < static_cast<int>(grid_size) &&
                     !ws.evaluated[static_cast<std::size_t>(j)]) {
                     LOCBLE_COUNT("solver.refine_evals", 1);
-                    eval_point(static_cast<std::size_t>(j));
+                    queue_point(static_cast<std::size_t>(j));
                 }
             }
+            flush_chunk();
         }
     }
 

@@ -199,6 +199,21 @@ private:
         bool multistart{false};
     };
 
+    /// One grid point's evaluation within a chunk of up to kAccLanes
+    /// points whose Gauss-Newton runs share lockstep batches.
+    struct PointEval {
+        std::size_t gi{0};
+        bool warm{false};        ///< a warm start was tried
+        bool cold{false};        ///< from the linear seed (no warm start, or it failed)
+        bool multistart{false};  ///< fell back to the bearings
+        bool failed{false};      ///< no candidate: degenerate or nothing plausible
+        double gamma_seed{0.0};
+        double best_rms{1e300};  ///< best plausible attempt so far
+        double best_confidence{0.0};
+        locble::Vec2 best_loc;
+        CandidateSlot slot;  ///< the candidate, when not failed
+    };
+
     template <class Vec>
     void ensure_size(Vec& v, std::size_t n) {
         if (v.capacity() < n) ++grow_events_;
@@ -234,10 +249,10 @@ private:
     // Flat scratch for the linear seed (m <= 4, fixed arrays).
     double ata[16]{}, atb[4]{}, beta[4]{};
 
-    // Flat scratch for Gauss-Newton (dim = 2 + segment count).
-    std::vector<double> jtj, jtr, delta;
-    std::vector<double> gam_cur, gam_best, gam_sum;
-    std::vector<int> gam_cnt;
+    // Gauss-Newton scratch: the Gammas of one lockstep batch's runs and
+    // of its grid points' best attempts (kAccLanes x segment count each),
+    // and the executor's own scratch (kernels::lockstep_scratch_size).
+    std::vector<double> run_gammas, point_gammas, gn_scratch;
     std::vector<double> resid;
 
     // Per-solve candidate set (for argmin + model averaging).
@@ -412,13 +427,16 @@ private:
                     const SolveHints& hints, SolveDiagnostics* diag,
                     SolverWorkspace& ws, LocationFit& out, bool incremental) const;
 
-    /// Evaluate one exponent grid point (linear seed + GN refinement, or a
-    /// warm-started GN when `warm` is true); returns false on failure.
-    bool evaluate_grid_point(SolverWorkspace& ws, SolverWorkspace::GridPoint& gp,
-                             const FusedSample* samples, std::size_t count,
-                             bool lateral_ok, double gamma_min, double gamma_max,
-                             int k, double mean_rssi, bool warm,
-                             SolverWorkspace::CandidateSlot& slot) const;
+    /// Evaluate m <= kAccLanes exponent grid points `pts[i].gi`: a
+    /// warm-started GN where `try_warm` and the point kept a fit, else (or
+    /// when that is implausible) the linear seed + GN refinement, with the
+    /// multi-start bearings when that finds nothing plausible. The stages'
+    /// Gauss-Newton runs advance in lockstep batches; each point's outcome
+    /// is what evaluating it alone gives.
+    void evaluate_points(SolverWorkspace& ws, SolverWorkspace::PointEval* pts,
+                         std::size_t m, const FusedSample* samples, std::size_t count,
+                         bool lateral_ok, double gamma_min, double gamma_max, int k,
+                         double mean_rssi, bool try_warm) const;
 
     Config cfg_;
 };

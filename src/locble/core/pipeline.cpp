@@ -110,11 +110,42 @@ BatchLoop::Flush BatchLoop::add(double raw_rssi, FusedSample s,
 
 BatchLoop::Flush BatchLoop::close(double t, LocateResult::Diagnostics& diag) {
     Flush f;
-    while (started_ && t > batch_end_) {
-        if (has_open_batch()) f = flush(diag);
-        batch_end_ += kBatchSeconds;
-    }
+    if (!started_ || !(t > batch_end_)) return f;
+    if (has_open_batch()) f = flush(diag);
+    batch_end_ = batch_end_after(batch_end_, t);
     return f;
+}
+
+double BatchLoop::batch_end_after(double end, double t) {
+    // A step end + 2 is exact while the sum stays inside the binade
+    // [2^e, 2^(e+1)) of a positive end below 2^54 (2 is a multiple of its
+    // ulp), and from any end in [-2^54, -2] (the magnitude shrinks). So the
+    // walk jumps, in one exact add, to its last step below min(t, the end
+    // of that exact run) and takes the crossing step with its own
+    // rounding; the next pass starts in the next binade, or past t.
+    constexpr double kUnbounded = 0x1p54;
+    static_assert(kBatchSeconds == 2.0, "the exact runs assume a 2 s step");
+    while (t > end) {
+        if (!(std::abs(end) < kUnbounded)) return t;
+        double limit;
+        if (end >= 2.0) {
+            int e = 0;
+            (void)std::frexp(end, &e);  // end in [2^(e-1), 2^e)
+            limit = std::min(t, std::ldexp(1.0, e));
+        } else if (end <= -2.0) {
+            limit = std::min(t, 0.0);
+        } else {
+            end += kBatchSeconds;
+            continue;
+        }
+        // The most steps that stay below limit; a rounded (limit - end)
+        // can only overcount by one, which the check takes back.
+        double k = std::ceil((limit - end) / kBatchSeconds) - 1.0;
+        if (k > 0.0 && end + kBatchSeconds * k >= limit) k -= 1.0;
+        end += kBatchSeconds * k;
+        end += kBatchSeconds;
+    }
+    return end;
 }
 
 BatchLoop::Flush BatchLoop::flush(LocateResult::Diagnostics& diag) {

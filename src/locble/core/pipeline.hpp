@@ -127,6 +127,12 @@ public:
     Flush add(double raw_rssi, FusedSample s, LocateResult::Diagnostics& diag);
     /// Close every window that ended before `t`.
     Flush close(double t, LocateResult::Diagnostics& diag);
+    /// The batch end close(t) leaves after `end`: what the walk
+    /// `while (t > end) end += kBatchSeconds;` leaves, rounding included,
+    /// without its (t - end) / 2 steps — a far-future t (1e12 s) costs at
+    /// most two steps per binade of `end`. Where that walk would never end
+    /// (|end| >= 2^54, where end + 2 can round back to end) the result is t.
+    static double batch_end_after(double end, double t);
     /// Close the open batch whatever its window (the end of a capture).
     Flush flush(LocateResult::Diagnostics& diag);
 

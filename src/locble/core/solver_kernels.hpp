@@ -21,7 +21,10 @@
 /// addition sequences are identical and the results bit-exact. This is the
 /// same determinism idiom as the obs bucket-sum merge. The multi-segment
 /// element kernels (k > 1) reduce nothing: they write per-sample terms that
-/// the solver folds in index order, which is trivially width-invariant.
+/// are folded in index order, which is trivially width-invariant. The
+/// lockstep Gauss-Newton executor runs up to 8 independent solver runs
+/// together under the same contract: a run's arithmetic never depends on
+/// its lane, its batch or W.
 ///
 /// The kernels are *defined* in solver_kernels.cpp (the only TU compiled
 /// with the optional ISA flags the LOCBLE_KERNEL_SIMD probe picks — see the
@@ -204,6 +207,76 @@ void residual_seg_lanes(const double* p, const double* q, const double* rssi,
                         const double* gammas, int k, double exponent,
                         double* r);
 
+// --- lockstep Gauss-Newton (LocationSolver's independent starts) -----------
+
+/// Iterations of one dB-domain Gauss-Newton run.
+inline constexpr int kGnIterations = 12;
+
+/// Up to kAccLanes independent runs of LocationSolver's dB-domain
+/// Gauss-Newton over one sample set, each at its own exponent from its own
+/// start. A run refines (x, h, Gamma_1..Gamma_k) at its fixed exponent,
+/// minimizing the dB-domain residual — the maximum-likelihood objective
+/// under Gaussian RSS noise, with one power offset per environment segment
+/// (the paper's Gamma(e)). Run j < runs reads and writes (x[j], h[j]) and its k Gammas
+/// gammas[j * k .. j * k + k - 1]; seeding also reads gamma_seed[j].
+///
+/// One run, whatever its batch, lane or width:
+///
+///   - seed: Gamma_s = clamp(gamma_seed + mean residual of segment s's
+///     samples under (x, h, gamma_seed, exponent)), s = min(seg, k - 1) —
+///     the k == 1 sum is seed_sum_lanes', the k > 1 sums are index-order
+///     folds;
+///   - refine: kGnIterations steps of the normal equations (the k == 1
+///     sums of gn2_lanes, the k > 1 sums of gn_seg_lanes' outputs folded in
+///     index order), Levenberg damping 0.1 on the first three, a 1e-9
+///     ridge, solved by solve_linear_flat's arithmetic; x and h move
+///     freely, Gammas are clamped into [gamma_min, gamma_max]. A run stops
+///     when its system is singular (no step taken) or after a step whose
+///     L1 norm is below 1e-6.
+struct GnBatch {
+    std::size_t runs{0};
+    std::size_t k{1};
+    double gamma_min{0.0}, gamma_max{0.0};
+    double exponent[kAccLanes]{};
+    double x[kAccLanes]{}, h[kAccLanes]{};
+    double gamma_seed[kAccLanes]{};
+    double* gammas{nullptr};  ///< runs * k entries, run-major
+};
+
+/// Doubles of scratch the lockstep kernels and their references need at k
+/// Gamma segments (a caller-owned buffer, so solves stay allocation-free).
+std::size_t lockstep_scratch_size(std::size_t k);
+
+/// The lockstep executor: every run of `batch` advances together. With
+/// k == 1 the samples stay in the 8 logical lanes and each block step
+/// loops over the runs, each keeping its own 8-lane partials; with k > 1
+/// the runs ride the lanes and the samples go in index order. Per
+/// iteration the live runs' normal equations are solved lane-parallel by
+/// solve_lanes' arithmetic; runs that stopped leave the sweep.
+template <std::size_t W>
+void seed_lockstep(const double* p, const double* q, const double* rssi,
+                   const int* seg, std::size_t n, GnBatch& batch, double* scratch);
+template <std::size_t W>
+void gn_lockstep(const double* p, const double* q, const double* rssi,
+                 const int* seg, std::size_t n, GnBatch& batch, double* scratch);
+
+/// AoS scalar-reference twins: each run alone, one after another, with the
+/// `*_ref` sums and locble::solve_linear_flat — the oracle the lockstep
+/// executor matches bit for bit.
+void seed_lockstep_ref(const FusedSample* s, std::size_t n, GnBatch& batch,
+                       double* scratch);
+void gn_lockstep_ref(const FusedSample* s, std::size_t n, GnBatch& batch,
+                     double* scratch);
+
+/// locble::solve_linear_flat on each of the kAccLanes lanes: lane j's
+/// dim x dim system is a[(r * dim + c) * kAccLanes + j] with right-hand side
+/// b[r * kAccLanes + j]; its solution goes to x[r * kAccLanes + j] and
+/// ok[j] is solve_linear_flat's return value. a and b are overwritten.
+/// The executor's per-iteration solve, exposed for the property tests.
+template <std::size_t W>
+void solve_lanes(double* a, double* b, double* x, std::size_t dim,
+                 bool (&ok)[kAccLanes]);
+
 // The lane kernels are instantiated once, in solver_kernels.cpp, for every
 // contract width — the library hot path links kLaneWidth, the W-sweep
 // property tests link all four.
@@ -225,7 +298,15 @@ void residual_seg_lanes(const double* p, const double* q, const double* rssi,
         double*);                                                                \
     extern template void residual_seg_lanes<W>(                                  \
         const double*, const double*, const double*, const int*, std::size_t,    \
-        double, double, const double*, int, double, double*);
+        double, double, const double*, int, double, double*);                    \
+    extern template void seed_lockstep<W>(const double*, const double*,          \
+                                          const double*, const int*,             \
+                                          std::size_t, GnBatch&, double*);       \
+    extern template void gn_lockstep<W>(const double*, const double*,            \
+                                        const double*, const int*, std::size_t,  \
+                                        GnBatch&, double*);                      \
+    extern template void solve_lanes<W>(double*, double*, double*, std::size_t,  \
+                                        bool (&)[kAccLanes]);
 
 LOCBLE_KERNELS_EXTERN(1)
 LOCBLE_KERNELS_EXTERN(2)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -207,6 +208,85 @@ TEST(LocBleTest, DiagnosticsReportConvergenceFailures) {
     EXPECT_FALSE(result.fit.has_value());
     EXPECT_EQ(result.diagnostics.solver_calls, result.diagnostics.convergence_failures);
     EXPECT_GE(result.diagnostics.convergence_failures, 1);
+}
+
+// ---------------------------------------------------------------------------
+// BatchLoop::close at far-future times: the batch end jumps instead of
+// walking, with the walk's own result.
+
+/// The walk close() used to take, verbatim.
+double walk_batch_end(double end, double t) {
+    while (t > end) end += BatchLoop::kBatchSeconds;
+    return end;
+}
+
+TEST(BatchLoopTest, BatchEndAfterMatchesTheWalk) {
+    locble::Rng rng(29);
+    const auto check = [](double end, double t) {
+        ASSERT_EQ(BatchLoop::batch_end_after(end, t), walk_batch_end(end, t))
+            << std::hexfloat << "end " << end << " t " << t;
+    };
+    // Random stream starts and gaps, as the services see them.
+    for (int i = 0; i < 20000; ++i) {
+        const double end = rng.uniform(-50.0, 1e8);
+        check(end, end + rng.uniform(-4.0, 2e4));
+    }
+    // Every binade crossing from 2 s to 2^53 s, from ends just below the
+    // top (fractional, where the crossing step rounds) to t just past it.
+    for (int e = 2; e <= 53; ++e) {
+        const double top = std::ldexp(1.0, e);
+        for (int i = 0; i < 200; ++i)
+            check(top - rng.uniform(0.0, 64.0), top + rng.uniform(-8.0, 64.0));
+    }
+    // Negative starts, up to and across zero.
+    for (int i = 0; i < 2000; ++i) {
+        const double end = -std::exp(rng.uniform(0.0, std::log(1e6)));
+        check(end, end + rng.uniform(0.0, 2e4));
+        check(rng.uniform(-8.0, 0.0), rng.uniform(-2.0, 8.0));
+    }
+    check(0.0, 0.0);
+    check(1.0, 1.0);
+    check(2.0, 1e-300);
+}
+
+TEST(BatchLoopTest, BatchEndAfterIsDefinedWhereTheWalkNeverEnds) {
+    // From 2^54 on, end + 2 rounds back to end and the walk never ends:
+    // the result is t.
+    EXPECT_EQ(BatchLoop::batch_end_after(0x1p54, 0x1p55), 0x1p55);
+    EXPECT_EQ(BatchLoop::batch_end_after(0x1p54 - 2.0, 1e17), 1e17);
+    EXPECT_EQ(BatchLoop::batch_end_after(-0x1p60, 5.0), 5.0);
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(BatchLoop::batch_end_after(10.0, inf), inf);
+    // No step when t is not past the end (NaN included).
+    EXPECT_EQ(BatchLoop::batch_end_after(10.0, 10.0), 10.0);
+    EXPECT_EQ(BatchLoop::batch_end_after(10.0, std::nan("")), 10.0);
+}
+
+TEST(BatchLoopTest, FarFutureCloseReturnsAndFlushesOnce) {
+    for (const double far : {1e12, 1e15, 1e17}) {
+        SCOPED_TRACE(far);
+        BatchLoop loop(no_env_config(), nullptr);
+        LocateResult::Diagnostics diag;
+        for (int i = 0; i < 10; ++i) {
+            FusedSample s;
+            s.t = 0.1 * i;
+            s.p = 0.3 * i;
+            (void)loop.add(-60.0 - 0.1 * i, s, diag);
+        }
+        ASSERT_TRUE(loop.has_open_batch());
+        const auto f = loop.close(far, diag);
+        EXPECT_EQ(f.samples, 10u);
+        EXPECT_FALSE(loop.has_open_batch());
+        ASSERT_EQ(diag.batch_samples.size(), 1u);
+        EXPECT_EQ(loop.size(), 10u);
+        // The window now ends at or past `far`: a sample at `far` opens a
+        // batch and closes nothing.
+        FusedSample s;
+        s.t = far;
+        EXPECT_EQ(loop.add(-60.0, s, diag).samples, 0u);
+        EXPECT_TRUE(loop.has_open_batch());
+        EXPECT_EQ(diag.batch_samples.size(), 1u);
+    }
 }
 
 }  // namespace

@@ -195,6 +195,66 @@ TEST(SolverIncrementalTest, ModelAveragingBranchIsConsistent) {
     expect_bitwise_equal(*warm, *avg);
 }
 
+// The solver evaluates grid points in chunks whose Gauss-Newton runs share
+// lockstep batches, then combines the candidates in grid order. Oracle:
+// each grid point solved alone (a hint band holding just its exponent),
+// combined by this test in grid order with the strict-`<` argmin and the
+// model average — which reads the candidates in order, so any other
+// combination order moves its bits.
+TEST(SolverIncrementalTest, CandidatesCombineInGridOrder) {
+    LocationSolver::Config cfg;
+    cfg.use_model_averaging = true;
+    const LocationSolver averaging(cfg);
+    const LocationSolver plain;
+    for (std::uint64_t seed = 21; seed <= 23; ++seed) {
+        SCOPED_TRACE(seed);
+        std::vector<FusedSample> samples;
+        for (const auto& batch : batched_walk({5.0, 2.0}, -59.0, 2.1, 1, 2.5, seed))
+            samples.insert(samples.end(), batch.begin(), batch.end());
+
+        // The grid points, enumerated as the solver enumerates them.
+        std::vector<LocationFit> fits;
+        const double step = plain.config().exponent_step;
+        for (double n = LocationSolver::kExponentMin;
+             n <= LocationSolver::kExponentMax + 1e-9; n += step) {
+            SolveHints hints;
+            hints.exponent_band = std::make_pair(n, n);
+            const auto fit = plain.solve(samples, hints);
+            if (fit) fits.push_back(*fit);
+        }
+        ASSERT_GT(fits.size(), 10u);
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < fits.size(); ++i)
+            if (fits[i].residual_db < fits[best].residual_db) best = i;
+        Vec2 loc_acc{0.0, 0.0};
+        double n_acc = 0.0, weight_acc = 0.0;
+        int blended = 0;
+        for (const auto& c : fits) {
+            if (c.residual_db > fits[best].residual_db * 1.15 + 1e-9) continue;
+            if (c.ambiguous != fits[best].ambiguous) continue;
+            const double w = 1.0 / std::max(c.residual_db, 1e-6);
+            loc_acc += c.location * w;
+            n_acc += c.exponent * w;
+            weight_acc += w;
+            ++blended;
+        }
+        ASSERT_GT(blended, 3);  // enough candidates for the order to matter
+        const Vec2 want_loc = loc_acc / weight_acc;
+        const double want_n = n_acc / weight_acc;
+
+        const auto argmin = plain.solve(samples);
+        ASSERT_TRUE(argmin.has_value());
+        expect_bitwise_equal(*argmin, fits[best]);
+        const auto avg = averaging.solve(samples);
+        ASSERT_TRUE(avg.has_value());
+        EXPECT_EQ(avg->location.x, want_loc.x);
+        EXPECT_EQ(avg->location.y, want_loc.y);
+        EXPECT_EQ(avg->exponent, want_n);
+        ASSERT_EQ(avg->segment_gammas.size(), 1u);
+        EXPECT_EQ(avg->segment_gammas[0], fits[best].segment_gammas[0]);
+    }
+}
+
 // A workspace is reusable across unrelated problems: a cold solve resets
 // all incremental state, so results equal the plain allocating overload,
 // and repeated same-shape solves stop growing the buffers.

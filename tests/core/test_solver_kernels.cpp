@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "locble/common/linalg.hpp"
 #include "locble/common/rng.hpp"
 #include "locble/core/location_solver.hpp"
 
@@ -402,6 +404,262 @@ TEST(LaneContractTest, NonFiniteTailsMatchReferenceAndSpareInactiveLanes) {
 }
 
 // ---------------------------------------------------------------------------
+// Lockstep Gauss-Newton: every run of a batch, at every width and batch
+// size, equals the same run taken alone through the scalar reference.
+
+/// Samples of the k-segment path-loss model around a target, with segment
+/// ids up to k (the last ones clamp into k - 1), noiseless or noisy.
+std::vector<FusedSample> lockstep_samples(std::size_t n, std::size_t k, bool noisy,
+                                          std::uint64_t seed) {
+    locble::Rng rng(seed);
+    std::vector<FusedSample> out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        auto& s = out[i];
+        s.p = rng.uniform(-8.0, 8.0);
+        s.q = rng.uniform(-8.0, 8.0);
+        s.segment = static_cast<int>(i * (k + 1) / n);
+        const double dx = 3.0 + s.p, dy = 2.0 + s.q;
+        s.rssi = -59.0 - 3.0 * s.segment -
+                 5.0 * 2.4 * std::log10(std::max(dx * dx + dy * dy, 0.01)) +
+                 (noisy ? rng.gaussian(0.0, 2.0) : 0.0);
+    }
+    return out;
+}
+
+template <std::size_t W>
+void check_lockstep(const std::vector<FusedSample>& aos, std::size_t k,
+                    std::size_t runs, std::uint64_t seed) {
+    const std::size_t n = aos.size();
+    SCOPED_TRACE(::testing::Message() << "W=" << W << " n=" << n << " k=" << k
+                                      << " runs=" << runs);
+    std::vector<double> p, q, rssi;
+    std::vector<int> seg;
+    for (const auto& s : aos) {
+        p.push_back(s.p);
+        q.push_back(s.q);
+        rssi.push_back(s.rssi);
+        seg.push_back(s.segment);
+    }
+    locble::Rng rng(seed);
+    kernels::GnBatch batch;
+    batch.runs = runs;
+    batch.k = k;
+    batch.gamma_min = -90.0;
+    batch.gamma_max = -30.0;
+    for (std::size_t j = 0; j < runs; ++j) {
+        // Distinct exponents. Every third run starts at the model's target
+        // with the model's exponent (it stops early on the step test with
+        // noiseless samples); one run of a larger batch starts at NaN.
+        const bool at_target = j % 3 == 0;
+        batch.exponent[j] =
+            at_target ? 2.4 : rng.uniform(1.5, 4.0) + 1e-3 * static_cast<double>(j);
+        batch.x[j] = at_target ? 3.0 : rng.uniform(-10.0, 10.0);
+        batch.h[j] = at_target ? 2.0 : rng.uniform(-10.0, 10.0);
+        batch.gamma_seed[j] = at_target ? -59.0 : rng.uniform(-80.0, -40.0);
+        if (runs >= 5 && j == runs - 1)
+            batch.x[j] = std::numeric_limits<double>::quiet_NaN();
+    }
+    std::vector<double> gammas(runs * k), scratch(kernels::lockstep_scratch_size(k));
+    batch.gammas = gammas.data();
+
+    // The serial oracle: each run alone in a batch of one, via the AoS twins.
+    std::vector<double> want_gammas(runs * k);
+    double want_x[kernels::kAccLanes], want_h[kernels::kAccLanes];
+    std::vector<double> seeded(runs * k);
+    for (std::size_t j = 0; j < runs; ++j) {
+        kernels::GnBatch one;
+        one.runs = 1;
+        one.k = k;
+        one.gamma_min = batch.gamma_min;
+        one.gamma_max = batch.gamma_max;
+        one.exponent[0] = batch.exponent[j];
+        one.x[0] = batch.x[j];
+        one.h[0] = batch.h[j];
+        one.gamma_seed[0] = batch.gamma_seed[j];
+        one.gammas = want_gammas.data() + j * k;
+        kernels::seed_lockstep_ref(aos.data(), n, one, scratch.data());
+        std::copy_n(one.gammas, k, seeded.data() + j * k);
+        kernels::gn_lockstep_ref(aos.data(), n, one, scratch.data());
+        want_x[j] = one.x[0];
+        want_h[j] = one.h[0];
+    }
+
+    kernels::seed_lockstep<W>(p.data(), q.data(), rssi.data(), seg.data(), n, batch,
+                              scratch.data());
+    for (std::size_t i = 0; i < runs * k; ++i)
+        EXPECT_TRUE(same_bits(gammas[i], seeded[i])) << "seed, run " << i / k;
+    kernels::gn_lockstep<W>(p.data(), q.data(), rssi.data(), seg.data(), n, batch,
+                            scratch.data());
+    for (std::size_t j = 0; j < runs; ++j) {
+        EXPECT_TRUE(same_bits(batch.x[j], want_x[j])) << "run " << j;
+        EXPECT_TRUE(same_bits(batch.h[j], want_h[j])) << "run " << j;
+        for (std::size_t s = 0; s < k; ++s)
+            EXPECT_TRUE(same_bits(gammas[j * k + s], want_gammas[j * k + s]))
+                << "run " << j << " gamma " << s;
+    }
+}
+
+TEST(LaneContractTest, LockstepRunsMatchSerialRunsAcrossWidths) {
+    std::vector<std::size_t> counts;
+    for (std::size_t n = 1; n <= 17; ++n) counts.push_back(n);
+    for (const std::size_t n : {38u, 64u, 257u}) counts.push_back(n);
+    std::uint64_t seed = 900;
+    for (const std::size_t k : {1u, 2u, 3u, 4u}) {
+        for (const std::size_t n : counts) {
+            const auto aos = lockstep_samples(n, k, /*noisy=*/n % 2 == 0, seed++);
+            for (std::size_t runs = 1; runs <= kernels::kAccLanes; ++runs) {
+                check_lockstep<1>(aos, k, runs, seed);
+                check_lockstep<2>(aos, k, runs, seed);
+                check_lockstep<4>(aos, k, runs, seed);
+                check_lockstep<8>(aos, k, runs, seed);
+                ++seed;
+            }
+        }
+    }
+}
+
+// The lane solve: each lane's ok flag, and its solution bits when ok, are
+// solve_linear_flat's on that lane's system — random systems plus crafted
+// pivots (below 1e-14, tied, a zero multiplier with signed zeros) and
+// non-finite entries.
+
+struct LaneSystems {
+    std::size_t dim;
+    std::vector<double> a, b;  // the solve_lanes layout
+
+    explicit LaneSystems(std::size_t d)
+        : dim(d), a(d * d * kernels::kAccLanes), b(d * kernels::kAccLanes) {}
+    double& at(std::size_t lane, std::size_t r, std::size_t c) {
+        return a[(r * dim + c) * kernels::kAccLanes + lane];
+    }
+    double& rhs(std::size_t lane, std::size_t r) {
+        return b[r * kernels::kAccLanes + lane];
+    }
+};
+
+template <std::size_t W>
+void check_lane_solve(LaneSystems sys) {
+    const std::size_t dim = sys.dim;
+    SCOPED_TRACE(::testing::Message() << "W=" << W << " dim=" << dim);
+    bool want_ok[kernels::kAccLanes];
+    std::vector<double> want_x(dim * kernels::kAccLanes);
+    for (std::size_t lane = 0; lane < kernels::kAccLanes; ++lane) {
+        std::vector<double> a(dim * dim), b(dim), x(dim);
+        for (std::size_t r = 0; r < dim; ++r) {
+            b[r] = sys.rhs(lane, r);
+            for (std::size_t c = 0; c < dim; ++c) a[r * dim + c] = sys.at(lane, r, c);
+        }
+        want_ok[lane] = locble::solve_linear_flat(a.data(), b.data(), x.data(), dim);
+        for (std::size_t r = 0; r < dim; ++r)
+            want_x[r * kernels::kAccLanes + lane] = x[r];
+    }
+    std::vector<double> x(dim * kernels::kAccLanes);
+    bool ok[kernels::kAccLanes];
+    kernels::solve_lanes<W>(sys.a.data(), sys.b.data(), x.data(), dim, ok);
+    for (std::size_t lane = 0; lane < kernels::kAccLanes; ++lane) {
+        EXPECT_EQ(ok[lane], want_ok[lane]) << "lane " << lane;
+        if (!ok[lane] || !want_ok[lane]) continue;
+        for (std::size_t r = 0; r < dim; ++r)
+            EXPECT_TRUE(same_bits(x[r * kernels::kAccLanes + lane],
+                                  want_x[r * kernels::kAccLanes + lane]))
+                << "lane " << lane << " row " << r;
+    }
+}
+
+void check_lane_solve_all_widths(const LaneSystems& sys) {
+    check_lane_solve<1>(sys);
+    check_lane_solve<2>(sys);
+    check_lane_solve<4>(sys);
+    check_lane_solve<8>(sys);
+}
+
+TEST(LaneContractTest, LaneSolveMatchesSolveLinearFlat) {
+    locble::Rng rng(1234);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t dim = 3; dim <= 6; ++dim) {
+        for (int round = 0; round < 40; ++round) {
+            LaneSystems sys(dim);
+            for (std::size_t lane = 0; lane < kernels::kAccLanes; ++lane) {
+                // Even lanes: damped normal equations, as Gauss-Newton
+                // builds them; odd lanes: general random systems.
+                for (std::size_t r = 0; r < dim; ++r) {
+                    sys.rhs(lane, r) = rng.uniform(-5.0, 5.0);
+                    for (std::size_t c = 0; c < dim; ++c)
+                        sys.at(lane, r, c) = rng.uniform(-3.0, 3.0);
+                }
+                if (lane % 2 == 0) {
+                    for (std::size_t r = 0; r < dim; ++r) {
+                        for (std::size_t c = 0; c < r; ++c)
+                            sys.at(lane, r, c) = sys.at(lane, c, r);
+                        sys.at(lane, r, r) = std::abs(sys.at(lane, r, r)) * 4.0 + 1e-9;
+                    }
+                }
+            }
+            // Crafted lanes, rotated through the lane positions.
+            const auto lane = [&](std::size_t i) {
+                return (i + static_cast<std::size_t>(round)) % kernels::kAccLanes;
+            };
+            switch (round % 5) {
+                case 0: {
+                    // A pivot below 1e-14: a tiny first column, and an
+                    // exactly singular system (two equal rows).
+                    for (std::size_t r = 0; r < dim; ++r) sys.at(lane(0), r, 0) = 3e-15;
+                    for (std::size_t c = 0; c < dim; ++c)
+                        sys.at(lane(1), 1, c) = sys.at(lane(1), 0, c);
+                    break;
+                }
+                case 1: {
+                    // Tied pivots: equal magnitudes, opposite signs, in the
+                    // first column and again below the diagonal later on.
+                    sys.at(lane(0), 0, 0) = 2.0;
+                    sys.at(lane(0), 1, 0) = -2.0;
+                    sys.at(lane(0), dim - 1, 0) = 2.0;
+                    sys.at(lane(1), 0, 0) = 0.5;
+                    for (std::size_t r = 1; r < dim; ++r) sys.at(lane(1), r, 0) = -0.5;
+                    break;
+                }
+                case 2: {
+                    // Zero multipliers: +0.0 and -0.0 below the pivot, rows
+                    // holding -0.0 entries, and an inf in the pivot row that
+                    // a row update would turn into NaN.
+                    sys.at(lane(0), 0, 0) = 4.0;
+                    sys.at(lane(0), 1, 0) = 0.0;
+                    sys.at(lane(0), 2, 0) = -0.0;
+                    sys.at(lane(0), 1, 2) = -0.0;
+                    sys.at(lane(0), 2, 1) = -0.0;
+                    sys.at(lane(0), 0, 1) = -1.5;
+                    sys.at(lane(1), 0, 0) = 5.0;
+                    sys.at(lane(1), 0, 2) = inf;
+                    for (std::size_t r = 1; r < dim; ++r) sys.at(lane(1), r, 0) = -0.0;
+                    sys.rhs(lane(1), 0) = 1.0;
+                    break;
+                }
+                case 3: {
+                    // Non-finite entries: an inf and a NaN, off and on the
+                    // diagonal, and in the right-hand side.
+                    sys.at(lane(0), 1, 2) = inf;
+                    sys.at(lane(1), 2, 1) = nan;
+                    sys.at(lane(2), 0, 0) = -inf;
+                    sys.at(lane(3), dim - 1, dim - 1) = nan;
+                    sys.rhs(lane(4), 1) = inf;
+                    break;
+                }
+                default: {
+                    // Scales far apart, so pivoting reorders the rows.
+                    for (std::size_t c = 0; c < dim; ++c) {
+                        sys.at(lane(0), dim - 1, c) *= 1e8;
+                        sys.at(lane(1), 0, c) *= 1e-10;
+                    }
+                    break;
+                }
+            }
+            check_lane_solve_all_widths(sys);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end identity: whole solves agree bitwise across kernel modes.
 
 std::vector<FusedSample> noisy_l_shape(std::uint64_t seed) {
@@ -512,6 +770,90 @@ TEST(KernelModeTest, MultiSegmentBitIdenticalAcrossModes) {
             }
         }
     }
+}
+
+/// A walk whose linear seed often fails, so grid points fall back to the
+/// eight bearings: short and noisy beside the target, either straight
+/// (1-D, the ambiguous model) or barely bent, cut into `segments` Gamma
+/// segments with nondecreasing ids.
+std::vector<FusedSample> weak_walk(std::uint64_t seed, bool one_d, int segments) {
+    locble::Rng rng(seed);
+    std::vector<FusedSample> out;
+    const int n = 40;
+    for (int i = 0; i < n; ++i) {
+        FusedSample s;
+        s.t = 0.1 * i;
+        const double ox = 3.0 * i / (n - 1.0);
+        const double oy = one_d ? 0.0 : 0.4 * std::max(0.0, (i - 25) / 14.0);
+        s.p = 2.0 - ox;
+        s.q = 5.0 - oy;
+        s.segment = i * segments / n;
+        const double l2 = s.p * s.p + s.q * s.q;
+        s.rssi = -59.0 - 4.0 * s.segment - 5.0 * 2.6 * std::log10(l2) +
+                 rng.gaussian(0.0, 4.0);
+        out.push_back(s);
+    }
+    return out;
+}
+
+void expect_diagnostics_identical(const SolveDiagnostics& a, const SolveDiagnostics& b) {
+    EXPECT_EQ(a.exponent_candidates, b.exponent_candidates);
+    EXPECT_EQ(a.candidate_failures, b.candidate_failures);
+    EXPECT_EQ(a.multistart_runs, b.multistart_runs);
+    EXPECT_EQ(a.warm_starts, b.warm_starts);
+    EXPECT_EQ(a.converged, b.converged);
+}
+
+TEST(KernelModeTest, MultistartHeavySolvesBitIdenticalAcrossModes) {
+    // Most grid points of these solves run the bearings, so the lockstep
+    // batches are full and runs stop at different iterations: lanes mode
+    // must still equal scalar_reference, fits and diagnostics, cold and
+    // over Session flushes, in both search modes.
+    int multistarts = 0;
+    std::uint64_t seed = 80;
+    for (const bool one_d : {true, false}) {
+        for (int segments = 1; segments <= 4; ++segments) {
+            for (auto search : {LocationSolver::SearchMode::exhaustive,
+                                LocationSolver::SearchMode::coarse_to_fine}) {
+                SCOPED_TRACE(::testing::Message()
+                             << (one_d ? "1-D" : "bent") << ", " << segments
+                             << " segments, search mode " << static_cast<int>(search));
+                const auto samples = weak_walk(seed++, one_d, segments);
+                LocationSolver::Config lanes_cfg;
+                lanes_cfg.search_mode = search;
+                lanes_cfg.kernel_mode = KernelMode::lanes;
+                LocationSolver::Config ref_cfg = lanes_cfg;
+                ref_cfg.kernel_mode = KernelMode::scalar_reference;
+                const LocationSolver lanes(lanes_cfg), ref(ref_cfg);
+
+                SolveDiagnostics d_lanes, d_ref;
+                const auto cold_lanes = lanes.solve(samples, {}, &d_lanes);
+                const auto cold_ref = ref.solve(samples, {}, &d_ref);
+                expect_diagnostics_identical(d_lanes, d_ref);
+                multistarts += d_lanes.multistart_runs;
+                ASSERT_EQ(cold_lanes.has_value(), cold_ref.has_value());
+                if (cold_lanes) expect_fits_identical(*cold_lanes, *cold_ref);
+
+                LocationSolver::Session s_lanes(lanes), s_ref(ref);
+                const std::size_t cuts[] = {9, 17, 26, samples.size()};
+                std::size_t pos = 0;
+                for (std::size_t cut : cuts) {
+                    for (; pos < cut; ++pos) {
+                        s_lanes.add(samples[pos]);
+                        s_ref.add(samples[pos]);
+                    }
+                    const auto warm_lanes = s_lanes.solve({}, &d_lanes);
+                    const auto warm_ref = s_ref.solve({}, &d_ref);
+                    expect_diagnostics_identical(d_lanes, d_ref);
+                    multistarts += d_lanes.multistart_runs;
+                    ASSERT_EQ(warm_lanes.has_value(), warm_ref.has_value()) << cut;
+                    if (warm_lanes) expect_fits_identical(*warm_lanes, *warm_ref);
+                }
+            }
+        }
+    }
+    // The walks did force the fallback, many times over.
+    EXPECT_GT(multistarts, 500);
 }
 
 TEST(KernelModeTest, SessionWarmBitIdenticalToColdInBothModes) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "locble/core/envaware.hpp"
@@ -52,6 +53,29 @@ TEST(ServeLifecycleTest, IdleClientsAreEvictedByEventTime) {
     EXPECT_EQ(snap.stats.clients_evicted, 1u);
     EXPECT_EQ(snap.stats.sessions_evicted, 1u);
     EXPECT_EQ(snap.stats.clients_created, 2u);
+}
+
+TEST(ServeLifecycleTest, FarFutureEventEndsItsEpoch) {
+    // One client's adv at t = 1e12 moves the horizon there; closing the
+    // clean walk's open batch at that horizon must take a bounded number of
+    // steps, not one per 2 s window (~5e11), and flush and solve exactly as
+    // a near horizon past the walk does.
+    TrackingService far(base_config()), near(base_config());
+    for (auto [svc, t] : {std::pair{&far, 1e12}, std::pair{&near, 20.0}}) {
+        submit_walk(*svc, 100, 0.0, 8.0);
+        svc->submit(adv_event(200, t, 42, -60.0));
+        svc->run_epoch();
+    }
+    const auto snap = far.snapshot();
+    const auto ref = near.snapshot();
+    EXPECT_EQ(snap.stats.epochs, 1u);
+    EXPECT_EQ(snap.horizon, 1e12);
+    EXPECT_EQ(snap.stats.batches_flushed, ref.stats.batches_flushed);
+    EXPECT_EQ(snap.stats.solves, ref.stats.solves);
+    EXPECT_GT(snap.stats.solves, 0u);
+    // The walk's client fell idle at the far horizon.
+    EXPECT_EQ(snap.stats.clients_evicted, 1u);
+    EXPECT_EQ(ref.stats.clients_evicted, 0u);
 }
 
 TEST(ServeLifecycleTest, EvictedClientIsRecreatedOnReturn) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -534,7 +535,7 @@ TEST(ReachabilityTest, CallGraphAndEntryPoints) {
                 "void helper() {\n"
                 "    int x = 1;\n"
                 "}\n"
-                "void run_trial() {\n"
+                "void run() {\n"
                 "    helper();\n"
                 "}\n"
                 "void orphan() {\n"
@@ -545,7 +546,7 @@ TEST(ReachabilityTest, CallGraphAndEntryPoints) {
     EXPECT_EQ(g.defined.count("helper"), 1u);
     EXPECT_EQ(g.defined.count("orphan"), 1u);
     const auto reached = reachable_functions(g);
-    EXPECT_EQ(reached.count("run_trial"), 1u);
+    EXPECT_EQ(reached.count("run"), 1u);
     EXPECT_EQ(reached.count("helper"), 1u);
     EXPECT_EQ(reached.count("orphan"), 0u);
 }
@@ -556,7 +557,7 @@ TEST(ReachabilityTest, UnreachableRandIsQuarantinedAsInfo) {
          "void helper() {\n"
          "    int x = rand();\n"
          "}\n"
-         "void run_trial() {\n"
+         "void run() {\n"
          "    helper();\n"
          "}\n"
          "void orphan() {\n"
@@ -565,7 +566,7 @@ TEST(ReachabilityTest, UnreachableRandIsQuarantinedAsInfo) {
     };
     const auto result = analyze(files, AnalyzerOptions{});
     ASSERT_EQ(result.findings.size(), 2u);
-    // helper is reachable from the run_trial entry point: still gates.
+    // helper is reachable from the run entry point: still gates.
     EXPECT_EQ(result.findings[0].line, 2);
     EXPECT_EQ(result.findings[0].surface, "deterministic");
     EXPECT_EQ(result.findings[0].severity, "error");
@@ -576,6 +577,48 @@ TEST(ReachabilityTest, UnreachableRandIsQuarantinedAsInfo) {
     // Only the reachable finding gates.
     ASSERT_EQ(result.failing().size(), 1u);
     EXPECT_EQ(result.failing()[0]->line, 2);
+}
+
+TEST(ReachabilityTest, EntryPointsNameTheEpochStages) {
+    // The serve epoch runs as stages over work lists; each stage is an
+    // entry point, and names no function carries (the retired per-shard
+    // pass among them) are not.
+    for (const char* stage :
+         {"begin_epoch", "end_epoch", "plan_epoch", "drain", "settle",
+          "record_telemetry", "evict", "solve"})
+        EXPECT_EQ(entry_point_names().count(stage), 1u) << stage;
+    for (const char* gone :
+         {"process_epoch", "swap_epoch", "run_trial", "run_trials", "simulate"})
+        EXPECT_EQ(entry_point_names().count(gone), 0u) << gone;
+}
+
+TEST(ReachabilityTest, UndefinedEntryPointsAreReported) {
+    const std::vector<SourceFile> files = {
+        {"src/locble/core/demo.cpp",
+         "void run() {\n"
+         "    int x = 1;\n"
+         "}\n"
+         "void settle() {\n"
+         "    int y = 2;\n"
+         "}\n"},
+    };
+    const auto result = analyze(files, AnalyzerOptions{});
+    const auto& undefined = result.undefined_entry_points;
+    // Every entry-point name but the two defined ones, sorted.
+    ASSERT_EQ(undefined.size(), entry_point_names().size() - 2);
+    EXPECT_TRUE(std::is_sorted(undefined.begin(), undefined.end()));
+    for (const std::string& name : undefined)
+        EXPECT_EQ(entry_point_names().count(name), 1u) << name;
+    EXPECT_EQ(std::count(undefined.begin(), undefined.end(), "run"), 0);
+    EXPECT_EQ(std::count(undefined.begin(), undefined.end(), "settle"), 0);
+    EXPECT_EQ(std::count(undefined.begin(), undefined.end(), "plan_epoch"), 1);
+    EXPECT_NE(findings_json(result).find("\"undefined_entry_points\": [\""),
+              std::string::npos);
+
+    // Without the reachability pass nothing is reported.
+    AnalyzerOptions off;
+    off.reachability = false;
+    EXPECT_TRUE(analyze(files, off).undefined_entry_points.empty());
 }
 
 TEST(ReachabilityTest, TestsAndBenchFindingsStayOnSurface) {

@@ -83,6 +83,7 @@ AnalysisResult analyze(const std::vector<SourceFile>& files,
     // Pass 4: reachability classification.
     if (opts.reachability) {
         const CallGraph call_graph = build_call_graph(index);
+        result.undefined_entry_points = undefined_entry_points(call_graph);
         const std::set<std::string> reached = reachable_functions(call_graph);
         classify_findings(index, reached, result.findings);
     }
@@ -156,6 +157,11 @@ std::string findings_json(const AnalysisResult& result) {
     out += "  \"stale_baseline\": [";
     for (std::size_t i = 0; i < result.stale_baseline.size(); ++i)
         out += std::string(i == 0 ? "" : ", ") + '"' + result.stale_baseline[i] + '"';
+    out += "],\n";
+    out += "  \"undefined_entry_points\": [";
+    for (std::size_t i = 0; i < result.undefined_entry_points.size(); ++i)
+        out += std::string(i == 0 ? "" : ", ") + '"' + result.undefined_entry_points[i] +
+               '"';
     out += "],\n";
 
     out += "  \"summary\": {\"total\": " + std::to_string(result.findings.size()) +

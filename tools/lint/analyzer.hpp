@@ -41,6 +41,9 @@ struct AnalysisResult {
     std::vector<Finding> findings;
     /// Baseline fingerprints with no live finding.
     std::vector<std::string> stale_baseline;
+    /// Reachability entry-point names no scanned function defines
+    /// (reachability.hpp); empty when that pass is off.
+    std::vector<std::string> undefined_entry_points;
     /// Layering graph (also summarized into findings).
     ModuleGraphResult graph;
     std::size_t files_scanned{0};

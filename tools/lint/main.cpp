@@ -183,6 +183,11 @@ int main(int argc, char** argv) {
                      "determinism_lint: stale baseline fingerprint '%s' — the "
                      "finding is gone, remove it from baseline.json\n",
                      fp.c_str());
+    for (const auto& name : result.undefined_entry_points)
+        std::fprintf(stderr,
+                     "determinism_lint: entry point '%s' is defined by no scanned "
+                     "function — rename or remove it in reachability.cpp\n",
+                     name.c_str());
     for (const auto& cycle : result.graph.cycles)
         std::fprintf(stderr, "determinism_lint: include cycle %s\n", cycle.c_str());
 

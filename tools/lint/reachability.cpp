@@ -7,14 +7,15 @@ namespace locble::lint {
 const std::set<std::string>& entry_point_names() {
     static const std::set<std::string> entries = {
         // Trial execution (runtime::TrialRunner and friends).
-        "run", "run_trials", "run_trial",
-        // Serve epoch schedule and ingest (serve::TrackingService/Shard).
-        "run_epoch", "begin_epoch", "process_epoch", "end_epoch",
-        "swap_epoch", "enqueue", "submit", "ingest",
+        "run", "run_trials_parallel",
+        // Serve epoch schedule, its stages and ingest
+        // (serve::TrackingService/Shard).
+        "run_epoch", "begin_epoch", "end_epoch", "plan_epoch", "drain",
+        "settle", "record_telemetry", "evict", "enqueue", "submit", "ingest",
         // Result surfaces whose bytes the contract covers.
         "solve", "locate", "snapshot",
         // Sim measurement harness.
-        "measure_stationary", "measure_moving", "simulate",
+        "measure_stationary", "measure_moving",
     };
     return entries;
 }
@@ -38,6 +39,13 @@ CallGraph build_call_graph(const std::vector<FileIndex>& files) {
         }
     }
     return g;
+}
+
+std::vector<std::string> undefined_entry_points(const CallGraph& g) {
+    std::vector<std::string> out;
+    for (const std::string& e : entry_point_names())
+        if (g.defined.count(e) == 0) out.push_back(e);
+    return out;  // sorted: the set iterates in order
 }
 
 std::set<std::string> reachable_functions(const CallGraph& g) {

@@ -27,8 +27,9 @@ namespace locble::lint {
 /// for the same reason.
 
 /// The deterministic entry-point names: trial execution
-/// (run/run_trials/run_trial), the serve epoch schedule
-/// (begin_epoch/process_epoch/end_epoch/run_epoch/swap_epoch), ingest
+/// (run/run_trials_parallel), the serve epoch schedule
+/// (begin_epoch/end_epoch/run_epoch) and its stages
+/// (plan_epoch/drain/settle/record_telemetry/evict), ingest
 /// (enqueue/submit/ingest), result surfaces (solve/locate/snapshot) and
 /// the sim measurement harness entry points.
 const std::set<std::string>& entry_point_names();
@@ -42,6 +43,11 @@ struct CallGraph {
 };
 
 CallGraph build_call_graph(const std::vector<FileIndex>& files);
+
+/// Entry-point names no indexed function defines, sorted. Over the whole
+/// tree each one is a stale entry (a renamed or deleted function) that
+/// anchors nothing; over a subset, names outside it.
+std::vector<std::string> undefined_entry_points(const CallGraph& g);
 
 /// Function names reachable from the entry points (entries included, when
 /// defined).
