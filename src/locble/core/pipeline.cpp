@@ -48,15 +48,29 @@ LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
     if (cfg_.use_anf) denoised_series = dsp::Anf().process_offline(raw_rss);
 
     // The per-batch re-solve of Algorithm 1: one solve after every closed
-    // batch, keeping the last fit that converged.
+    // batch, keeping the last fit that converged. Each batch and each solve
+    // reports what it did; the diagnostics fold those reports.
     BatchLoop loop(cfg_, envaware_ ? &*envaware_ : nullptr);
     LocationFit fit;
+    LocateResult::Diagnostics& diag = result.diagnostics;
     const auto solve_after = [&](const BatchLoop::Flush& f) {
         if (f.samples == 0) return;
         LOCBLE_COUNT("pipeline.batches", 1);
-        if (f.window_class) result.window_classes.push_back(*f.window_class);
+        diag.batch_samples.push_back(f.samples);
+        if (f.window_class) {
+            result.window_classes.push_back(*f.window_class);
+            diag.envaware_windows += 1;
+        }
         if (f.restarted) LOCBLE_COUNT("pipeline.regression_restarts", 1);
-        if (loop.solve(fit, result.diagnostics)) {
+        SolveDiagnostics sd;
+        const bool converged = loop.solve(fit, &sd);
+        diag.solver_calls += 1;
+        diag.solver_candidates += sd.exponent_candidates;
+        diag.solver_failures += sd.candidate_failures;
+        diag.solver_multistarts += sd.multistart_runs;
+        diag.solver_warm_starts += sd.warm_starts;
+        if (!sd.converged) diag.convergence_failures += 1;
+        if (converged) {
             result.fit = fit;
             result.samples_used = loop.size();
         }
@@ -73,9 +87,9 @@ LocateResult LocBle::run(const locble::TimeSeries& raw_rss,
         fused.p = tgt_pos.x - obs_pos.x;
         fused.q = tgt_pos.y - obs_pos.y;
         fused.rssi = cfg_.use_anf ? denoised_series[i].value : s.value;
-        solve_after(loop.add(s.value, fused, result.diagnostics));
+        solve_after(loop.add(s.value, fused));
     }
-    solve_after(loop.flush(result.diagnostics));
+    solve_after(loop.flush());
 
     result.regression_restarts = loop.restarts();
     if (!result.fit) LOCBLE_COUNT("pipeline.no_fix", 1);
@@ -94,13 +108,12 @@ BatchLoop::BatchLoop(const LocBle::Config& cfg, const EnvAware* envaware,
     }
 }
 
-BatchLoop::Flush BatchLoop::add(double raw_rssi, FusedSample s,
-                                LocateResult::Diagnostics& diag) {
+BatchLoop::Flush BatchLoop::add(double raw_rssi, FusedSample s) {
     if (!started_) {
         started_ = true;
         batch_end_ = s.t + kBatchSeconds;
     }
-    const Flush f = close(s.t, diag);
+    const Flush f = close(s.t);
     s.segment = segment_;
     batch_raw_.push_back(raw_rssi);
     batch_fused_.push_back(s);
@@ -108,10 +121,10 @@ BatchLoop::Flush BatchLoop::add(double raw_rssi, FusedSample s,
     return f;
 }
 
-BatchLoop::Flush BatchLoop::close(double t, LocateResult::Diagnostics& diag) {
+BatchLoop::Flush BatchLoop::close(double t) {
     Flush f;
     if (!started_ || !(t > batch_end_)) return f;
-    if (has_open_batch()) f = flush(diag);
+    if (has_open_batch()) f = flush();
     batch_end_ = batch_end_after(batch_end_, t);
     return f;
 }
@@ -148,16 +161,14 @@ double BatchLoop::batch_end_after(double end, double t) {
     return end;
 }
 
-BatchLoop::Flush BatchLoop::flush(LocateResult::Diagnostics& diag) {
+BatchLoop::Flush BatchLoop::flush() {
     Flush f;
     if (!has_open_batch()) return f;
     f.samples = batch_raw_.size();
-    diag.batch_samples.push_back(f.samples);
 
     bool changed = false;
     if (env_ && batch_raw_.size() >= 4) {
         const auto obs = env_->observe(batch_raw_);
-        diag.envaware_windows += 1;
         f.window_class = obs.window_class;
         if (obs.window_class != channel::PropagationClass::los) saw_blocked_ = true;
         regime_ = obs.regime;
@@ -184,14 +195,12 @@ BatchLoop::Flush BatchLoop::flush(LocateResult::Diagnostics& diag) {
     // is absorbed without discarding geometry.
     if (changed && level_jumped) {
         ++segment_;
-        ++restarts_;
         f.restarted = true;
     }
     if (max_samples_ > 0 && session_.size() + batch_fused_.size() > max_samples_) {
         // Allocation-free: Session::reset keeps every buffer's capacity.
         session_.reset();
         segment_ = 0;
-        restarts_ = 0;
         saw_blocked_ = false;
         band_min_ = 10.0;
         band_max_ = 0.0;
@@ -206,12 +215,12 @@ BatchLoop::Flush BatchLoop::flush(LocateResult::Diagnostics& diag) {
     return f;
 }
 
-bool BatchLoop::solve(LocationFit& out, LocateResult::Diagnostics& diag) {
+bool BatchLoop::solve(LocationFit& out, SolveDiagnostics* diag) {
     SolveHints hints;
     // The regime's exponent band applies only while one regime covered the
     // whole regression; mixed-regime data keeps the full range (the union
     // band measured worse than either constraint).
-    if (band_max_ > band_min_ && restarts_ == 0)
+    if (band_max_ > band_min_ && segment_ == 0)
         hints.exponent_band = {{band_min_, band_max_}};
     if (cfg_.gamma_prior_dbm) {
         // Blockage shows up as insertion loss the log-distance model has no
@@ -224,15 +233,7 @@ bool BatchLoop::solve(LocationFit& out, LocateResult::Diagnostics& diag) {
                                 *cfg_.gamma_prior_dbm + cfg_.gamma_prior_above_db};
     }
 
-    SolveDiagnostics sd;
-    const bool converged = session_.solve_into(out, hints, &sd);
-    diag.solver_calls += 1;
-    diag.solver_candidates += sd.exponent_candidates;
-    diag.solver_failures += sd.candidate_failures;
-    diag.solver_multistarts += sd.multistart_runs;
-    diag.solver_warm_starts += sd.warm_starts;
-    if (!sd.converged) diag.convergence_failures += 1;
-    return converged;
+    return session_.solve_into(out, hints, diag);
 }
 
 }  // namespace locble::core

@@ -122,11 +122,10 @@ public:
     /// Close every window that ended before `s.t`, then buffer the sample:
     /// `raw_rssi` for EnvAware (it learns from the fluctuation statistics a
     /// filter erases), `s` — denoised RSSI and relative displacement — for
-    /// the regression. Closed batches add their sizes and EnvAware windows
-    /// into `diag`.
-    Flush add(double raw_rssi, FusedSample s, LocateResult::Diagnostics& diag);
+    /// the regression.
+    Flush add(double raw_rssi, FusedSample s);
     /// Close every window that ended before `t`.
-    Flush close(double t, LocateResult::Diagnostics& diag);
+    Flush close(double t);
     /// The batch end close(t) leaves after `end`: what the walk
     /// `while (t > end) end += kBatchSeconds;` leaves, rounding included,
     /// without its (t - end) / 2 steps — a far-future t (1e12 s) costs at
@@ -134,23 +133,27 @@ public:
     /// (|end| >= 2^54, where end + 2 can round back to end) the result is t.
     static double batch_end_after(double end, double t);
     /// Close the open batch whatever its window (the end of a capture).
-    Flush flush(LocateResult::Diagnostics& diag);
+    Flush flush();
 
     /// Solve the regression over every batch folded so far, with the
-    /// regime's exponent band and the Gamma prior band as hints, and add
-    /// the solve's accounting into `diag`. Returns false, leaving `out`
-    /// untouched, when no fit converged.
-    bool solve(LocationFit& out, LocateResult::Diagnostics& diag);
+    /// regime's exponent band and the Gamma prior band as hints, reporting
+    /// the solve's accounting into `diag` when given. Returns false, leaving
+    /// `out` untouched, when no fit converged.
+    bool solve(LocationFit& out, SolveDiagnostics* diag = nullptr);
 
     const LocBle::Config& config() const { return cfg_; }
     /// The samples of the current regression, in arrival order.
     const std::vector<FusedSample>& samples() const { return session_.samples(); }
     std::size_t size() const { return session_.size(); }
     int segment() const { return segment_; }
-    int restarts() const { return restarts_; }
+    /// Environment changes that opened a segment of the current regression:
+    /// each steps segment() once, and a sample-cap reset zeroes it.
+    int restarts() const { return segment_; }
     int resets() const { return resets_; }
     double last_t() const { return last_t_; }
     bool has_open_batch() const { return !batch_raw_.empty(); }
+    /// The raw RSSI of the open batch, in arrival order.
+    const std::vector<double>& open_batch_rssi() const { return batch_raw_; }
 
     /// The loop's complete stream state as one field list, for any visitor
     /// (like SolverWorkspace::warm_grid_fields, this module knows nothing
@@ -163,11 +166,11 @@ public:
         // cfg_, max_samples_ and solver_ are left out: they are construction
         // arguments, rebuilt from the same config on restore.
         auto& [cfg_, max_samples_, solver_, env_, session_, started_, batch_end_, last_t_,
-               batch_raw_, batch_fused_, segment_, restarts_, resets_, regime_, band_min_,
-               band_max_, saw_blocked_, prev_batch_mean_, have_prev_batch_] = s;
+               batch_raw_, batch_fused_, segment_, resets_, regime_, band_min_, band_max_,
+               saw_blocked_, prev_batch_mean_, have_prev_batch_] = s;
         v(env_, session_, started_, batch_end_, last_t_, batch_raw_, batch_fused_,
-          segment_, restarts_, resets_, regime_, band_min_, band_max_, saw_blocked_,
-          prev_batch_mean_, have_prev_batch_);
+          segment_, resets_, regime_, band_min_, band_max_, saw_blocked_, prev_batch_mean_,
+          have_prev_batch_);
     }
 
 private:
@@ -183,7 +186,6 @@ private:
     std::vector<double> batch_raw_;
     std::vector<FusedSample> batch_fused_;
     int segment_{0};
-    int restarts_{0};
     int resets_{0};
     std::optional<channel::PropagationClass> regime_;
     double band_min_{10.0}, band_max_{0.0};  ///< union of the regime bands seen

@@ -36,7 +36,7 @@ namespace {
 
 /// Version of the checkpoint *content* layout inside the wire envelope
 /// (the field lists). Bumped independently of wire::kVersion.
-constexpr std::uint32_t kCkptFormat = 1;
+constexpr std::uint32_t kCkptFormat = 2;
 
 [[noreturn]] void fail(wire::WireStatus code, const std::string& what) {
     throw wire::WireError(code, "TrackingService checkpoint: " + what);
@@ -78,18 +78,6 @@ void fields(S& s, V& v) {
            ambiguous] = s;
     v(location, exponent, gamma_dbm, segment_gammas, residual_db, confidence, ambiguous);
 }
-template <Of<core::LocateResult::Diagnostics> S, class V>
-void fields(S& s, V& v) {
-    auto& [solver_calls, solver_candidates, solver_failures, solver_multistarts,
-           solver_warm_starts, convergence_failures, envaware_windows, batch_samples] = s;
-    v(solver_calls, solver_candidates, solver_failures, solver_multistarts,
-      solver_warm_starts, convergence_failures, envaware_windows, batch_samples);
-}
-template <Of<core::ClusterCalibration> S, class V>
-void fields(S& s, V& v) {
-    auto& [calibrated, combined_confidence, members, rejected] = s;
-    v(calibrated, combined_confidence, members, rejected);
-}
 template <Of<core::EnvAware::StreamState> S, class V>
 void fields(S& s, V& v) {
     auto& [regime, pending, pending_count] = s;
@@ -112,9 +100,8 @@ void fields(S& s, V& v) {
 }
 
 // Config lists, visited only by the Writer that config_digest runs: every
-// value a session's results depend on, in digest byte order. A removed knob
-// keeps its slot, holding the constant that replaced it in the knob's wire
-// type (docs/WIRE.md), so every config digests as before.
+// value a session's results depend on, in digest byte order, including the
+// named constants that replaced knobs (docs/WIRE.md).
 template <Of<core::LocationSolver::Config> S, class V>
 void fields(S& s, V& v) {
     using Solver = core::LocationSolver;
@@ -128,26 +115,13 @@ void fields(S& s, V& v) {
 template <Of<core::LocBle::Config> S, class V>
 void fields(S& s, V& v) {
     using dsp::AdaptiveKalman, dsp::Anf;
-    // The ANF's design (order, cutoff, rate, then the Kalman gains), and
-    // the regime bands and segment restarts, both always on.
-    constexpr bool regime_bands = true, restart_on_change = true;
+    // The ANF's design: order, cutoff, rate, then the Kalman gains.
     auto& [solver, use_anf, use_envaware, gamma_prior_dbm, gamma_prior_below_db,
            gamma_prior_above_db] = s;
     v(Anf::kButterworthOrder, Anf::kCutoffHz, Anf::kSampleRateHz, AdaptiveKalman::kQ,
       AdaptiveKalman::kRFiltered, AdaptiveKalman::kRRaw, AdaptiveKalman::kBiasAlpha,
       AdaptiveKalman::kAdaptGain, solver, core::BatchLoop::kBatchSeconds, use_anf,
-      use_envaware, gamma_prior_dbm, gamma_prior_below_db, gamma_prior_above_db,
-      regime_bands, restart_on_change);
-}
-template <Of<core::SegmentedDtwMatcher::Config> S, class V>
-void fields(S& s, V& v) {
-    auto& [segment_length, warp_window, threshold] = s;
-    v(segment_length, warp_window, threshold);
-}
-template <Of<core::ClusteringCalibrator::Config> S, class V>
-void fields(S& s, V& v) {
-    auto& [dtw, smooth_half_window, diff_stride, max_candidate_distance_m] = s;
-    v(dtw, smooth_half_window, diff_stride, max_candidate_distance_m);
+      use_envaware, gamma_prior_dbm, gamma_prior_below_db, gamma_prior_above_db);
 }
 
 }  // namespace
@@ -247,8 +221,9 @@ struct CheckpointCodec {
     /// The Writer's inverse, and the one place checkpoint input is
     /// validated: counts are bounded by the bytes present, integers by
     /// their field's type, enum values, sketch parameters, warm grid bands
-    /// and session segments are range-checked, and semantic damage fails
-    /// `malformed` right here.
+    /// and session segments are range-checked, verbatim copies of submitted
+    /// values must be finite, and semantic damage fails `malformed` right
+    /// here (the meta section's cross-checks follow its read in restore()).
     struct Reader {
         wire::ByteReader& r;
         /// The shard that builds restored sessions (set per client).
@@ -300,6 +275,38 @@ struct CheckpointCodec {
         }
         void get(IngestStats& s) {
             for (const IngestStatsField& f : kIngestStatsFields) get(s.*f.value);
+        }
+        // Verbatim copies of submitted values must be finite, as submit()
+        // requires: a queued event and its queue's newest time, a pose-track
+        // point, a sample's time and a recorded horizon (the open batch's
+        // raw RSSI and the loop's newest time are checked with their
+        // session, the service horizons with the meta section). Derived
+        // values (a sample's p, q and denoised RSSI) are not checked here.
+        void get(Event& e) {
+            Event::fields(e, *this);
+            if (!is_finite(e))
+                fail(wire::WireStatus::malformed, "non-finite queued event");
+        }
+        void get(Shard::IngestQueue& q) {
+            Shard::IngestQueue::fields(q, *this);
+            if (!std::isfinite(q.last_event_t))
+                fail(wire::WireStatus::malformed, "non-finite queue event time");
+        }
+        void get(EpochRecord& rec) {
+            EpochRecord::fields(rec, *this);
+            if (!std::isfinite(rec.horizon))
+                fail(wire::WireStatus::malformed, "non-finite recorded horizon");
+        }
+        void get(motion::TimedPosition& p) {
+            fields(p, *this);
+            if (!std::isfinite(p.t) || !std::isfinite(p.position.x) ||
+                !std::isfinite(p.position.y))
+                fail(wire::WireStatus::malformed, "non-finite pose");
+        }
+        void get(core::FusedSample& s) {
+            fields(s, *this);
+            if (!std::isfinite(s.t))
+                fail(wire::WireStatus::malformed, "non-finite sample time");
         }
         void get(obs::QuantileSketch& out) {
             if (!r.bool8()) {
@@ -357,17 +364,29 @@ struct CheckpointCodec {
         void get(TrackingSession& s) {
             TrackingSession::fields(s, *this);
             // The solver sizes and indexes its per-segment arrays by sample
-            // segment. A session's segment advances at most once per flushed
-            // batch, and every accumulated sample lies in [0, segment].
-            const std::vector<core::FusedSample>& samples = s.loop_.samples();
-            const int segment = s.loop_.segment();
-            const auto in_segment = [&](const core::FusedSample& x) {
-                return x.segment >= 0 && x.segment <= segment;
-            };
-            if (segment < 0 ||
-                static_cast<std::size_t>(segment) > s.diag_.batch_samples.size() ||
-                !std::all_of(samples.begin(), samples.end(), in_segment))
+            // segment. A session's segment changes only in a flush, by one
+            // step or back to 0 on a sample-cap reset that empties the
+            // samples, and the flush then appends a non-empty batch tagged
+            // with it. So the samples start in segment 0, step up by at
+            // most one from each to the next, and the newest carries the
+            // session's segment (0 with none): segment < samples.size(),
+            // which the bytes present bound.
+            const core::BatchLoop& loop = s.loop_;
+            int segment = 0;
+            bool first = true;
+            for (const core::FusedSample& x : loop.samples()) {
+                if (x.segment != segment && (first || x.segment != segment + 1))
+                    fail(wire::WireStatus::malformed, "sample segment out of order");
+                segment = x.segment;
+                first = false;
+            }
+            if (loop.segment() != segment)
                 fail(wire::WireStatus::malformed, "session segment out of range");
+            const std::vector<double>& open = loop.open_batch_rssi();
+            const auto finite = [](double x) { return std::isfinite(x); };
+            if (!std::isfinite(loop.last_t()) ||
+                !std::all_of(open.begin(), open.end(), finite))
+                fail(wire::WireStatus::malformed, "non-finite session event value");
         }
         template <class T>
         void get(T& x) {
@@ -502,6 +521,10 @@ struct CheckpointCodec {
         read_to_end(mr, "meta");
         if (meta.live.epochs != meta.epoch || meta.barrier.epochs != meta.epoch)
             fail(wire::WireStatus::malformed, "epoch does not match the stats");
+        // The horizon is the newest submitted time, and the epoch horizon a
+        // copy of it.
+        if (!std::isfinite(meta.horizon) || !std::isfinite(meta.epoch_horizon))
+            fail(wire::WireStatus::malformed, "non-finite horizon");
 
         // --- recorder ---
         if (!next_section("recorder"))

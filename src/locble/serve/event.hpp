@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "locble/common/vec2.hpp"
@@ -44,6 +45,17 @@ struct Event {
         v(client, t, kind, beacon, rssi_dbm, position);
     }
 };
+
+/// Are the values the event carries for its kind finite: `t` always, the
+/// RSSI of an advertisement, the position of a pose? The service refuses an
+/// event that is not (TrackingService::submit), and checkpoint restore
+/// refuses a queued one.
+inline bool is_finite(const Event& e) {
+    return std::isfinite(e.t) &&
+           (e.kind == EventKind::adv
+                ? std::isfinite(e.rssi_dbm)
+                : std::isfinite(e.position.x) && std::isfinite(e.position.y));
+}
 
 /// Advertisement event shorthand.
 inline Event adv_event(ClientId client, double t, BeaconId beacon, double rssi_dbm) {

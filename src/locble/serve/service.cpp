@@ -55,8 +55,6 @@ BeaconEstimate make_estimate(ClientId client, BeaconId beacon,
     e.regression_restarts = session.regression_restarts();
     e.resets = session.resets();
     e.last_event_t = session.last_event_t();
-    e.has_cluster = session.has_cluster();
-    if (e.has_cluster) e.cluster = session.cluster();
     return e;
 }
 
@@ -97,19 +95,7 @@ std::string canonical_text(const ServiceSnapshot& snap) {
                " seen=" + std::to_string(e.samples_seen) +
                " restarts=" + std::to_string(e.regression_restarts) +
                " resets=" + std::to_string(e.resets) +
-               " last_t=" + fmt(e.last_event_t) +
-               " cluster=" + (e.has_cluster ? std::string("1") : std::string("0"));
-        if (e.has_cluster) {
-            out += " cx=" + fmt(e.cluster.calibrated.x) +
-                   " cy=" + fmt(e.cluster.calibrated.y) +
-                   " cconf=" + fmt(e.cluster.combined_confidence) + " members=[";
-            for (std::size_t i = 0; i < e.cluster.members.size(); ++i) {
-                if (i > 0) out += ",";
-                out += std::to_string(e.cluster.members[i]);
-            }
-            out += "] crejected=" + std::to_string(e.cluster.rejected);
-        }
-        out += "\n";
+               " last_t=" + fmt(e.last_event_t) + "\n";
     }
     return out;
 }
@@ -194,12 +180,7 @@ void TrackingService::submit(const Event& e) {
     // A non-finite value would poison the session it reaches (a NaN RSSI
     // or pose freezes the fit) or the clock (an infinite t hangs batch
     // closing), so it is refused before it can touch any state.
-    const bool finite =
-        std::isfinite(e.t) &&
-        (e.kind == EventKind::adv
-             ? std::isfinite(e.rssi_dbm)
-             : std::isfinite(e.position.x) && std::isfinite(e.position.y));
-    if (!finite) {
+    if (!is_finite(e)) {
         ++stats_.rejected;
         return;
     }

@@ -33,8 +33,6 @@ struct BeaconEstimate {
     int regression_restarts{0};
     int resets{0};
     double last_event_t{0.0};
-    bool has_cluster{false};
-    core::ClusterCalibration cluster{};
 };
 
 /// Which sessions a snapshot covers.
@@ -142,8 +140,8 @@ std::string status_json(const ServiceStatus& status);
 /// a shard owns its clients' ingest queues and state. An epoch runs as three
 /// stages over epoch-wide, ordered work lists whose items workers claim
 /// through one atomic cursor: drain each client's delivery, then close and
-/// solve each session, then settle each client (clustering, dirty listing,
-/// pose pruning). A session is a pure function of its own events, so the
+/// solve each session, then settle each client (dirty listing, pose
+/// pruning). A session is a pure function of its own events, so the
 /// hot path takes no locks and the work order is never observable. The
 /// driver thread runs either the classic phased loop
 ///

@@ -181,16 +181,9 @@ void Shard::settle(const ClientWork& w, std::size_t worker) {
     Tally& t = tallies_[worker];
     const ItemTimer timer(telemetry_, t.wall_us);
     ClientState& c = *w.state;
-    // Whether any fit moved, for the clustering pass, and whether any batch
-    // window is still open, so the next epoch revisits.
-    bool changed = false;
-    bool open = false;
-    for (auto& [beacon, s] : c.sessions) {
-        if (s.take_epoch_changed()) changed = true;
-        if (s.has_open_batch()) open = true;
-    }
-    c.open_batches = open;
-    if (changed && cfg_.enable_clustering) run_clustering(c, t.stats);
+    // Whether any batch window is still open, so the next epoch revisits.
+    c.open_batches = std::any_of(c.sessions.begin(), c.sessions.end(),
+                                 [](const auto& kv) { return kv.second.has_open_batch(); });
 
     // Record sessions whose snapshot row changed for the incremental
     // snapshot path (docs/SERVING.md); dirty_listed dedupes across epochs.
@@ -266,30 +259,6 @@ IngestStats Shard::end_epoch() {
     live_sessions_ = live_sessions_ + worked.sessions_created - worked.sessions_evicted;
     if (telemetry_) telem_.record.sessions_live = live_sessions_;
     return worked;
-}
-
-void Shard::run_clustering(ClientState& c, IngestStats& stats) {
-    std::vector<BeaconId> fitted;
-    fitted.reserve(c.sessions.size());
-    for (const auto& [beacon, s] : c.sessions)
-        if (s.has_fit()) fitted.push_back(beacon);
-    if (fitted.size() < 2) return;
-
-    std::vector<core::ClusterCandidate> cands;
-    cands.reserve(fitted.size());
-    for (const BeaconId beacon : fitted) {
-        const TrackingSession& s = c.sessions.at(beacon);
-        cands.push_back({beacon, s.rss_series(), s.fit()});
-    }
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        std::vector<core::ClusterCandidate> neighbors;
-        neighbors.reserve(cands.size() - 1);
-        for (std::size_t j = 0; j < cands.size(); ++j)
-            if (j != i) neighbors.push_back(cands[j]);
-        const auto cal = calibrator_.calibrate(cands[i], neighbors);
-        c.sessions.at(fitted[i]).set_cluster(cal);
-        ++stats.cluster_runs;
-    }
 }
 
 locble::Vec2 Shard::pose_at(ClientState& c, double t) const {

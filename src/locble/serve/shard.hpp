@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "locble/core/clustering.hpp"
 #include "locble/dsp/anf.hpp"
 #include "locble/motion/dead_reckoning.hpp"
 #include "locble/obs/quantile.hpp"
@@ -70,23 +69,14 @@ public:
         /// Evict a client (and its sessions) once its newest event is this
         /// far behind the service horizon, in event-time seconds.
         double idle_timeout_s{60.0};
-        /// Run the Sec. 6 clustering calibration across a client's fitted
-        /// beacons at the end of each epoch (only for clients whose fits
-        /// changed).
-        bool enable_clustering{false};
-        core::ClusteringCalibrator::Config clustering{};
 
         /// Field list in config-digest byte order (serve/checkpoint.cpp),
-        /// where `session` comes last. Removed knobs keep their slots, each
-        /// holding its constant in the knob's wire type: the overflow policy
-        /// was a u8 enum whose drop-oldest value, the one policy left, was 0.
+        /// where `session` comes last.
         template <class Self, class Visitor>
         static void fields(Self& s, Visitor& v) {
-            constexpr auto drop_oldest = std::byte{0};
-            auto& [session, queue_capacity, idle_timeout_s, enable_clustering,
-                   clustering] = s;
-            v(queue_capacity, drop_oldest, idle_timeout_s, kPoseHistoryS, enable_clustering,
-              clustering, kStalenessMaxS, kStalenessResolution, session);
+            auto& [session, queue_capacity, idle_timeout_s] = s;
+            v(queue_capacity, idle_timeout_s, kPoseHistoryS, kStalenessMaxS,
+              kStalenessResolution, session);
         }
     };
 
@@ -98,8 +88,7 @@ public:
     /// each).
     Shard(const Config& cfg, const core::EnvAware* envaware, bool telemetry,
           std::size_t workers)
-        : cfg_(cfg), envaware_(envaware), telemetry_(telemetry),
-          calibrator_(cfg.clustering), tallies_(workers) {}
+        : cfg_(cfg), envaware_(envaware), telemetry_(telemetry), tallies_(workers) {}
 
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
@@ -148,9 +137,8 @@ public:
     /// Stage 2 (a worker): close the session's batches up to the swap
     /// horizon and run its warm-started solve.
     void solve(TrackingSession& session, std::size_t worker);
-    /// Stage 3 (a worker): the client's clustering, dirty listing,
-    /// open-batch flag and pose pruning; an evicted client's state is freed
-    /// instead of pruned.
+    /// Stage 3 (a worker): the client's dirty listing, open-batch flag and
+    /// pose pruning; an evicted client's state is freed instead of pruned.
     void settle(const ClientWork& w, std::size_t worker);
     /// Stage 3 (a worker, when built with telemetry): staleness and no-fit
     /// counts over every session that outlives the epoch.
@@ -270,7 +258,6 @@ private:
         return sessions.try_emplace(beacon, cfg_.session, anf_, envaware_);
     }
 
-    void run_clustering(ClientState& c, IngestStats& stats);
     locble::Vec2 pose_at(ClientState& c, double t) const;
 
     Config cfg_;
@@ -279,7 +266,6 @@ private:
     /// The sessions' ANF, built once: its design is fixed, and every new
     /// session starts from a copy.
     dsp::Anf anf_;
-    core::ClusteringCalibrator calibrator_;
 
     // --- ingest side (driver thread, any time) ---
     // Unordered on purpose: the hot enqueue path is a keyed lookup

@@ -28,7 +28,6 @@ struct IngestStats {
     std::uint64_t sessions_reset{0};
     std::uint64_t batches_flushed{0};
     std::uint64_t solves{0};
-    std::uint64_t cluster_runs{0};
 
     IngestStats& operator+=(const IngestStats& o);
     /// Exact fieldwise difference of two monotone views (`*this` >= `o`),
@@ -66,7 +65,6 @@ inline constexpr IngestStatsField kIngestStatsFields[] = {
     {"sessions_reset", &IngestStats::sessions_reset, "serve.sessions.reset"},
     {"batches_flushed", &IngestStats::batches_flushed, "serve.batches"},
     {"solves", &IngestStats::solves, "serve.solves"},
-    {"cluster_runs", &IngestStats::cluster_runs, "serve.cluster.runs"},
 };
 static_assert(std::size(kIngestStatsFields) * sizeof(std::uint64_t) ==
                   sizeof(IngestStats),

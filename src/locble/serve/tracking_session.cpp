@@ -21,19 +21,18 @@ void TrackingSession::on_adv(double t, double rssi_dbm, double p, double q,
     // Causal ANF: one pass per sample, never revisited (the offline
     // pipeline zero-phase filters the whole capture instead).
     fused.rssi = loop_.config().use_anf ? anf_.process(rssi_dbm) : rssi_dbm;
-    on_flush(loop_.add(rssi_dbm, fused, diag_), stats);
+    on_flush(loop_.add(rssi_dbm, fused), stats);
     ++samples_seen_;
     snap_dirty_ = true;  // samples_seen / last_event_t are snapshot fields
 }
 
 void TrackingSession::finish_epoch(double horizon, IngestStats& stats) {
-    on_flush(loop_.close(horizon, diag_), stats);
+    on_flush(loop_.close(horizon), stats);
     if (!dirty_) return;
     ++stats.solves;
-    if (loop_.solve(fit_, diag_)) {
+    if (loop_.solve(fit_)) {
         has_fit_ = true;
         samples_used_ = loop_.size();
-        epoch_changed_ = true;
         snap_dirty_ = true;
     }
     dirty_ = false;
@@ -49,23 +48,14 @@ void TrackingSession::on_flush(const core::BatchLoop::Flush& f, IngestStats& sta
         LOCBLE_COUNT("serve.regression_restarts", 1);
     }
     if (f.reset) {
-        // The sample cap started a fresh regression: the old fit and its
-        // cluster calibration describe samples the session no longer has.
+        // The sample cap started a fresh regression: the old fit describes
+        // samples the session no longer has.
         samples_used_ = 0;
         has_fit_ = false;
-        has_cluster_ = false;
-        epoch_changed_ = true;
         snap_dirty_ = true;
         ++stats.sessions_reset;
     }
     dirty_ = true;
-}
-
-locble::TimeSeries TrackingSession::rss_series() const {
-    locble::TimeSeries out;
-    out.reserve(loop_.size());
-    for (const auto& s : loop_.samples()) out.push_back({s.t, s.rssi});
-    return out;
 }
 
 }  // namespace locble::serve

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 
-#include "locble/core/clustering.hpp"
 #include "locble/core/envaware.hpp"
 #include "locble/core/location_solver.hpp"
 #include "locble/core/pipeline.hpp"
@@ -40,13 +39,10 @@ public:
         std::size_t max_session_samples{0};
 
         /// Field list in config-digest byte order (serve/checkpoint.cpp).
-        /// Two removed knobs (reset on environment change, solve per flush)
-        /// keep their slots as a constant, so every config digests as before.
         template <class Self, class Visitor>
         static void fields(Self& s, Visitor& v) {
-            constexpr bool removed_knob = false;
             auto& [pipeline, max_session_samples] = s;
-            v(removed_knob, removed_knob, max_session_samples, pipeline);
+            v(max_session_samples, pipeline);
         }
     };
 
@@ -86,29 +82,6 @@ public:
     int regression_restarts() const { return loop_.restarts(); }
     int resets() const { return loop_.resets(); }
     double last_event_t() const { return loop_.last_t(); }
-    const core::LocateResult::Diagnostics& diagnostics() const { return diag_; }
-
-    /// The accumulated (denoised) RSS stream of the current regression —
-    /// the trend signal the clustering stage compares across co-located
-    /// beacons. Timestamped like the input events.
-    locble::TimeSeries rss_series() const;
-
-    bool has_cluster() const { return has_cluster_; }
-    const core::ClusterCalibration& cluster() const { return cluster_; }
-    void set_cluster(const core::ClusterCalibration& c) {
-        cluster_ = c;
-        has_cluster_ = true;
-        snap_dirty_ = true;
-    }
-
-    /// Did finish_epoch()/on_adv() change the fit since the last
-    /// epoch_changed() reset? The shard uses this to re-run clustering only
-    /// for clients that actually moved.
-    bool take_epoch_changed() {
-        const bool c = epoch_changed_;
-        epoch_changed_ = false;
-        return c;
-    }
 
     /// Does the session still hold samples in an un-flushed batch window?
     /// The shard uses this to keep visiting otherwise-idle clients until
@@ -144,12 +117,11 @@ private:
     /// — travels.
     template <class Self, class Visitor>
     static void fields(Self& s, Visitor& v) {
-        auto& [anf_, loop_, dirty_, epoch_changed_, snap_dirty_, dirty_listed_, has_fit_,
-               fit_, samples_used_, samples_seen_, diag_, has_cluster_, cluster_] = s;
-        v(anf_, loop_, dirty_, epoch_changed_, snap_dirty_, dirty_listed_, has_fit_);
+        auto& [anf_, loop_, dirty_, snap_dirty_, dirty_listed_, has_fit_, fit_,
+               samples_used_, samples_seen_] = s;
+        v(anf_, loop_, dirty_, snap_dirty_, dirty_listed_, has_fit_);
         if (has_fit_) v(fit_);
-        v(samples_used_, samples_seen_, diag_, has_cluster_);
-        if (has_cluster_) v(cluster_);
+        v(samples_used_, samples_seen_);
     }
 
     /// The session's side of a closed batch: ledger counters, obs, and the
@@ -160,7 +132,6 @@ private:
     core::BatchLoop loop_;
 
     bool dirty_{false};
-    bool epoch_changed_{false};
     // A fresh session has a row to publish, so it is born snapshot-dirty.
     bool snap_dirty_{true};
     bool dirty_listed_{false};
@@ -168,10 +139,6 @@ private:
     core::LocationFit fit_;
     std::size_t samples_used_{0};
     std::size_t samples_seen_{0};
-    core::LocateResult::Diagnostics diag_;
-
-    bool has_cluster_{false};
-    core::ClusterCalibration cluster_;
 };
 
 }  // namespace locble::serve

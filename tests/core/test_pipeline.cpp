@@ -266,26 +266,23 @@ TEST(BatchLoopTest, FarFutureCloseReturnsAndFlushesOnce) {
     for (const double far : {1e12, 1e15, 1e17}) {
         SCOPED_TRACE(far);
         BatchLoop loop(no_env_config(), nullptr);
-        LocateResult::Diagnostics diag;
         for (int i = 0; i < 10; ++i) {
             FusedSample s;
             s.t = 0.1 * i;
             s.p = 0.3 * i;
-            (void)loop.add(-60.0 - 0.1 * i, s, diag);
+            ASSERT_EQ(loop.add(-60.0 - 0.1 * i, s).samples, 0u);
         }
         ASSERT_TRUE(loop.has_open_batch());
-        const auto f = loop.close(far, diag);
-        EXPECT_EQ(f.samples, 10u);
+        const auto f = loop.close(far);
+        EXPECT_EQ(f.samples, 10u);  // one flush, of the whole batch
         EXPECT_FALSE(loop.has_open_batch());
-        ASSERT_EQ(diag.batch_samples.size(), 1u);
         EXPECT_EQ(loop.size(), 10u);
         // The window now ends at or past `far`: a sample at `far` opens a
         // batch and closes nothing.
         FusedSample s;
         s.t = far;
-        EXPECT_EQ(loop.add(-60.0, s, diag).samples, 0u);
+        EXPECT_EQ(loop.add(-60.0, s).samples, 0u);
         EXPECT_TRUE(loop.has_open_batch());
-        EXPECT_EQ(diag.batch_samples.size(), 1u);
     }
 }
 

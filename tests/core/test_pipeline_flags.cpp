@@ -109,7 +109,7 @@ std::vector<FusedSample> batch_loop_samples(const locble::TimeSeries& rss) {
     const auto motion = ideal_l_motion();
     const auto denoised = dsp::Anf().process_offline(rss);
     BatchLoop loop(cfg, &tiny_envaware());
-    LocateResult::Diagnostics diag;
+    std::size_t flushed = 0;
     for (std::size_t i = 0; i < rss.size(); ++i) {
         const Vec2 obs = motion.position_at(rss[i].t);
         FusedSample s;
@@ -117,9 +117,10 @@ std::vector<FusedSample> batch_loop_samples(const locble::TimeSeries& rss) {
         s.p = -obs.x;
         s.q = -obs.y;
         s.rssi = denoised[i].value;
-        loop.add(rss[i].value, s, diag);
+        flushed += loop.add(rss[i].value, s).samples;
     }
-    loop.flush(diag);
+    flushed += loop.flush().samples;
+    EXPECT_EQ(flushed, rss.size());
     return loop.samples();
 }
 

@@ -1,11 +1,13 @@
 // Checkpoint byte-layout pin and forged-checkpoint rejection (docs/WIRE.md).
 //
-// The constants below pin checkpoint format 1 (kCkptFormat). The field
+// The constants below pin checkpoint format 2 (kCkptFormat). The field
 // lists *are* the layout: reordering, retyping or adding an entry moves
 // these bytes, which requires bumping kCkptFormat and re-pinning here.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -13,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "locble/common/rng.hpp"
 #include "locble/core/envaware.hpp"
@@ -25,7 +28,7 @@
 namespace locble::serve {
 namespace {
 
-TrackingService::Config pin_config(bool clustering, std::size_t recorder_epochs) {
+TrackingService::Config pin_config(std::size_t recorder_epochs) {
     TrackingService::Config cfg;
     cfg.shards = 2;
     cfg.threads = 1;
@@ -34,7 +37,6 @@ TrackingService::Config pin_config(bool clustering, std::size_t recorder_epochs)
     cfg.shard.session.pipeline.solver.search_mode =
         core::LocationSolver::SearchMode::coarse_to_fine;
     cfg.shard.queue_capacity = 4096;
-    cfg.shard.enable_clustering = clustering;
     cfg.flight_recorder_epochs = recorder_epochs;
     return cfg;
 }
@@ -71,13 +73,10 @@ std::string pinned_checkpoint(const TrackingService::Config& cfg,
     svc.submit(adv_event(900, t + 0.125, 3, -64.5));
     std::string ckpt = svc.checkpoint();
 
-    // The pin must cover the optional branches: published fits, the warm
-    // grid (coarse_to_fine solves), and cluster calibrations when enabled.
+    // The pin must cover the optional branches: published fits and the
+    // warm grid (coarse_to_fine solves).
     const std::string snap = canonical_text(svc.snapshot(SnapshotMode::full));
     EXPECT_NE(snap.find(" fit=1 "), std::string::npos);
-    if (cfg.shard.enable_clustering) {
-        EXPECT_NE(snap.find(" cluster=1 "), std::string::npos);
-    }
     return ckpt;
 }
 
@@ -112,13 +111,9 @@ SectionPin pin_sections(std::string_view ckpt) {
 }
 
 TEST(WireCheckpointTest, FormatIsPinnedWithRecorderOff) {
-    const std::string plain = pinned_checkpoint(pin_config(false, 0));
-    EXPECT_EQ(fnv1a64(kFnvBasis, plain), 0x3b45a37d56abe028ull);
-    EXPECT_EQ(plain.size(), 147788u);
-
-    const std::string clustered = pinned_checkpoint(pin_config(true, 0));
-    EXPECT_EQ(fnv1a64(kFnvBasis, clustered), 0x4b8548801d5a3bb2ull);
-    EXPECT_EQ(clustered.size(), 148773u);
+    const std::string plain = pinned_checkpoint(pin_config(0));
+    EXPECT_EQ(fnv1a64(kFnvBasis, plain), 0x6d2133cf79e64b29ull);
+    EXPECT_EQ(plain.size(), 147172u);
 
     // EnvAware on: the regime tracker's optional classes carry data too.
     locble::Rng rng(20);
@@ -126,26 +121,19 @@ TEST(WireCheckpointTest, FormatIsPinnedWithRecorderOff) {
     dcfg.traces_per_class = 15;
     core::EnvAware env;
     env.train(core::generate_env_dataset(dcfg, rng));
-    auto cfg = pin_config(false, 0);
+    auto cfg = pin_config(0);
     cfg.shard.session.pipeline.use_envaware = true;
     const std::string envaware = pinned_checkpoint(cfg, env);
-    EXPECT_EQ(fnv1a64(kFnvBasis, envaware), 0x7393d8e641263502ull);
-    EXPECT_EQ(envaware.size(), 90606u);
+    EXPECT_EQ(fnv1a64(kFnvBasis, envaware), 0xe3f7d47d4707c78aull);
+    EXPECT_EQ(envaware.size(), 90002u);
 }
 
 TEST(WireCheckpointTest, FormatIsPinnedWithRecorderOn) {
-    const SectionPin plain = pin_sections(pinned_checkpoint(pin_config(false, 64)));
-    EXPECT_EQ(plain.hash, 0x258432d4e686b1e1ull);
-    EXPECT_EQ(plain.bytes, 147523u);
+    const SectionPin plain = pin_sections(pinned_checkpoint(pin_config(64)));
+    EXPECT_EQ(plain.hash, 0x71fabe6d63a68977ull);
+    EXPECT_EQ(plain.bytes, 146907u);
     EXPECT_EQ(plain.sections, 14u);
-    EXPECT_EQ(plain.recorder_bytes, 664u);
-
-    const SectionPin clustered =
-        pin_sections(pinned_checkpoint(pin_config(true, 64)));
-    EXPECT_EQ(clustered.hash, 0xda7b14c47e9b1545ull);
-    EXPECT_EQ(clustered.bytes, 148508u);
-    EXPECT_EQ(clustered.sections, 14u);
-    EXPECT_EQ(clustered.recorder_bytes, 664u);
+    EXPECT_EQ(plain.recorder_bytes, 662u);
 }
 
 /// FNV-1a 64 of a freshly built service's checkpoint. Its `meta` section
@@ -175,13 +163,13 @@ TEST(WireCheckpointTest, ConfigDigestIsPinnedForTheConfigsProgramsRun) {
     fleet.shard.session.pipeline.gamma_prior_dbm = -59.0;
     fleet.shard.session.pipeline.solver.search_mode =
         core::LocationSolver::SearchMode::coarse_to_fine;
-    EXPECT_EQ(fresh_checkpoint_hash(fleet), 0xd85b06a05a86ce9cull)
+    EXPECT_EQ(fresh_checkpoint_hash(fleet), 0xb5f8da9f49ebb356ull)
         << "fleet_replay";
     TrackingService::Config standby = fleet;
     standby.shards = 1;
     standby.threads = 1;
     standby.shard.session.pipeline.use_envaware = true;
-    EXPECT_EQ(fresh_checkpoint_hash(standby), 0xe6d56f4086e1950aull)
+    EXPECT_EQ(fresh_checkpoint_hash(standby), 0x6788b4aceab72b33ull)
         << "standby_long_walk";
 
     // bench_ablation_solver's variants and two of bench_solver_scaling's
@@ -197,23 +185,23 @@ TEST(WireCheckpointTest, ConfigDigestIsPinnedForTheConfigsProgramsRun) {
         Edit edit;
         std::uint64_t hash;
     } pins[] = {
-        {"defaults", [](auto&) {}, 0x6c04dea1cd4c10feull},
-        {"no_wls", [](auto& p) { p.solver.use_wls = false; }, 0x5a2ec3ea5479c6d7ull},
+        {"defaults", [](auto&) {}, 0x5a764e15c66e7d0dull},
+        {"no_wls", [](auto& p) { p.solver.use_wls = false; }, 0x6c75b7260892c7bdull},
         {"no_gn", [](auto& p) { p.solver.use_gn_refinement = false; },
-         0x31336fc66a2daff5ull},
+         0x245cae8678507fa0ull},
         {"model_averaging", [](auto& p) { p.solver.use_model_averaging = true; },
-         0x624aac2f5d60e16bull},
+         0x18da030a7d3de343ull},
         {"no_gamma_prior",
          [](auto& p) {
              p.gamma_prior_dbm = -60.0;
              p.gamma_prior_below_db = 30.0;
              p.gamma_prior_above_db = 30.0;
          },
-         0x8852815e1bdb2bb9ull},
+         0x939a7b9772ddce5cull},
         {"exponent_step 0.1", [](auto& p) { p.solver.exponent_step = 0.1; },
-         0xde6b4a2d418ab9a6ull},
+         0x391940a299e3ed3cull},
         {"exponent_step 0.025", [](auto& p) { p.solver.exponent_step = 0.025; },
-         0x470e85ab58ba1432ull},
+         0x0eef2ccd6333c53dull},
     };
     for (const auto& pin : pins) EXPECT_EQ(variant(pin.edit), pin.hash) << pin.name;
 
@@ -242,14 +230,18 @@ std::string reframe(
     return out.finish();
 }
 
-void expect_malformed(std::string_view bytes, const char* what) {
-    TrackingService fresh(pin_config(false, 64));
+void expect_refused(std::string_view bytes, wire::WireStatus code, const char* what) {
+    TrackingService fresh(pin_config(64));
     try {
         fresh.restore_checkpoint(bytes);
         ADD_FAILURE() << what << ": forged checkpoint restored";
     } catch (const wire::WireError& e) {
-        EXPECT_EQ(e.code(), wire::WireStatus::malformed) << what << ": " << e.what();
+        EXPECT_EQ(e.code(), code) << what << ": " << e.what();
     }
+}
+
+void expect_malformed(std::string_view bytes, const char* what) {
+    expect_refused(bytes, wire::WireStatus::malformed, what);
 }
 
 /// One client walking past beacon 7. Poses sit on whole seconds and
@@ -257,18 +249,20 @@ void expect_malformed(std::string_view bytes, const char* what) {
 /// timestamp bytes occur in the client section first as the first
 /// accumulated sample's `t`, and the last advertisement's last as the
 /// session's `last_event_t`. A final pose at t = 12 moves the horizon past
-/// the last batch window, so every batch has flushed.
+/// the last batch window, so every batch has flushed. `queued` is submitted
+/// after the epoch and stays in the client's ingest queue.
 constexpr double kFirstAdvT = 0.05;
 constexpr int kAdvs = 100;
 
-std::string forgery_donor() {
-    TrackingService donor(pin_config(false, 64));
+std::string forgery_donor(const std::vector<Event>& queued = {}) {
+    TrackingService donor(pin_config(64));
     for (int s = 0; s <= 10; ++s)
         donor.submit(pose_event(1, s, {0.5 * s, s > 5 ? 0.5 * (s - 5) : 0.0}));
     for (int k = 0; k < kAdvs; ++k)
         donor.submit(adv_event(1, kFirstAdvT + 0.1 * k, 7, -60.0 - 0.1 * (k % 13)));
     donor.submit(pose_event(1, 12.0, {5.0, 2.5}));
     donor.run_epoch();
+    donor.submit(queued);
     return donor.checkpoint();
 }
 
@@ -406,7 +400,7 @@ TEST(WireCheckpointTest, ReframedCheckpointRestoresUnchanged) {
     const std::string ckpt = forgery_donor();
     const std::string same = reframe(ckpt, [](std::string_view, std::string&) {});
     EXPECT_EQ(same, ckpt);
-    TrackingService fresh(pin_config(false, 64));
+    TrackingService fresh(pin_config(64));
     fresh.restore_checkpoint(same);
     EXPECT_EQ(fresh.checkpoint(), ckpt);
 }
@@ -423,10 +417,45 @@ TEST(WireCheckpointTest, NegativeSessionSegmentIsMalformed) {
     expect_malformed(with_session_segment(forgery_donor(), "\x01"), "segment -1");
 }
 
-TEST(WireCheckpointTest, SessionSegmentBeyondFlushedBatchesIsMalformed) {
-    // zigzag(1000) = 2000, varint d0 0f: more segments than flushed batches.
+TEST(WireCheckpointTest, SessionSegmentOffItsNewestSampleIsMalformed) {
+    // zigzag(1000) = 2000, varint d0 0f: the newest accumulated sample is in
+    // segment 0, and a flush always tags its batch with the session's
+    // segment.
     expect_malformed(with_session_segment(forgery_donor(), "\xd0\x0f"),
                      "segment 1000");
+}
+
+/// Rewrite both the newest accumulated sample's `segment` and the session's
+/// own with `zigzag`, so the two still agree. The last advertisement's time
+/// occurs first as the newest sample's `t`, its segment 32 bytes on, and
+/// last as the session's `last_event_t` (see with_session_segment).
+std::string with_newest_segments(std::string_view ckpt, std::string_view zigzag) {
+    bool patched = false;
+    std::string out = reframe(ckpt, [&](std::string_view name, std::string& body) {
+        if (name != "client") return;
+        const double last_t = kFirstAdvT + 0.1 * (kAdvs - 1);
+        const std::size_t sample = body.find(bytes_of(last_t));
+        const std::size_t session = body.rfind(bytes_of(last_t));
+        if (sample == std::string::npos || sample + 32 >= session) return;
+        ASSERT_EQ(body[sample + 32], 0) << "newest sample is not in segment 0";
+        ASSERT_EQ(body[session + 10], 0) << "session is not in segment 0";
+        body.replace(session + 10, 1, zigzag);  // the later offset first
+        body.replace(sample + 32, 1, zigzag);
+        patched = true;
+    });
+    EXPECT_TRUE(patched);
+    return out;
+}
+
+TEST(WireCheckpointTest, NewestSampleAndSessionBothInAFarSegmentAreMalformed) {
+    // The two agree, but the newest sample steps up from segment 0 where a
+    // flush steps by at most one: a session in segment k holds more than k
+    // samples. zigzag(1000) = 2000 is varint d0 0f; zigzag(INT_MAX) =
+    // 2^32 - 2 is varint fe ff ff ff 0f, in range for an int, but the next
+    // solve's segment count (segment + 1) would overflow.
+    expect_malformed(with_newest_segments(forgery_donor(), "\xd0\x0f"), "segments 1000");
+    expect_malformed(with_newest_segments(forgery_donor(), "\xfe\xff\xff\xff\x0f"),
+                     "segments INT_MAX");
 }
 
 TEST(WireCheckpointTest, SessionSegmentBeyond32BitsIsMalformed) {
@@ -472,6 +501,142 @@ TEST(WireCheckpointTest, MetaEpochOffItsStatsIsMalformed) {
             body[12] = 2;
         });
     expect_malformed(forged, "epoch 2 with 1 in the stats");
+}
+
+TEST(WireCheckpointTest, FormatOneCheckpointIsAnUnknownVersion) {
+    // The meta body opens with the u32 format, little-endian.
+    const std::string forged =
+        reframe(forgery_donor(), [](std::string_view name, std::string& body) {
+            if (name != "meta") return;
+            ASSERT_EQ(body.substr(0, 4), std::string("\x02\0\0\0", 4));
+            body[0] = 1;
+        });
+    expect_refused(forged, wire::WireStatus::unknown_version, "format 1");
+}
+
+/// Replace the first f64 `value` in the client section (the last one with
+/// `last`) with a NaN.
+std::string with_nan_for(std::string_view ckpt, double value, bool last = false) {
+    bool patched = false;
+    std::string out = reframe(ckpt, [&](std::string_view name, std::string& body) {
+        if (name != "client") return;
+        const std::size_t at = last ? body.rfind(bytes_of(value)) : body.find(bytes_of(value));
+        if (at == std::string::npos) return;
+        set_f64(body, at, std::numeric_limits<double>::quiet_NaN());
+        patched = true;
+    });
+    EXPECT_TRUE(patched);
+    return out;
+}
+
+TEST(WireCheckpointTest, QueuedAdvWithNanRssiIsMalformed) {
+    // The queue precedes the resident state, and -71.25 dBm occurs nowhere
+    // else in the client section.
+    constexpr double kRssi = -71.25;
+    expect_malformed(with_nan_for(forgery_donor({adv_event(1, 12.5, 7, kRssi)}), kRssi),
+                     "queued adv RSSI NaN");
+}
+
+TEST(WireCheckpointTest, AccumulatedSampleWithNanTimeIsMalformed) {
+    expect_malformed(with_nan_for(forgery_donor(), kFirstAdvT), "sample t NaN");
+}
+
+TEST(WireCheckpointTest, QueueNewestTimeNanIsMalformed) {
+    // The queued advertisement's time occurs first in the queue's buffer,
+    // then last as the queue's `last_event_t`.
+    constexpr double kT = 12.5;
+    expect_malformed(
+        with_nan_for(forgery_donor({adv_event(1, kT, 7, -70.0)}), kT, /*last=*/true),
+        "queue last_event_t NaN");
+}
+
+TEST(WireCheckpointTest, SessionNewestTimeNanIsMalformed) {
+    expect_malformed(
+        with_nan_for(forgery_donor(), kFirstAdvT + 0.1 * (kAdvs - 1), /*last=*/true),
+        "session last_event_t NaN");
+}
+
+TEST(WireCheckpointTest, NanHorizonIsMalformed) {
+    // After the u32 format, u64 digest, fixed u64 epoch and the bool8
+    // has_horizon, the meta body holds the f64 horizon and epoch horizon,
+    // both 12 s (the donor's last pose). A NaN horizon would stick
+    // (max(NaN, t) is NaN) and stop idle eviction for good.
+    static constexpr double kHorizon = 12.0;
+    for (const std::size_t at : {std::size_t{21}, std::size_t{29}}) {
+        const std::string forged =
+            reframe(forgery_donor(), [at](std::string_view name, std::string& body) {
+                if (name != "meta") return;
+                ASSERT_EQ(body[20], 1);
+                ASSERT_EQ(f64_at(body, at), kHorizon);
+                set_f64(body, at, std::numeric_limits<double>::quiet_NaN());
+            });
+        expect_malformed(forged, at == 21 ? "horizon NaN" : "epoch horizon NaN");
+    }
+    // The donor's one flight record: its epoch horizon is the first 12 s
+    // in the recorder section.
+    bool patched = false;
+    const std::string forged =
+        reframe(forgery_donor(), [&](std::string_view name, std::string& body) {
+            if (name != "recorder") return;
+            const std::size_t at = body.find(bytes_of(kHorizon));
+            if (at == std::string::npos) return;
+            set_f64(body, at, std::numeric_limits<double>::quiet_NaN());
+            patched = true;
+        });
+    EXPECT_TRUE(patched);
+    expect_malformed(forged, "recorded horizon NaN");
+}
+
+TEST(WireCheckpointTest, SampleCapBoundsALongSessionsCheckpoint) {
+    // One client circling a 10 m square past beacon 1 for 6000 s: poses at
+    // 2 Hz, advertisements at 4 Hz, so 3000 batches of about 8 samples,
+    // with the regression capped at 20 of them. Dyadic timestamps keep
+    // every batch and epoch boundary exact.
+    TrackingService::Config cfg;
+    cfg.shard.session.pipeline.use_envaware = false;
+    cfg.shard.session.max_session_samples = 160;
+    cfg.flight_recorder_epochs = 0;
+    TrackingService svc(cfg);
+    const auto pose_at = [](double t) {
+        const double s = std::fmod(t, 40.0);
+        const int side = static_cast<int>(s / 10.0);
+        const double u = s - 10.0 * side - 5.0;
+        const Vec2 sides[] = {{u, -5.0}, {5.0, u}, {-u, 5.0}, {-5.0, -u}};
+        return sides[side];
+    };
+    const Vec2 beacon{3.0, 4.0};
+    constexpr int kEpochs = 750;
+    constexpr int kEventsPerEpoch = 32;  // 8 s of advertisements at 4 Hz
+    std::vector<std::size_t> bytes;
+    for (int e = 0; e < kEpochs; ++e) {
+        for (int k = 0; k < kEventsPerEpoch; ++k) {
+            const double t = 8.0 * e + 0.25 * k + 0.125;
+            const Vec2 p = pose_at(t);
+            if (k % 2 == 0) svc.submit(pose_event(1, t, p));
+            const double d = std::max(0.5, Vec2::distance(p, beacon));
+            const double noise = 0.3 * ((k * 7) % 13 - 6);
+            svc.submit(adv_event(1, t, 1, -59.0 - 20.0 * std::log10(d) + noise));
+        }
+        svc.run_epoch();
+        bytes.push_back(svc.checkpoint().size());
+    }
+    const ServiceSnapshot snap = svc.snapshot();
+    ASSERT_EQ(snap.estimates.size(), 1u);
+    EXPECT_GT(snap.estimates[0].resets, 100);  // the cap reset it all along
+    EXPECT_LE(snap.estimates[0].samples_used, 160u);
+    EXPECT_EQ(snap.stats.batches_flushed, 2999u);  // the last is still open
+
+    // Only the counters grow: the ledger, in the meta section's three stats
+    // views, and the session's samples_seen and resets. Each grows less than
+    // 128-fold from the early window to the late one, so its varint gets at
+    // most one byte longer.
+    const std::size_t counter_growth = 3 * std::size(kIngestStatsFields) + 2;
+    const auto window_max = [&](int from, int to) {
+        return *std::max_element(bytes.begin() + from, bytes.begin() + to);
+    };
+    const std::size_t early = window_max(50, 150);
+    const std::size_t late = window_max(kEpochs - 100, kEpochs);
+    EXPECT_LE(late, early + counter_growth) << "early " << early << ", late " << late;
 }
 
 TEST(WireCheckpointTest, TrailingMetaBytesAreMalformed) {

@@ -171,8 +171,7 @@ TEST(FlightRecorderTest, RecorderJsonIsVersionedAndStructured) {
     for (const char* field :
          {"submitted", "accepted", "dropped", "rejected", "late", "epochs",
           "clients_created", "clients_evicted", "sessions_created",
-          "sessions_evicted", "sessions_reset", "batches_flushed", "solves",
-          "cluster_runs"})
+          "sessions_evicted", "sessions_reset", "batches_flushed", "solves"})
         EXPECT_NE(json.find("\"" + std::string(field) + "\":"), std::string::npos)
             << field;
     // ND data is quarantined under its own key, one per record.

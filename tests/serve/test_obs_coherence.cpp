@@ -125,7 +125,6 @@ std::vector<std::pair<std::string, std::uint64_t>> expected_pairs(
         {"serve.sessions.reset", s.sessions_reset},
         {"serve.batches", s.batches_flushed},
         {"serve.solves", s.solves},
-        {"serve.cluster.runs", s.cluster_runs},
     };
 }
 #endif

@@ -253,12 +253,6 @@ TEST(WireCheckpointTest, MidLogRestoreContinuesBitIdentically) {
     check_checkpoint_identity([](TrackingService::Config&) {}, 7);
 }
 
-TEST(WireCheckpointTest, MidLogRestoreWithClusteringEnabled) {
-    check_checkpoint_identity(
-        [](TrackingService::Config& cfg) { cfg.shard.enable_clustering = true; },
-        11);
-}
-
 TEST(WireCheckpointTest, MidLogRestoreWithExhaustiveSearch) {
     check_checkpoint_identity(
         [](TrackingService::Config& cfg) {

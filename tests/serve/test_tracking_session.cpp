@@ -116,17 +116,5 @@ TEST(TrackingSessionTest, EnvAwareRequiredWhenEnabled) {
                  std::invalid_argument);
 }
 
-TEST(TrackingSessionTest, EpochChangeFlagLatchesUntilTaken) {
-    IngestStats stats;
-    TrackingSession s(clean_config(), dsp::Anf(), nullptr);
-    EXPECT_FALSE(s.take_epoch_changed());
-    feed_walk(s, {5.0, 2.0}, 8.0, 0.0, 1, stats);
-    s.finish_epoch(9.0, stats);
-    EXPECT_TRUE(s.take_epoch_changed());
-    EXPECT_FALSE(s.take_epoch_changed());  // consumed
-    s.finish_epoch(10.0, stats);           // nothing new arrived
-    EXPECT_FALSE(s.take_epoch_changed());
-}
-
 }  // namespace
 }  // namespace locble::serve

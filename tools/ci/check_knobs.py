@@ -16,10 +16,13 @@ the member that holds it (`.akf.q =`) or in a file that names the struct
 declaring it (`AdaptiveKalman`): a bare `.q =` elsewhere sets some other
 struct's `q`. Tests and examples do not count: a value only they change is a
 knob no program turns, and belongs in a named constant. EXCEPTIONS keeps a
-few unset settings on purpose, each with its reason.
+few unset settings on purpose, each with its reason; an exception that
+matches no setting is stale and fails the check, so it cannot outlive the
+setting it kept.
 
 Prints the settable leaf count. Exits 0 when every leaf is set or excepted,
-1 listing the others, 2 when the field lists cannot be read.
+1 listing the others and any stale exception, 2 when the field lists cannot
+be read.
 """
 
 import argparse
@@ -37,12 +40,6 @@ EXCEPTIONS = {
     "shard.session.max_session_samples":
         "the cap of the bounded-stream item (ROADMAP.md), which no workload "
         "reaches yet",
-    "shard.enable_clustering":
-        "serve clustering: its removal changes the snapshot text and the "
-        "checkpoint layout, so it waits for the next kCkptFormat bump",
-    "shard.clustering":
-        "serve clustering: waits for the next kCkptFormat bump, as "
-        "shard.enable_clustering does",
 }
 
 COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\\n])*\"", re.DOTALL)
@@ -189,18 +186,24 @@ def main():
              if not excepted(path) and not is_set(path, owner, texts)]
 
     print(f"{len(settings)} settable leaf fields under {ROOT_CONFIG}")
+    stale = []
     for prefix, why in EXCEPTIONS.items():
         kept = [p for p, _ in settings if excepted(p) == prefix]
         if kept:
             print(f"kept unset ({len(kept)}): {prefix}: {why}")
+        else:
+            stale.append(prefix)
+            print(f"stale exception: {prefix} matches no setting")
     for path in unset:
         print(f"unset: {path} is set by no file under "
               f"{', '.join(d + '/' for d in SETTER_DIRS)}")
     if unset:
         print(f"{len(unset)} setting(s) no program sets: make each a named "
               "constant, or give it a caller", file=sys.stderr)
-        return 1
-    return 0
+    if stale:
+        print(f"{len(stale)} exception(s) match no setting: delete them",
+              file=sys.stderr)
+    return 1 if unset or stale else 0
 
 
 if __name__ == "__main__":
