@@ -20,22 +20,32 @@
 //    8-shard service, replay of the remainder on both sides.
 //    checkpoint.identical == 1 means the resumed service's final full
 //    snapshot and deterministic status match the uninterrupted run's byte
-//    for byte; save/restore wall costs and the checkpoint size ride along.
+//    for byte; save/restore wall costs (medians over --trials, each restore
+//    into a fresh service) and the checkpoint size ride along.
+//
+//  - crc.*: CRC-32 throughput over the checkpoint tiled to 6.5 MB, the size
+//    of a late hot-standby checkpoint, through wire::crc32 (folded by
+//    carry-less multiplication where the CPU has PCLMULQDQ) and through
+//    wire::crc32_slice8; MB/s are medians over --trials. crc.identical == 1
+//    means both gave the same value on every trial.
 //
 // With --out the bench also writes the recorded log (WIRE_event_log.bin)
 // and the mid-log checkpoint (WIRE_checkpoint.bin) next to the report so
 // the CI wire-replay job can archive real artifacts of the format.
 //
-// CI gates (the wire-replay job): replay.identical == 1 and
-// checkpoint.identical == 1 always; on runners with >= 4 cores (the
-// `cores` scalar) additionally codec.decode_events_per_sec >= 1e6. The
-// identity failures also fail the bench binary itself (exit 1) so a local
-// run cannot miss them. Wall-clock throughputs are ND and never compared
-// across runs byte-wise.
+// CI gates (the wire-replay job): replay.identical == 1,
+// checkpoint.identical == 1 and crc.identical == 1 always; on runners with
+// >= 4 cores (the `cores` scalar) additionally
+// codec.decode_events_per_sec >= 1e6, and where /proc/cpuinfo lists
+// pclmulqdq crc.speedup >= 4. The identity failures also fail the bench
+// binary itself (exit 1) so a local run cannot miss them. Wall-clock
+// throughputs are ND and never compared across runs byte-wise.
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +55,7 @@
 #include "locble/serve/service.hpp"
 #include "locble/sim/multi_client.hpp"
 #include "locble/sim/workload_log.hpp"
+#include "locble/wire/codec.hpp"
 #include "locble/wire/log.hpp"
 
 using namespace locble;
@@ -222,23 +233,28 @@ int main(int argc, char** argv) {
         serve::TrackingService first(service_config(2, 2));
         serve::ReplayDriver head(first, log.bytes);
         for (std::uint64_t i = 0; i < half; ++i) head.step_epoch();
-        double t0 = now_us();
-        ckpt = first.checkpoint();
-        const double save_us = now_us() - t0;
+        std::vector<double> save_us_v, restore_us_v;
+        std::unique_ptr<serve::TrackingService> resumed;
+        for (int r = 0; r < reps; ++r) {
+            double t0 = now_us();
+            ckpt = first.checkpoint();
+            save_us_v.push_back(now_us() - t0);
 
-        serve::TrackingService resumed(service_config(8, 4));
-        t0 = now_us();
-        resumed.restore_checkpoint(ckpt);
-        const double restore_us = now_us() - t0;
-        serve::ReplayDriver tail(resumed, log.bytes);
+            resumed = std::make_unique<serve::TrackingService>(service_config(8, 4));
+            t0 = now_us();
+            resumed->restore_checkpoint(ckpt);
+            restore_us_v.push_back(now_us() - t0);
+        }
+        const double save_us = median(save_us_v), restore_us = median(restore_us_v);
+        serve::ReplayDriver tail(*resumed, log.bytes);
         tail.skip_epochs(half);
         while (tail.step_epoch()) {
         }
 
         const bool identical =
-            serve::canonical_text(resumed.snapshot()) ==
+            serve::canonical_text(resumed->snapshot()) ==
                 serve::canonical_text(ref.snapshot()) &&
-            det_status(resumed) == det_status(ref);
+            det_status(*resumed) == det_status(ref);
         rep.add_scalar("checkpoint.identical", identical ? 1.0 : 0.0);
         rep.add_scalar("checkpoint.bytes", static_cast<double>(ckpt.size()));
         rep.add_scalar("checkpoint.epoch", static_cast<double>(half));
@@ -251,6 +267,42 @@ int main(int argc, char** argv) {
             restore_us, identical ? "byte-identical" : "DIVERGED");
         if (!identical) {
             std::fprintf(stderr, "FAIL: checkpoint resume diverged\n");
+            exit_code = 1;
+        }
+    }
+
+    // --- CRC-32 throughput: folded vs slice-by-8 -----------------------------
+    {
+        constexpr std::size_t kBytes = 6'500'000;
+        std::string buf;
+        buf.reserve(kBytes + ckpt.size());
+        while (buf.size() < kBytes) buf += ckpt;
+        buf.resize(kBytes);
+
+        std::vector<double> fold_us, slice8_us;
+        bool identical = true;
+        for (int r = 0; r < reps; ++r) {
+            double t0 = now_us();
+            const std::uint32_t folded = wire::crc32(buf.data(), buf.size());
+            fold_us.push_back(now_us() - t0);
+            t0 = now_us();
+            const std::uint32_t sliced = wire::crc32_slice8(buf.data(), buf.size());
+            slice8_us.push_back(now_us() - t0);
+            identical = identical && folded == sliced;
+        }
+        const double mb = static_cast<double>(kBytes) / 1e6;
+        const double fold_mbs = mb / (median(fold_us) / 1e6);
+        const double slice8_mbs = mb / (median(slice8_us) / 1e6);
+        rep.add_scalar("crc.bytes", static_cast<double>(kBytes));
+        rep.add_scalar("crc.mb_per_sec", fold_mbs);
+        rep.add_scalar("crc.slice8_mb_per_sec", slice8_mbs);
+        rep.add_scalar("crc.speedup", fold_mbs / slice8_mbs);
+        rep.add_scalar("crc.identical", identical ? 1.0 : 0.0);
+        std::printf("crc32: %.1f MB | crc32 %.0f MB/s | slice-by-8 %.0f MB/s | %.1fx, %s\n",
+                    mb, fold_mbs, slice8_mbs, fold_mbs / slice8_mbs,
+                    identical ? "identical" : "DIFFERENT");
+        if (!identical) {
+            std::fprintf(stderr, "FAIL: crc32 differs from crc32_slice8\n");
             exit_code = 1;
         }
     }
@@ -277,8 +329,9 @@ int main(int argc, char** argv) {
     rep.add_scalar(
         "cores", static_cast<double>(std::thread::hardware_concurrency()));
     rep.add_text("gate",
-                 "replay.identical == 1 and checkpoint.identical == 1 always; "
-                 "codec.decode_events_per_sec >= 1e6 on >= 4 cores");
+                 "replay.identical == 1, checkpoint.identical == 1 and "
+                 "crc.identical == 1 always; codec.decode_events_per_sec >= 1e6 "
+                 "on >= 4 cores; crc.speedup >= 4 where the CPU has PCLMULQDQ");
     const int fin = runner.finish();
     return exit_code != 0 ? exit_code : fin;
 }

@@ -151,6 +151,8 @@ public:
     int restarts() const { return segment_; }
     int resets() const { return resets_; }
     double last_t() const { return last_t_; }
+    /// End of the open batch window: close(t) flushes once t passes it.
+    double batch_end() const { return batch_end_; }
     bool has_open_batch() const { return !batch_raw_.empty(); }
     /// The raw RSSI of the open batch, in arrival order.
     const std::vector<double>& open_batch_rssi() const { return batch_raw_; }

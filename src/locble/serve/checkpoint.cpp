@@ -281,7 +281,8 @@ struct CheckpointCodec {
         // point, a sample's time and a recorded horizon (the open batch's
         // raw RSSI and the loop's newest time are checked with their
         // session, the service horizons with the meta section). Derived
-        // values (a sample's p, q and denoised RSSI) are not checked here.
+        // values (a sample's p, q and denoised RSSI) are not checked; the
+        // one exception, the loop's batch end, is checked with its session.
         void get(Event& e) {
             Event::fields(e, *this);
             if (!is_finite(e))
@@ -387,6 +388,13 @@ struct CheckpointCodec {
             if (!std::isfinite(loop.last_t()) ||
                 !std::all_of(open.begin(), open.end(), finite))
                 fail(wire::WireStatus::malformed, "non-finite session event value");
+            // The batch end is a sample's time plus 2 s steps, or a time
+            // where the walk cannot step, so it is always finite. A NaN or
+            // +inf one would never close a window again (close() needs
+            // t > batch end): the open batch would grow without bound and
+            // the session never solve.
+            if (!std::isfinite(loop.batch_end()))
+                fail(wire::WireStatus::malformed, "non-finite batch end");
         }
         template <class T>
         void get(T& x) {
@@ -485,7 +493,25 @@ struct CheckpointCodec {
             throw std::logic_error(
                 "TrackingService::restore_checkpoint: service is not freshly "
                 "constructed");
+        // read() fills the recorder and the shards as it goes and sets the
+        // stats last, so a throw leaves the stats fresh; put the rest back
+        // the way construction left it, and the service can take another
+        // checkpoint.
+        try {
+            read(svc, bytes);
+        } catch (...) {
+            for (auto& sp : svc.shards_) {
+                sp->ingest_.clear();
+                sp->clients_.clear();
+                sp->dirty_.clear();
+                sp->live_sessions_ = 0;
+            }
+            svc.recorder_.clear();
+            throw;
+        }
+    }
 
+    static void read(TrackingService& svc, std::string_view bytes) {
         wire::LogReader log(bytes);
         if (log.header_status() != wire::WireStatus::ok)
             fail(log.header_status(), "invalid header");

@@ -308,7 +308,10 @@ public:
     /// uninterrupted run: snapshot streams, stats and the deterministic
     /// half of status_json() are byte-equal (property-tested in
     /// tests/serve/test_replay.cpp). Throws wire::WireError on corrupt
-    /// bytes and std::logic_error when the service is not fresh.
+    /// bytes and std::logic_error when the service is not fresh. A restore
+    /// that throws wire::WireError (or any error past the freshness check)
+    /// leaves the service freshly constructed, so it can take another
+    /// checkpoint.
     void restore_checkpoint(std::string_view bytes);
 
 private:

@@ -45,9 +45,16 @@ private:
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `n` bytes,
 /// continuing from `seed` (pass the previous return value to checksum a
 /// logical stream in pieces). Pure function of the bytes — the per-frame
-/// integrity check of the wire format. Computed slice-by-8 (eight bytes per
-/// table step); the values are those of the classic bytewise loop.
+/// integrity check of the wire format. On an x86-64 CPU with PCLMULQDQ and
+/// SSE4.1 (checked once per process), an input of 64 bytes or more has its
+/// 16-byte-multiple prefix folded by carry-less multiplication and the rest
+/// finished by crc32_slice8's loop; elsewhere the whole input takes that
+/// loop. The values are those of the classic bytewise loop either way.
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+/// crc32 computed slice-by-8 (eight bytes per table step) on every CPU: the
+/// portable path, and the reference the folded path is tested against.
+std::uint32_t crc32_slice8(const void* data, std::size_t n, std::uint32_t seed = 0);
 
 /// Longest LEB128 encoding of a u64 (ten 7-bit groups).
 inline constexpr std::size_t kMaxVarintBytes = 10;

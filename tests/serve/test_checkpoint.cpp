@@ -556,6 +556,40 @@ TEST(WireCheckpointTest, SessionNewestTimeNanIsMalformed) {
         "session last_event_t NaN");
 }
 
+/// Replace the session's batch end with `v`: BatchLoop::fields writes it
+/// just before the loop's `last_t`, the session's `last_event_t`.
+std::string with_batch_end(std::string_view ckpt, double v) {
+    bool patched = false;
+    std::string out = reframe(ckpt, [&](std::string_view name, std::string& body) {
+        if (name != "client") return;
+        const double last_t = kFirstAdvT + 0.1 * (kAdvs - 1);
+        const std::size_t at = body.rfind(bytes_of(last_t));
+        if (at == std::string::npos || at < 8) return;
+        // The final pose at t = 12 closed the last window: the batch end is
+        // the first step of 2 s past it.
+        ASSERT_GT(f64_at(body, at - 8), 12.0);
+        ASSERT_LE(f64_at(body, at - 8), 14.0);
+        set_f64(body, at - 8, v);
+        patched = true;
+    });
+    EXPECT_TRUE(patched);
+    return out;
+}
+
+TEST(WireCheckpointTest, SessionBatchEndNanIsMalformed) {
+    // close() needs t > batch end, so a NaN one never closes a window again.
+    expect_malformed(with_batch_end(forgery_donor(), std::numeric_limits<double>::quiet_NaN()),
+                     "batch end NaN");
+}
+
+TEST(WireCheckpointTest, SessionBatchEndInfiniteIsMalformed) {
+    // +inf never closes a window again; -inf would recover at the next
+    // close, but no checkpoint this build writes holds either.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    expect_malformed(with_batch_end(forgery_donor(), kInf), "batch end +inf");
+    expect_malformed(with_batch_end(forgery_donor(), -kInf), "batch end -inf");
+}
+
 TEST(WireCheckpointTest, NanHorizonIsMalformed) {
     // After the u32 format, u64 digest, fixed u64 epoch and the bool8
     // has_horizon, the meta body holds the f64 horizon and epoch horizon,

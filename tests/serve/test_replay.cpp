@@ -386,6 +386,51 @@ TEST(WireCheckpointTest, RestoreRequiresAFreshService) {
     EXPECT_THROW(dirty_epoch.restore_checkpoint(ckpt), std::logic_error);
 }
 
+/// A restore that throws leaves the service as constructed: it checkpoints
+/// like a fresh one, then takes the intact checkpoint and continues exactly
+/// like a fresh service that took it.
+TEST(WireCheckpointTest, FailedRestoreLeavesTheServiceFresh) {
+    sim::WorkloadLogConfig lcfg;
+    lcfg.workload = workload_config(6, 3);
+    lcfg.epoch_s = 1.5;
+    lcfg.seed = 5;
+    const sim::WorkloadLog log = sim::make_workload_log(lcfg);
+    const std::uint64_t half = log.epochs / 2;
+    ASSERT_GT(half, 2u);
+    TrackingService donor(service_config(2, 1));
+    ReplayDriver head(donor, log.bytes);
+    for (std::uint64_t i = 0; i < half; ++i) ASSERT_TRUE(head.step_epoch());
+    const std::string ckpt = donor.checkpoint();
+
+    // Torn inside the last client section (the `end` frame is 9 bytes), so
+    // the recorder and the other clients are restored before the throw.
+    const std::string_view torn = std::string_view(ckpt).substr(0, ckpt.size() - 16);
+    TrackingService retried(service_config(3, 2));
+    try {
+        retried.restore_checkpoint(torn);
+        FAIL() << "torn checkpoint restored";
+    } catch (const wire::WireError& e) {
+        EXPECT_EQ(e.code(), wire::WireStatus::truncated) << e.what();
+    }
+    EXPECT_EQ(retried.checkpoint(), TrackingService(service_config(3, 2)).checkpoint());
+
+    retried.restore_checkpoint(ckpt);
+    TrackingService fresh(service_config(3, 2));
+    fresh.restore_checkpoint(ckpt);
+    EXPECT_EQ(canonical_text(retried.snapshot(SnapshotMode::full)),
+              canonical_text(fresh.snapshot(SnapshotMode::full)));
+    EXPECT_EQ(deterministic_status(retried), deterministic_status(fresh));
+
+    ReplayDriver retried_rest(retried, log.bytes), fresh_rest(fresh, log.bytes);
+    ASSERT_EQ(retried_rest.skip_epochs(half), half);
+    ASSERT_EQ(fresh_rest.skip_epochs(half), half);
+    std::string retried_stream, fresh_stream;
+    while (retried_rest.step_epoch()) retried_stream += observe(retried);
+    while (fresh_rest.step_epoch()) fresh_stream += observe(fresh);
+    EXPECT_FALSE(fresh_stream.empty());
+    EXPECT_EQ(retried_stream, fresh_stream);
+}
+
 TEST(WireCheckpointTest, ConfigMismatchIsRejectedWithItsTypedCode) {
     TrackingService donor(service_config(2, 1));
     donor.submit(adv_event(1, 0.5, 1, -60.0));

@@ -1,9 +1,10 @@
 // locble::wire codec primitives: CRC-32 vectors, ByteWriter/ByteReader
 // round-trips (property-tested over seeded random values), varint edge
 // cases, and the fail-latch behavior that keeps corrupted input from ever
-// turning into UB (docs/WIRE.md). The slice-by-8 CRC and the whole-value
-// reader and writer are checked against the plain bitwise / byte-at-a-time
-// references below.
+// turning into UB (docs/WIRE.md). Both CRC paths (crc32, which folds by
+// carry-less multiplication where the CPU can, and crc32_slice8) and the
+// whole-value reader and writer are checked against the plain bitwise /
+// byte-at-a-time references below.
 
 #include <bit>
 #include <cmath>
@@ -33,6 +34,39 @@ std::uint32_t crc32_bitwise(const void* data, std::size_t n, std::uint32_t seed 
         for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
     return c ^ 0xFFFFFFFFu;
+}
+
+/// `n` seeded pseudo-random bytes, eight per SplitMix64 draw.
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+    std::vector<unsigned char> out(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<unsigned char>(locble::Rng::split_seed(seed, i / 8) >>
+                                            (8 * (i % 8)));
+    return out;
+}
+
+using Crc32Fn = std::uint32_t (*)(const void*, std::size_t, std::uint32_t);
+
+/// `crc` against crc32_bitwise on every length 0..1100 at offsets 0..15,
+/// one-shot and chained from a seed. The lengths cross the fold's 64-byte
+/// threshold, every 16-byte tail and several 64-byte lane steps. The
+/// references grow one byte at a time, which the bitwise loop's chaining
+/// makes exact by construction.
+void expect_bitwise_at_every_length_and_offset(Crc32Fn crc) {
+    constexpr std::size_t kMaxLen = 1100;
+    const std::vector<unsigned char> buf = random_bytes(kMaxLen + 16, 20261017);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        const unsigned char* p = buf.data() + offset;
+        const std::uint32_t seed = crc32_bitwise(buf.data(), offset + 5);
+        std::uint32_t one_shot = 0, chained = seed;
+        for (std::size_t n = 0; n <= kMaxLen; ++n) {
+            ASSERT_EQ(crc(p, n, 0), one_shot) << "offset " << offset << " length " << n;
+            ASSERT_EQ(crc(p, n, seed), chained)
+                << "offset " << offset << " length " << n << " chained";
+            one_shot = crc32_bitwise(p + n, 1, one_shot);
+            chained = crc32_bitwise(p + n, 1, chained);
+        }
+    }
 }
 
 /// The byte-at-a-time reader: every fixed-width value is composed from
@@ -132,41 +166,57 @@ TEST(WireCrc32Test, EmptyInputIsZero) {
 }
 
 TEST(WireCrc32Test, SeedChainingEqualsOneShot) {
-    const std::string data = "the quick brown fox jumps over the lazy dog";
-    const std::uint32_t one_shot = wire::crc32(data.data(), data.size());
-    for (std::size_t split = 0; split <= data.size(); ++split) {
-        const std::uint32_t head = wire::crc32(data.data(), split);
-        const std::uint32_t chained =
-            wire::crc32(data.data() + split, data.size() - split, head);
-        EXPECT_EQ(chained, one_shot) << "split at " << split;
-    }
-}
-
-TEST(WireCrc32Test, SliceBy8EqualsBitwiseAtEveryLengthAndAlignment) {
-    locble::Rng rng(20261017);
-    std::vector<unsigned char> buf(257 + 8);
-    for (auto& b : buf) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
-    for (std::size_t offset = 0; offset < 8; ++offset) {
-        const unsigned char* p = buf.data() + offset;
-        for (std::size_t n = 0; n <= 257; ++n) {
-            ASSERT_EQ(wire::crc32(p, n), crc32_bitwise(p, n))
-                << "offset " << offset << " length " << n;
-            // Chained: continue from the CRC of a preceding piece.
-            const std::uint32_t seed = crc32_bitwise(buf.data(), offset + n % 5);
-            ASSERT_EQ(wire::crc32(p, n, seed), crc32_bitwise(p, n, seed))
-                << "offset " << offset << " length " << n << " chained";
+    // The 1 KB input's splits put either piece below, at and above the
+    // 64-byte fold threshold, with every 16-byte tail.
+    const std::string fox = "the quick brown fox jumps over the lazy dog";
+    const std::vector<unsigned char> kilobyte = random_bytes(1024, 7);
+    for (const std::string_view data :
+         {std::string_view(fox),
+          std::string_view(reinterpret_cast<const char*>(kilobyte.data()), kilobyte.size())}) {
+        const std::uint32_t one_shot = wire::crc32(data.data(), data.size());
+        ASSERT_EQ(one_shot, crc32_bitwise(data.data(), data.size()));
+        for (std::size_t split = 0; split <= data.size(); ++split) {
+            const std::uint32_t head = wire::crc32(data.data(), split);
+            const std::uint32_t chained =
+                wire::crc32(data.data() + split, data.size() - split, head);
+            ASSERT_EQ(chained, one_shot) << data.size() << " bytes split at " << split;
         }
     }
 }
 
+TEST(WireCrc32Test, SliceBy8EqualsBitwiseAtEveryLengthAndAlignment) {
+    expect_bitwise_at_every_length_and_offset(wire::crc32_slice8);
+}
+
+TEST(WireCrc32Test, FoldEqualsBitwiseAtEveryLengthAndAlignment) {
+    expect_bitwise_at_every_length_and_offset(wire::crc32);
+}
+
+TEST(WireCrc32Test, FoldEqualsSliceBy8OnEightMegabytes) {
+    // Many 64-byte lane steps: a late standby checkpoint is ~6.5 MB.
+    constexpr std::size_t kBytes = std::size_t{8} << 20;
+    const std::vector<unsigned char> data = random_bytes(kBytes + 16, 11);
+    EXPECT_EQ(wire::crc32(data.data(), kBytes), wire::crc32_slice8(data.data(), kBytes));
+    // Unaligned start, a 13-byte tail and a seed.
+    EXPECT_EQ(wire::crc32(data.data() + 3, kBytes + 13, 0xDEADBEEFu),
+              wire::crc32_slice8(data.data() + 3, kBytes + 13, 0xDEADBEEFu));
+}
+
 TEST(WireCrc32Test, DetectsEverySingleBitFlip) {
-    const std::string data = "locble wire format";
-    const std::uint32_t good = wire::crc32(data.data(), data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        for (int bit = 0; bit < 8; ++bit) {
-            std::string bad = data;
-            bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
-            EXPECT_NE(wire::crc32(bad.data(), bad.size()), good);
+    // The 1 KB input takes the fold: a flip anywhere in the folded prefix
+    // or the slice-by-8 tail must change the value.
+    const std::string text = "locble wire format";
+    const std::vector<unsigned char> kilobyte = random_bytes(1024 + 9, 13);
+    for (std::vector<unsigned char> data :
+         {std::vector<unsigned char>(text.begin(), text.end()), kilobyte}) {
+        const std::uint32_t good = wire::crc32(data.data(), data.size());
+        for (std::size_t i = 0; i < data.size(); ++i) {
+            for (int bit = 0; bit < 8; ++bit) {
+                data[i] = static_cast<unsigned char>(data[i] ^ (1u << bit));
+                ASSERT_NE(wire::crc32(data.data(), data.size()), good)
+                    << data.size() << " bytes, byte " << i << " bit " << bit;
+                data[i] = static_cast<unsigned char>(data[i] ^ (1u << bit));
+            }
         }
     }
 }
